@@ -36,7 +36,6 @@ from .limits import (
     TolNotAchievable,
     dyck_ete_truncations,
     ete_limit_moments,
-    joint_pmf,
     limit_of,
     moments,
     pfold_limit_from_delta,

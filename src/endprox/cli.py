@@ -2,7 +2,7 @@
 
 Subcommands: stats, limits, exact, sample, shuffle, compare, heatmap.
 Global flags (before the subcommand) configure the distance model, grammar
-parameters, seed, output format, and parallelism.  Exit codes: 0 success,
+parameters, seed and output format.  Exit codes: 0 success,
 1 input error, 2 unsupported model/statistic combination.
 """
 
@@ -55,7 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0, help="sampler seed")
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
-    parser.add_argument("--jobs", type=int, default=1, help="worker threads for stats")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -145,23 +144,22 @@ def _looks_like_bpseq(path: str, text: str) -> bool:
 
 
 def _emit(args, csv_writer, json_payload) -> None:
+    """Write CSV, or the JSON payload that json_payload() builds on demand."""
     if args.format == "json":
-        json.dump(json_payload, sys.stdout, indent=2, default=float)
+        json.dump(json_payload(), sys.stdout, indent=2, default=float)
         sys.stdout.write("\n")
     else:
         csv_writer(sys.stdout)
 
 
 def _cmd_stats(args) -> int:
-    rows, blocks, errors = pipeline.run_stats(
-        _read_structure_files(args.files), _ete_model(args), jobs=args.jobs
-    )
+    rows, blocks, errors = pipeline.run_stats(_read_structure_files(args.files), _ete_model(args))
     for rec_id, message in errors:
         sys.stderr.write(f"skipped {rec_id}: {message}\n")
     if args.summary:
-        _emit(args, lambda out: pipeline.write_summary_csv(blocks, out), pipeline.summary_to_json(blocks))
+        _emit(args, lambda out: pipeline.write_summary_csv(blocks, out), lambda: pipeline.summary_to_json(blocks))
     else:
-        _emit(args, lambda out: pipeline.write_rows_csv(rows, out), pipeline.rows_to_json(rows))
+        _emit(args, lambda out: pipeline.write_rows_csv(rows, out), lambda: pipeline.rows_to_json(rows))
     return 0
 
 
@@ -283,20 +281,20 @@ def _cmd_shuffle(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    rows, _, errors = pipeline.run_stats(_read_structure_files(args.files), _ete_model(args), jobs=args.jobs)
+    rows, _, errors = pipeline.run_stats(_read_structure_files(args.files), _ete_model(args))
     for rec_id, message in errors:
         sys.stderr.write(f"skipped {rec_id}: {message}\n")
     report = pipeline.compare(rows, Model(args.model), _STAT_CHOICES[args.stat], _pfold_params(args))
-    _emit(args, lambda out: pipeline.write_compare_csv(report, out), asdict(report))
+    _emit(args, lambda out: pipeline.write_compare_csv(report, out), lambda: asdict(report))
     return 0
 
 
 def _cmd_heatmap(args) -> int:
-    rows, _, errors = pipeline.run_stats(_read_structure_files(args.files), _ete_model(args), jobs=args.jobs)
+    rows, _, errors = pipeline.run_stats(_read_structure_files(args.files), _ete_model(args))
     for rec_id, message in errors:
         sys.stderr.write(f"skipped {rec_id}: {message}\n")
     cells = pipeline.heatmap(rows, _ete_model(args))
-    _emit(args, lambda out: pipeline.write_heatmap_csv(cells, out), [asdict(c) for c in cells])
+    _emit(args, lambda out: pipeline.write_heatmap_csv(cells, out), lambda: [asdict(c) for c in cells])
     return 0
 
 

@@ -7,10 +7,13 @@ three-rule stochastic grammar
     S -> L S (p1) | L (q1)      L -> ( F ) (p2) | . (q2)
     F -> ( F ) (p3) | L S (q3)
 
-with qi = 1 - pi.  Uniform-model tables hold arbitrary-precision integers;
-grammar tables hold double-precision weights.  The small-n tables double as
-brute-force oracles for the limit laws; conditional_law evaluates the same
-decompositions in scaled floating point so sizes in the thousands stay cheap.
+with qi = 1 - pi.  In all three the exterior loop is one construction, a
+sequence SEQ(dot | arch) of unpaired dots and arches "( ... )" (Flajolet &
+Sedgewick, Analytic Combinatorics, I.2 and ch. III); one kernel over it gives
+every (unp, deg) table and law.  Uniform-model tables hold arbitrary-precision integers; grammar tables hold
+double-precision weights.  The small-n tables double as brute-force oracles
+for the limit laws; conditional_law evaluates the same decompositions in
+scaled floating point so sizes in the thousands stay cheap.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import islice
 from typing import IO, Iterator, Optional, Union
 
 import numpy as np
@@ -157,50 +161,120 @@ def motzkin_number(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the exterior sequence SEQ(dot | arch)
+
+
+@dataclass(frozen=True, eq=False)
+class _Exterior:
+    """One model's exterior loop: a sequence of items, each a dot or an arch.
+
+    At size n the weight of (unp = k, deg = l) is
+    seq(k + l) * C(k + l, k) * dot**k * [z^(n - k)] arch**l, where
+    seq(j) = head * step**(j - 1) (1 for the uniform models, p1^(j-1) q1 for
+    the grammar) and arch[m] weighs one arch of size m >= amin.  An integer
+    (object) arch makes every weight exact; it must be z^amin A with
+    A = 1 / (1 - dot z - arch), as for the uniform models.
+    """
+
+    n: int
+    dot: float
+    amin: int
+    arch: np.ndarray
+    head: float = 1.0
+    step: float = 1.0
+
+    @property
+    def exact(self) -> bool:
+        return self.arch.dtype == object
+
+
+def _arch_powers(ext: _Exterior) -> Iterator[np.ndarray]:
+    """arch**l truncated at z^n, for l = 0, 1, ..., n // amin."""
+    n, s = ext.n, ext.amin
+    power = np.zeros(n + 1, dtype=ext.arch.dtype)
+    power[0] = 1
+    yield power
+    if not ext.exact:
+        # floats: convolution adds only nonnegative terms
+        for _ in range(n // s):
+            power = np.convolve(power, ext.arch)[: n + 1]
+            yield power
+        return
+    # arch = z^s A and 1/A = 1 - dot z - arch give
+    # arch^l = (1 - dot z) arch^(l-1) - z^s arch^(l-2): O(n^2) additions, but
+    # the subtraction would cancel catastrophically in floats
+    prev, power = power, ext.arch
+    for l in range(1, n // s + 1):
+        if l > 1:
+            lo = s * l
+            nxt = np.zeros(n + 1, dtype=object)
+            nxt[lo:] = power[lo:] - ext.dot * power[lo - 1 : n] - prev[lo - s : n + 1 - s]
+            prev, power = power, nxt
+        yield power
+
+
+def _seq_coefs(ext: _Exterior, l: int) -> np.ndarray:
+    """seq(k + l) * C(k + l, k) * dot**k for k = 0 .. n - amin*l (k = 0 only
+    when there are no dots).  Past that bound the coefficients would only
+    multiply structural zeros, and in floats they would overflow."""
+    kmax = ext.n - ext.amin * l if ext.dot else 0
+    if ext.exact:  # dot = 1 whenever kmax > 0
+        coef = [1]
+        for k in range(1, kmax + 1):
+            coef.append(coef[-1] * (k + l) // k)
+        return np.array(coef, dtype=object)
+    # a running product keeps C(k + l, k) * dot**k inside the float range
+    coef = np.empty(kmax + 1)
+    coef[0] = ext.step ** (l - 1)
+    ks = np.arange(1, kmax + 1)
+    coef[1:] = coef[0] * np.cumprod(ext.step * ext.dot * (ks + l) / ks)
+    return ext.head * coef
+
+
+def _exterior_weights(ext: _Exterior) -> Iterator[tuple[int, np.ndarray]]:
+    """(l, w) for l = 0, 1, ..., where w[k] is the weight of (unp = k,
+    deg = l) at size n."""
+    n = ext.n
+    for l, power in enumerate(_arch_powers(ext)):
+        coef = _seq_coefs(ext, l)
+        yield l, coef * power[n + 1 - len(coef) : n + 1][::-1]
+
+
+def _uniform_exterior(model: Model, n: int, exact: bool) -> tuple[_Exterior, float]:
+    """Dyck by semilength (no dot, arch z C) or Motzkin by length (dot z,
+    arch z^2 M), with the total weight at size n: integer counts, or floats
+    with z = 1/4 or 1/3, which keeps the weights inside the float range."""
+    dyck = model is Model.DYCK
+    dot, amin, z = (0, 1, 0.25) if dyck else (1, 2, 1 / 3)
+    if exact:
+        count = catalan if dyck else motzkin_number
+        counts, z = np.array([count(m) for m in range(n + 1)], dtype=object), 1
+    else:
+        counts = _scaled_catalan(n) if dyck else _scaled_motzkin(n)
+    arch = np.zeros(n + 1, dtype=counts.dtype)
+    arch[amin:] = z**amin * counts[: n + 1 - amin]
+    return _Exterior(n, dot * z, amin, arch), counts[n]
+
+
+# ---------------------------------------------------------------------------
 # uniform-model tables
-
-
-@lru_cache(maxsize=None)
-def _dyck_deg_rows(n: int) -> tuple[dict, ...]:
-    rows: list[dict] = [{0: 1}]
-    for m in range(1, n + 1):
-        row: dict = {}
-        # first return to the axis: an arch over semilength j, then the rest
-        for j in range(m):
-            c = catalan(j)
-            for l, w in rows[m - 1 - j].items():
-                row[l + 1] = row.get(l + 1, 0) + c * w
-        rows.append(row)
-    return tuple(rows)
 
 
 def dyck_deg_counts(n: int) -> CountTable:
     """Counts of semilength-n balanced bracketings by top-level pair count."""
     if n < 0:
         raise ValueError("semilength must be nonnegative")
-    return CountTable(Model.DYCK, n, ("deg",), dict(_dyck_deg_rows(n)[n]))
-
-
-@lru_cache(maxsize=None)
-def _motzkin_joint_rows(n: int) -> tuple[dict, ...]:
-    rows: list[dict] = [{(0, 0): 1}]
-    for m in range(1, n + 1):
-        row: dict = {}
-        for (d, k), w in rows[m - 1].items():  # leading exterior dot
-            row[(d, k + 1)] = row.get((d, k + 1), 0) + w
-        for j in range(m - 1):  # leading arch over any length-j path
-            c = motzkin_number(j)
-            for (d, k), w in rows[m - 2 - j].items():
-                row[(d + 1, k)] = row.get((d + 1, k), 0) + c * w
-        rows.append(row)
-    return tuple(rows)
+    weights = _exterior_weights(_uniform_exterior(Model.DYCK, n, exact=True)[0])
+    return CountTable(Model.DYCK, n, ("deg",), {l: w[0] for l, w in weights if w[0]})
 
 
 def motzkin_joint_counts(n: int) -> CountTable:
     """Counts of length-n dot-bracket strings keyed by (deg, unp)."""
     if n < 0:
         raise ValueError("length must be nonnegative")
-    return CountTable(Model.MOTZKIN, n, ("deg", "unp"), dict(_motzkin_joint_rows(n)[n]))
+    weights = _exterior_weights(_uniform_exterior(Model.MOTZKIN, n, exact=True)[0])
+    entries = {(l, k): c for l, w in weights for k, c in enumerate(w) if c}
+    return CountTable(Model.MOTZKIN, n, ("deg", "unp"), entries)
 
 
 @lru_cache(maxsize=None)
@@ -268,26 +342,20 @@ def pfold_inside(p: PfoldParams, n: int) -> PfoldInside:
     return inside
 
 
-def _arch_powers(p: PfoldParams, n: int, lmax: int) -> list[np.ndarray]:
-    """Length-convolution powers of the exterior arch item, truncated at n."""
-    inside = pfold_inside(p, n)
-    arch = inside.arch[: n + 1]
-    powers = [np.zeros(n + 1)]
-    powers[0][0] = 1.0
-    for _ in range(lmax):
-        powers.append(np.convolve(powers[-1], arch)[: n + 1])
-    return powers
+def _pfold_mass(p: PfoldParams, n: int) -> float:
+    """S[n], the probability of a length-n output; positive at every n >= 1."""
+    if n < 1:
+        raise ZeroMassLength("grammar output has length at least 1")
+    mass = pfold_inside(p, n).S[n]
+    if not mass > 0.0:
+        raise ZeroMassLength(f"the inside weight S[{n}] underflowed to {mass} at {p}")
+    return mass
 
 
-def _exterior_coefs(p: PfoldParams, l: int, kmax: int) -> np.ndarray:
-    """coef[k] = p1^(k+l-1) * C(k+l, k) * q2^k for k = 0..kmax."""
-    x = p.p1 * p.q2
-    coef = np.empty(kmax + 1)
-    coef[0] = p.p1 ** (l - 1)
-    if kmax:
-        ks = np.arange(1, kmax + 1)
-        coef[1:] = coef[0] * np.cumprod(x * (ks + l) / ks)
-    return coef
+def _pfold_exterior(p: PfoldParams, n: int) -> _Exterior:
+    """The grammar's exterior: dot q2, arch p2 ( F ) of length at least 4,
+    seq(j) = p1^(j-1) q1."""
+    return _Exterior(n, p.q2, 4, pfold_inside(p, n).arch[: n + 1], head=p.q1, step=p.p1)
 
 
 def pfold_joint_table(n: int, p: PfoldParams = DEFAULT_PFOLD) -> CountTable:
@@ -297,52 +365,32 @@ def pfold_joint_table(n: int, p: PfoldParams = DEFAULT_PFOLD) -> CountTable:
     weight of (k dots, l arches) factors into the item-order multinomial and
     the l-fold convolution of the arch weights.
     """
-    if n < 1:
-        raise ZeroMassLength("grammar output has length at least 1")
-    inside = pfold_inside(p, n)
-    lmax = n // 4
-    powers = _arch_powers(p, n, lmax)
-    entries: dict = {}
-    for l in range(lmax + 1):
-        kmax = n - 4 * l
-        if kmax < 0:
-            break
-        coef = _exterior_coefs(p, l, kmax)
-        power = powers[l]
-        for k in range(kmax + 1):
-            if k + l == 0:
-                continue
-            w = p.q1 * coef[k] * power[n - k]
-            if w > 0.0:
-                entries[(k, l)] = w
+    _pfold_mass(p, n)
+    entries = {
+        (k, l): w
+        for l, row in _exterior_weights(_pfold_exterior(p, n))
+        for k, w in enumerate(row.tolist())
+        if w > 0.0
+    }
     return CountTable(Model.PFOLD, n, ("unp", "deg"), entries)
 
 
 def pfold_joint_probs(n: int, p: PfoldParams = DEFAULT_PFOLD) -> dict[tuple[int, int], float]:
     """Conditional (unp, deg) distribution of the grammar at output length n."""
-    table = pfold_joint_table(n, p)
-    mass = pfold_inside(p, n).S[n]
-    if mass <= 0.0:
-        raise ZeroMassLength(f"no length-{n} output")
-    return {key: w / mass for key, w in table.entries.items()}
+    mass = _pfold_mass(p, n)
+    return {key: w / mass for key, w in pfold_joint_table(n, p).entries.items()}
 
 
 def pfold_exterior_totals(p: PfoldParams, n: int) -> np.ndarray:
     """Sum of the exterior-tracking weights over (unp, deg) for every length
     up to n, computed from the item decomposition rather than the plain
     inside recursion; conservation demands it equal S elementwise.
-
-    Coefficient arrays stop at the arch-support bound k <= n - 4l; past it
-    they only multiply structural zeros (and would overflow the float range
-    for sizes in the thousands).
     """
-    powers = _arch_powers(p, n, n // 4)
+    ext = _pfold_exterior(p, n)
     totals = np.zeros(n + 1)
-    for l, power in enumerate(powers):
-        coef = _exterior_coefs(p, l, n - 4 * l)
-        if l == 0:
-            coef[0] = 0.0
-        totals += np.convolve(coef, power[: n + 1])[: n + 1] * p.q1
+    for l, power in enumerate(_arch_powers(ext)):
+        totals += np.convolve(_seq_coefs(ext, l), power)[: n + 1]
+    totals[0] = 0.0  # seq(0) = 0: the grammar has no empty output
     return totals
 
 
@@ -538,8 +586,7 @@ def hel_stm_counts(
     elif model is Model.MOTZKIN and stat is Stat.STEM_HELICES:
         row = _motzkin_stem_rows(n, True)[n]
     elif model is Model.PFOLD and stat is Stat.HEL:
-        if n < 1:
-            raise ZeroMassLength("grammar output has length at least 1")
+        _pfold_mass(p or DEFAULT_PFOLD, n)
         weights = _pfold_hel_weights(p or DEFAULT_PFOLD, n)
         entries = {
             (None if h == 0 else h): arr[n]
@@ -618,16 +665,6 @@ def _scaled_motzkin(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _scaled_motzkin_powers(n: int, jmax: int) -> tuple[np.ndarray, ...]:
-    mt = _scaled_motzkin(n)
-    powers = [np.zeros(n + 1)]
-    powers[0][0] = 1.0
-    for _ in range(jmax):
-        powers.append(np.convolve(powers[-1], mt)[: n + 1])
-    return tuple(powers)
-
-
-@lru_cache(maxsize=None)
 def _scaled_catalan(n: int) -> np.ndarray:
     x = 0.25
     ct = np.zeros(n + 1)
@@ -637,22 +674,8 @@ def _scaled_catalan(n: int) -> np.ndarray:
     return ct
 
 
-def _motzkin_joint_law(n: int, jcap: int) -> np.ndarray:
-    """P(unp=k, deg=j | length n) as a (k, j) array, j truncated at jcap."""
-    x = 1.0 / 3.0
-    jcap = min(jcap, n // 2)
-    powers = _scaled_motzkin_powers(n, jcap)
-    mt = _scaled_motzkin(n)
-    law = np.zeros((n + 1, jcap + 1))
-    for j in range(jcap + 1):
-        kmax = n - 2 * j
-        coef = np.empty(kmax + 1)
-        coef[0] = 1.0
-        if kmax:
-            ks = np.arange(1, kmax + 1)
-            coef[1:] = np.cumprod(x * (ks + j) / ks)
-        law[: kmax + 1, j] = coef * powers[j][kmax::-1] * x ** (2 * j)
-    return law / mt[n]
+# default truncation of deg in the DEG and UNP laws
+_DEG_CAP = {Model.DYCK: 400, Model.MOTZKIN: 250, Model.PFOLD: 160}
 
 
 def conditional_law(
@@ -670,22 +693,20 @@ def conditional_law(
     truncation cap (already below double precision at the defaults) is simply
     missing from the array.
     """
-    if model is Model.DYCK and stat is Stat.DEG:
-        cap = min(cap or 400, n)
-        ct = _scaled_catalan(n)
-        out = np.zeros(cap + 1)
-        if n == 0:
-            out[0] = 1.0
-            return out
-        # l top-level arches leave a Catalan-power coefficient behind
-        cpow = np.zeros(n + 1)
-        cpow[0] = 1.0
-        x = 0.25
-        for l in range(1, cap + 1):
-            cpow = np.convolve(cpow, ct)[: n + 1]
-            if n - l >= 0:
-                out[l] = cpow[n - l] * x**l / ct[n]
-        return out
+    if stat is Stat.DEG or (stat is Stat.UNP and model is not Model.DYCK):
+        if model is Model.PFOLD:
+            params = p or DEFAULT_PFOLD
+            ext, mass = _pfold_exterior(params, n), _pfold_mass(params, n)
+        else:
+            ext, mass = _uniform_exterior(model, n, exact=False)
+        lcap, kcap = cap or _DEG_CAP[model], n
+        if model is Model.PFOLD and stat is Stat.UNP:  # here cap bounds unp
+            lcap, kcap = _DEG_CAP[model], min(cap or n, n)
+        law = np.zeros((n + 1, min(lcap, n // ext.amin) + 1))
+        for l, w in islice(_exterior_weights(ext), law.shape[1]):
+            law[: len(w), l] = w
+        out = law.sum(axis=0) if stat is Stat.DEG else law.sum(axis=1)[: kcap + 1]
+        return out / mass
     if model is Model.DYCK and stat is Stat.HEL:
         ct = _scaled_catalan(n)
         notch = ct.copy()
@@ -700,9 +721,6 @@ def conditional_law(
             if n - h >= 0:
                 out[h] = 0.25**h * w[n - h] / ct[n]
         return out
-    if model is Model.MOTZKIN and stat in (Stat.DEG, Stat.UNP):
-        law = _motzkin_joint_law(n, cap or 250)
-        return law.sum(axis=0) if stat is Stat.DEG else law.sum(axis=1)
     if model is Model.MOTZKIN and stat is Stat.HEL:
         x = 1.0 / 3.0
         mt = _scaled_motzkin(n)
@@ -718,35 +736,10 @@ def conditional_law(
             if n - 2 * d >= 0:
                 out[d] = x ** (2 * d) * u[n - 2 * d] / mt[n]
         return out
-    if model is Model.PFOLD:
+    if model is Model.PFOLD and stat is Stat.HEL:
         params = p or DEFAULT_PFOLD
-        mass = pfold_inside(params, n).S[n]
-        if stat in (Stat.DEG, Stat.UNP):
-            lcap = min(cap or 160, n // 4) if stat is Stat.DEG else min(160, n // 4)
-            powers = _arch_powers(params, n, lcap)
-            if stat is Stat.DEG:
-                out = np.zeros(lcap + 1)
-                for l in range(lcap + 1):
-                    kmax = n - 4 * l
-                    coef = _exterior_coefs(params, l, kmax)
-                    if l == 0:
-                        coef[0] = 0.0
-                    out[l] = params.q1 * float(np.dot(coef, powers[l][n - kmax : n + 1][::-1]))
-                return out / mass
-            kcap = min(cap or n, n)
-            out = np.zeros(kcap + 1)
-            for l in range(lcap + 1):
-                kmax = min(kcap, n - 4 * l)
-                if kmax < 0:
-                    break
-                coef = _exterior_coefs(params, l, kmax)
-                if l == 0:
-                    coef[0] = 0.0
-                seg = powers[l][n - kmax : n + 1][::-1]
-                out[: kmax + 1] += params.q1 * coef * seg
-            return out / mass
-        if stat is Stat.HEL:
-            hcap = min(cap or 120, max(0, (n - 2) // 2))
-            weights = _pfold_hel_weights(params, n, hcap)
-            return np.array([arr[n] for arr in weights]) / mass
+        mass = _pfold_mass(params, n)
+        hcap = min(cap or 120, max(0, (n - 2) // 2))
+        weights = _pfold_hel_weights(params, n, hcap)
+        return np.array([arr[n] for arr in weights]) / mass
     raise UnsupportedCombination(f"no conditional law for {model.value} x {stat.value}")

@@ -24,7 +24,7 @@ from .exact import (
     Stat,
     UnsupportedCombination,
 )
-from .structure import DEFAULT_ETE, EteModel, ete_distance
+from .structure import DEFAULT_ETE, EteModel
 
 Number = Union[Fraction, float]
 
@@ -287,11 +287,6 @@ def limit_of(model: Model, stat: Stat, p: Optional[PfoldParams] = None) -> Limit
     raise UnsupportedCombination(f"no limit law for {model.value} x {stat.value}")
 
 
-def joint_pmf(d: JointNB, i: int, j: int) -> Number:
-    """Probability of (unp = i, deg = j) under a joint law."""
-    return d.pmf(i, j)
-
-
 def moments(d: LimitDist) -> MomentSummary:
     """Closed-form mean and variance; exact when the law is rational."""
     if isinstance(d, NegBinomial):
@@ -439,8 +434,3 @@ def ete_limit_moments(
         mean_fine, second = _joint_sums(joint, m, km2, ks2)
     variance = second - mean_fine**2
     return MomentSummary(mean=mean, variance=variance, certified_error=tol)
-
-
-def ete_point(deg: int, chn: int, m: EteModel = DEFAULT_ETE) -> float:
-    """Distance value at one (deg, chn) cell; re-exported for convenience."""
-    return ete_distance(deg, chn, m)

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 from typing import IO, Mapping, Optional, Sequence
 
@@ -96,7 +95,7 @@ def _row_from_record(rec: ParsedRecord, m: EteModel) -> StatsRow:
 
 
 def run_stats(
-    records: Sequence[ParsedRecord], m: EteModel = DEFAULT_ETE, jobs: int = 1
+    records: Sequence[ParsedRecord], m: EteModel = DEFAULT_ETE
 ) -> tuple[list[StatsRow], list[SummaryBlock], list[tuple[str, str]]]:
     """Rows in input order, per-group summaries, and (id, message) parse
     failures.  Nested records go through the exterior walk; crossing records
@@ -107,11 +106,7 @@ def run_stats(
     errors = [(rec.id, rec.error or "parse error") for rec in records if rec.structure is None]
     if not good:
         raise NoRecords("every record failed to parse")
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda rec: _row_from_record(rec, m), good))
-    else:
-        rows = [_row_from_record(rec, m) for rec in good]
+    rows = [_row_from_record(rec, m) for rec in good]
     return rows, summarize(rows), errors
 
 

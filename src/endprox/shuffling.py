@@ -68,7 +68,7 @@ def klet_shuffle(s: str, k: int, rng: RngHandle) -> str:
     for _ in range(len(s) - k + 1):
         nxt = order_of[node][cursor[node]]
         cursor[node] += 1
-        chars.append(nxt[-1] if order > 0 else nxt)
+        chars.append(nxt[-1])
         node = nxt
     return "".join(chars)
 

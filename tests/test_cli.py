@@ -51,12 +51,23 @@ class TestStats:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert rows[0]["deg"] == "1" and rows[0]["id"] == "toy"
 
-    def test_jobs_flag_deterministic(self, run, tmp_path):
+    def test_csv_builds_no_json_payload(self, run, tmp_path, monkeypatch):
+        def unused(*args):
+            raise AssertionError("JSON payload built for CSV output")
+
+        for name in ("rows_to_json", "summary_to_json"):
+            monkeypatch.setattr(f"endprox.pipeline.{name}", unused)
+        monkeypatch.setattr("endprox.cli.asdict", unused)
         path = tmp_path / "toy.dbn"
-        path.write_text("\n".join("(" * k + "..." + ")" * k for k in range(1, 30)))
-        _, out1, _ = run(["--jobs", "1", "stats", str(path)])
-        _, out4, _ = run(["--jobs", "4", "stats", str(path)])
-        assert out1 == out4
+        path.write_text(".(...)..(...).\n((...))\n")
+        for argv in (
+            ["stats", str(path)],
+            ["stats", "--summary", str(path)],
+            ["compare", str(path), "--model", "motzkin", "--stat", "deg"],
+            ["heatmap", str(path)],
+        ):
+            code, out, _ = run(argv)
+            assert code == 0 and out
 
     def test_bad_file_exit_code(self, run):
         code, _, err = run(["stats", "/nonexistent/input.dbn"])
@@ -139,6 +150,15 @@ class TestExact:
     def test_hel_table(self, run):
         code, out, _ = run(["exact", "--model", "motzkin", "--n", "3", "--stat", "hel"])
         assert "absent" in out
+
+    def test_underflowed_grammar_length_is_an_error(self, run, tmp_path):
+        params = tmp_path / "high_rho.json"
+        params.write_text('{"p1": 0.2, "p2": 0.9, "p3": 0.2}')
+        for stat in ("joint", "hel"):
+            code, out, err = run(
+                ["--pfold-params", str(params), "exact", "--model", "pfold", "--n", "2500", "--stat", stat]
+            )
+            assert code == 1 and out == "" and "underflowed" in err
 
 
 class TestSample:

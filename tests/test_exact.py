@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from endprox import exact
 from endprox.exact import (
@@ -77,6 +79,60 @@ class TestMotzkinJoint:
             assert marginal == motzkin_deg_counts(n).entries
 
 
+class TestExteriorEngine:
+    """The (unp, deg) tables and laws of all three models come from one
+    exterior-sequence kernel; these check it against independent oracles."""
+
+    @given(st.integers(0, 80))
+    @settings(max_examples=50, deadline=None)
+    def test_motzkin_deg_marginal_matches_independent_dp(self, n):
+        marginal = Counter()
+        for (d, _k), w in motzkin_joint_counts(n).entries.items():
+            marginal[d] += w
+        assert dict(marginal) == motzkin_deg_counts(n).entries
+
+    @given(st.integers(1, 300))
+    @settings(max_examples=60, deadline=None)
+    def test_dyck_deg_counts_are_ballot_numbers(self, n):
+        ballot = {l: l * math.comb(2 * n - l, n - l) // (2 * n - l) for l in range(1, n + 1)}
+        assert dyck_deg_counts(n).entries == ballot
+
+    @given(st.integers(0, 150))
+    @settings(max_examples=40, deadline=None)
+    def test_uniform_laws_match_exact_ratios(self, n):
+        dyck = dyck_deg_counts(n)
+        law = conditional_law(Model.DYCK, Stat.DEG, n)
+        assert len(law) == min(400, n) + 1
+        for l, p in enumerate(law):
+            assert p == pytest.approx(dyck.entries.get(l, 0) / dyck.total(), abs=1e-12)
+        joint = motzkin_joint_counts(n)
+        total = joint.total()
+        deg, unp = Counter(), Counter()
+        for (d, k), w in joint.entries.items():
+            deg[d] += w
+            unp[k] += w
+        for stat, counts in ((Stat.DEG, deg), (Stat.UNP, unp)):
+            law = conditional_law(Model.MOTZKIN, stat, n)
+            assert len(law) == (min(250, n // 2) if stat is Stat.DEG else n) + 1
+            for v, p in enumerate(law):
+                assert p == pytest.approx(counts.get(v, 0) / total, abs=1e-12)
+
+    @given(
+        st.floats(0.05, 0.95, exclude_min=True, exclude_max=True),
+        st.floats(0.05, 0.95, exclude_min=True, exclude_max=True),
+        st.floats(0.05, 0.95, exclude_min=True, exclude_max=True),
+        st.integers(1, 300),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_pfold_exterior_totals_conserve_mass(self, p1, p2, p3, n):
+        p = PfoldParams(p1, p2, p3)
+        totals = pfold_exterior_totals(p, n)
+        assert np.abs(totals[1:] - pfold_inside(p, n).S[1 : n + 1]).max() < 1e-12
+
+    def test_motzkin_joint_400_sums_to_motzkin_number(self):
+        assert motzkin_joint_counts(400).total() == motzkin_number(400)
+
+
 class TestPfoldInside:
     def test_smallest_lengths(self):
         p = DEFAULT_PFOLD
@@ -97,6 +153,24 @@ class TestPfoldInside:
     def test_zero_mass(self):
         with pytest.raises(ZeroMassLength):
             pfold_joint_probs(0)
+
+    def test_underflowed_mass_raises(self):
+        """At this high-rho point S[2500] underflows to 0.0 although every
+        length has positive probability; no table or law may come back empty
+        or NaN."""
+        p = PfoldParams(0.2, 0.9, 0.2)
+        assert pfold_inside(p, 2500).S[2500] == 0.0
+        calls = [
+            lambda: pfold_joint_table(2500, p),
+            lambda: pfold_joint_probs(2500, p),
+            lambda: hel_stm_counts(Model.PFOLD, 2500, Stat.HEL, p),
+            lambda: conditional_law(Model.PFOLD, Stat.DEG, 2500, p),
+            lambda: conditional_law(Model.PFOLD, Stat.UNP, 2500, p),
+            lambda: conditional_law(Model.PFOLD, Stat.HEL, 2500, p),
+        ]
+        for call in calls:
+            with pytest.raises(ZeroMassLength, match="underflowed"):
+                call()
 
     def test_conservation_small_scale(self):
         p = DEFAULT_PFOLD

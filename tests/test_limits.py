@@ -12,7 +12,6 @@ from endprox.limits import (
     TolNotAchievable,
     dyck_ete_truncations,
     ete_limit_moments,
-    joint_pmf,
     limit_of,
     moments,
     pfold_limit_from_delta,
@@ -88,16 +87,16 @@ class TestLaws:
 
     def test_joint_pmf_values(self):
         joint = limit_of(Model.MOTZKIN, Stat.JOINT)
-        assert joint_pmf(joint, 0, 1) == Fraction(1, 9)
-        assert joint_pmf(joint, 1, 1) == Fraction(2, 27)
-        assert joint_pmf(joint, 5, 0) == 0
+        assert joint.pmf(0, 1) == Fraction(1, 9)
+        assert joint.pmf(1, 1) == Fraction(2, 27)
+        assert joint.pmf(5, 0) == 0
 
     def test_joint_pmf_matches_formula(self):
         joint = limit_of(Model.MOTZKIN, Stat.JOINT)
         for i in range(6):
             for j in range(1, 6):
                 expected = Fraction(math.comb(i + j - 1, i) * (i + j), 3 ** (i + j + 1))
-                assert joint_pmf(joint, i, j) == expected
+                assert joint.pmf(i, j) == expected
 
     def test_pfold_parameter_shapes(self):
         d = pfold_rho_delta().delta

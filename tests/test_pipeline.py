@@ -61,13 +61,6 @@ class TestRunStats:
         rows, _, errors = run_stats(records_from("((((\n()\n"))
         assert len(rows) == 1 and len(errors) == 1
 
-    def test_parallel_matches_serial(self):
-        text = "\n".join("(" * k + "..." + ")" * k for k in range(1, 40))
-        recs = records_from(text)
-        serial = run_stats(recs, jobs=1)[0]
-        parallel = run_stats(recs, jobs=4)[0]
-        assert serial == parallel
-
     def test_summary_recompute(self):
         text = ".(...)\n((..))\n...\n"
         rows, blocks, _ = run_stats(records_from(text))
