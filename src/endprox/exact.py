@@ -415,30 +415,44 @@ def pfold_string_probability(
         # end (exclusive, 0-based) of the first item of the span starting at i
         return i + 1 if match[i] == 0 else match[i]
 
-    def prob_S(i: int, j: int) -> float:
-        if i >= j:
-            return 0.0
-        a = item_end(i)
-        if a == j:
-            return p.q1 * prob_L(i, j)
-        return p.p1 * prob_L(i, a) * prob_S(a, j)
-
-    def prob_L(i: int, j: int) -> float:
-        if j == i + 1:
-            return p.q2 if match[i] == 0 else 0.0
-        if match[i] == j:
-            return p.p2 * prob_F(i + 1, j - 1)
-        return 0.0
-
-    def prob_F(i: int, j: int) -> float:
-        if j - i < 2:
-            return 0.0
-        if match[i] == j:
-            return p.p3 * prob_F(i + 1, j - 1)
-        a = item_end(i)
-        return p.q3 * prob_L(i, a) * prob_S(a, j)
-
-    return prob_S(0, s.length)
+    # The derivation is unique, so its probability is the product of the
+    # rules it applies.  Walk it with an explicit stack of (symbol, i, j)
+    # spans: recursion would nest as deep as the deepest helix.
+    prob = 1.0
+    work = [("S", 0, s.length)]
+    while work:
+        sym, i, j = work.pop()
+        if sym == "S":
+            if i >= j:
+                return 0.0
+            a = item_end(i)
+            if a == j:
+                prob *= p.q1
+                work.append(("L", i, j))
+            else:
+                prob *= p.p1
+                work.append(("L", i, a))
+                work.append(("S", a, j))
+        elif sym == "L":
+            if j == i + 1 and match[i] == 0:
+                prob *= p.q2
+            elif match[i] == j:
+                prob *= p.p2
+                work.append(("F", i + 1, j - 1))
+            else:
+                return 0.0
+        else:
+            if j - i < 2:
+                return 0.0
+            if match[i] == j:
+                prob *= p.p3
+                work.append(("F", i + 1, j - 1))
+            else:
+                a = item_end(i)
+                prob *= p.q3
+                work.append(("L", i, a))
+                work.append(("S", a, j))
+    return prob
 
 
 # ---------------------------------------------------------------------------

@@ -23,13 +23,19 @@ from .structure import SecondaryStructure
 @dataclass
 class RngHandle:
     """Seeded handle owning one sample stream; not safe to share across
-    concurrent streams (hand each its own handle)."""
+    concurrent streams (hand each its own handle).
+
+    The grammar sampler reads the handle's one uniform buffer, so a run of
+    draws gives the same structures however its calls are chunked.
+    """
 
     seed: int
     _gen: np.random.Generator = field(init=False, repr=False)
+    _uniforms: _UniformBuffer = field(init=False, repr=False)
 
     def __post_init__(self):
         self._gen = np.random.Generator(np.random.Philox(self.seed))
+        self._uniforms = _UniformBuffer(self._gen)
 
     @property
     def generator(self) -> np.random.Generator:
@@ -255,15 +261,16 @@ def _grammar_sampler(p: PfoldParams, n: int) -> _GrammarSampler:
 class _UniformBuffer:
     """Blocks of uniforms drawn once, consumed one at a time."""
 
-    def __init__(self, gen: np.random.Generator, block: int = 1024):
+    _BLOCK = 8192
+
+    def __init__(self, gen: np.random.Generator):
         self._gen = gen
-        self._block = block
         self._buf: list[float] = []
         self._pos = 0
 
     def next(self) -> float:
         if self._pos >= len(self._buf):
-            self._buf = self._gen.random(self._block).tolist()
+            self._buf = self._gen.random(self._BLOCK).tolist()
             self._pos = 0
         u = self._buf[self._pos]
         self._pos += 1
@@ -284,7 +291,7 @@ def sample_pfold(
     """
     if rng is None:
         raise ValueError("an RngHandle is required")
-    return _pfold_traceback(n, p, _UniformBuffer(rng.generator))
+    return _pfold_traceback(n, p, rng._uniforms)
 
 
 def sample_pfold_many(
@@ -292,8 +299,7 @@ def sample_pfold_many(
 ) -> list[SecondaryStructure]:
     if rng is None:
         raise ValueError("an RngHandle is required")
-    buf = _UniformBuffer(rng.generator, block=8192)
-    return [_pfold_traceback(n, p, buf) for _ in range(count)]
+    return [_pfold_traceback(n, p, rng._uniforms) for _ in range(count)]
 
 
 def _pfold_traceback(n: int, p: PfoldParams, buf: _UniformBuffer) -> SecondaryStructure:

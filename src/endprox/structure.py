@@ -11,8 +11,8 @@ length (hel) and the first-stem pair count (stm).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from dataclasses import dataclass, replace
+from typing import Iterator, Optional, Sequence
 
 OPENERS = "([{<"
 CLOSERS = ")]}>"
@@ -100,7 +100,7 @@ class SecondaryStructure:
                 raise SelfPair(f"position {i1} pairs with itself")
             if not 1 <= j <= self.length or self.partner[j - 1] != i1:
                 raise AsymmetricPair(f"pair ({i1},{j}) is not reciprocated")
-        if self.crossing != _has_crossing(self.pairs()):
+        if self.crossing != _has_crossing(self.partner):
             raise StructureError("crossing flag inconsistent with pairs")
 
     def pairs(self) -> list[tuple[int, int]]:
@@ -126,12 +126,19 @@ class ExteriorStats:
     stem_helices: Optional[int] = None
 
 
-def _has_crossing(pairs: list[tuple[int, int]]) -> bool:
-    # quadratic scan over pairs; inputs here are desk-scale
-    for a, (i, j) in enumerate(pairs):
-        for k, l in pairs[a + 1:]:
-            if i < k < j < l:
-                return True
+def _has_crossing(partner: Sequence[int]) -> bool:
+    """True iff two pairs of a symmetric partner table interleave.
+
+    One stack scan over the pair endpoints: in a nested structure every
+    closing position's mate is the innermost pair still open, so a closer
+    whose mate is not on top of the stack crosses the pair that is.
+    """
+    stack: list[int] = []
+    for i1, j in enumerate(partner, start=1):
+        if j > i1:
+            stack.append(i1)
+        elif j and stack.pop() != j:
+            return True
     return False
 
 
@@ -162,8 +169,7 @@ def parse_dot_bracket(text: str) -> SecondaryStructure:
             raise UnbalancedBracket(
                 f"unmatched '{op}' at position {stack[-1]} (end of string reached)"
             )
-    pairs = [(i1, j) for i1, j in enumerate(partner, start=1) if j > i1]
-    return SecondaryStructure(len(line), tuple(partner), _has_crossing(pairs))
+    return SecondaryStructure(len(line), tuple(partner), _has_crossing(partner))
 
 
 def parse_bpseq(text: str) -> SecondaryStructure:
@@ -202,21 +208,30 @@ def parse_bpseq(text: str) -> SecondaryStructure:
         if not 1 <= mate <= n or entries[mate][1] != i1:
             raise AsymmetricPair(f"pair ({i1},{mate}) is not reciprocated")
         partner[i1 - 1] = mate
-    pairs = [(i1, j) for i1, j in enumerate(partner, start=1) if j > i1]
-    return SecondaryStructure(n, tuple(partner), _has_crossing(pairs), "".join(seq))
+    return SecondaryStructure(n, tuple(partner), _has_crossing(partner), "".join(seq))
 
 
 def to_dot_bracket(s: SecondaryStructure) -> str:
     """Serialize to dot-bracket.  Crossing structures use extra bracket
-    families, assigned greedily; raises StructureError past four families."""
+    families, assigned greedily; raises StructureError past four families.
+
+    Pairs are taken in order of opening position, and each goes to the first
+    family it crosses no pair of.  A family's pairs still open at position i
+    are nested, so it keeps their closing positions on a stack, innermost on
+    top; (i, j) fits when, after popping the ends before i, the top is past j.
+    """
     chars = ["."] * s.length
-    open_by_family: list[list[tuple[int, int]]] = [[] for _ in OPENERS]
-    for i, j in s.pairs():
-        for fam, placed in enumerate(open_by_family):
-            if all(not (k < i < l < j) and not (i < k < j < l) for k, l in placed):
-                placed.append((i, j))
-                chars[i - 1] = OPENERS[fam]
-                chars[j - 1] = CLOSERS[fam]
+    families = [([], op, cl) for op, cl in zip(OPENERS, CLOSERS)]
+    for i, j in enumerate(s.partner, start=1):
+        if j <= i:
+            continue
+        for ends, op, cl in families:
+            while ends and ends[-1] < i:
+                ends.pop()
+            if not ends or ends[-1] > j:
+                ends.append(j)
+                chars[i - 1] = op
+                chars[j - 1] = cl
                 break
         else:
             raise StructureError("structure needs more than four bracket families")
@@ -465,9 +480,15 @@ class ParsedRecord:
 
 def read_dot_bracket_records(text: str, default_group: Optional[str] = None) -> list[ParsedRecord]:
     """Read dot-bracket records: an optional ">id key=value ..." header line
-    followed by one structure line; bare structure lines are allowed."""
+    followed by one structure line; bare structure lines are allowed.
+
+    A letters-only line right after a header is that record's sequence (the
+    three-line header, sequence, structure layout); a record whose sequence
+    and structure differ in length gets an error.
+    """
     records: list[ParsedRecord] = []
     header: Optional[tuple[str, Optional[str]]] = None
+    sequence: Optional[str] = None
     count = 0
     for raw in text.splitlines():
         line = raw.strip()
@@ -481,15 +502,27 @@ def read_dot_bracket_records(text: str, default_group: Optional[str] = None) -> 
                 if tok.startswith("group="):
                     group = tok[len("group="):]
             header = (rec_id, group)
+            sequence = None
+            continue
+        if header and sequence is None and line.isalpha():
+            sequence = line
             continue
         count += 1
         rec_id, group = header if header else (f"rec{count}", default_group)
         header = None
         rec = ParsedRecord(id=rec_id, group=group)
         try:
-            rec.structure = parse_dot_bracket(line)
+            s = parse_dot_bracket(line)
+            if sequence is not None:
+                if len(sequence) != s.length:
+                    raise StructureError(
+                        f"sequence length {len(sequence)} differs from structure length {s.length}"
+                    )
+                s = replace(s, sequence=sequence)
+            rec.structure = s
         except StructureError as exc:
             rec.error = str(exc)
+        sequence = None
         records.append(rec)
     return records
 

@@ -232,6 +232,65 @@ class TestPfoldInside:
             PfoldParams(p1=1.2)
 
 
+def _recursive_string_probability(s, p):
+    """The grammar's derivation probability by direct recursion on the
+    S -> LS | L, L -> dot | (F), F -> (F) | LS rules."""
+    match = s.partner
+
+    def item_end(i):
+        return i + 1 if match[i] == 0 else match[i]
+
+    def prob_S(i, j):
+        if i >= j:
+            return 0.0
+        a = item_end(i)
+        if a == j:
+            return p.q1 * prob_L(i, j)
+        return p.p1 * prob_L(i, a) * prob_S(a, j)
+
+    def prob_L(i, j):
+        if j == i + 1:
+            return p.q2 if match[i] == 0 else 0.0
+        if match[i] == j:
+            return p.p2 * prob_F(i + 1, j - 1)
+        return 0.0
+
+    def prob_F(i, j):
+        if j - i < 2:
+            return 0.0
+        if match[i] == j:
+            return p.p3 * prob_F(i + 1, j - 1)
+        a = item_end(i)
+        return p.q3 * prob_L(i, a) * prob_S(a, j)
+
+    return prob_S(0, s.length)
+
+
+class TestStringProbability:
+    @pytest.mark.parametrize("p", [DEFAULT_PFOLD, PfoldParams(0.2, 0.9, 0.2)])
+    def test_matches_recursive_oracle(self, p):
+        # the iterative walk multiplies the same factors in another order
+        for n in range(0, 13):
+            for s in enumerate_all(Model.MOTZKIN, n):
+                expected = _recursive_string_probability(s, p)
+                got = pfold_string_probability(s, p)
+                if expected == 0.0:
+                    assert got == 0.0
+                else:
+                    assert got == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_each_stacked_pair_multiplies_by_p3(self):
+        p = DEFAULT_PFOLD
+        ratio = pfold_string_probability("((...))") / pfold_string_probability("(...)")
+        assert ratio == pytest.approx(p.p3, rel=1e-12) and p.p3 == 0.78764
+
+    def test_deep_hairpin(self):
+        p = DEFAULT_PFOLD
+        text = "(" * 1500 + "..." + ")" * 1500
+        expected = pfold_string_probability("(...)") * p.p3**1499
+        assert pfold_string_probability(text) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
 class TestHelStmTables:
     def test_dyck_hel_example(self):
         assert hel_stm_counts(Model.DYCK, 3, Stat.HEL).entries == {1: 3, 2: 1, 3: 1}

@@ -181,6 +181,14 @@ class TestPfold:
         b = [to_dot_bracket(s) for s in sample_pfold_many(30, 5, rng=RngHandle(8))]
         assert a == b
 
+    def test_chunked_calls_match_one_call(self):
+        n = 50
+        whole = sample_pfold_many(n, 20, rng=RngHandle(1))
+        rng = RngHandle(1)
+        chunked = sample_pfold_many(n, 10, rng=rng) + sample_pfold_many(n, 9, rng=rng)
+        chunked.append(sample_pfold(n, rng=rng))
+        assert [s.partner for s in chunked] == [s.partner for s in whole]
+
     def test_samples_live_in_grammar_support(self):
         for s in sample_pfold_many(40, 50, rng=RngHandle(4)):
             s.validate()

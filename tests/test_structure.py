@@ -1,10 +1,14 @@
 import math
+import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from endprox.shuffling import read_fasta
 from endprox.structure import (
+    CLOSERS,
+    OPENERS,
     CrossingStructure,
     DEFAULT_ETE,
     EmptyStructure,
@@ -13,6 +17,7 @@ from endprox.structure import (
     NonContiguousIndices,
     AsymmetricPair,
     SecondaryStructure,
+    StructureError,
     UnbalancedBracket,
     ete_distance,
     exterior_stats,
@@ -36,6 +41,83 @@ nested_strings = st.recursive(
     ),
     max_leaves=60,
 )
+
+
+@st.composite
+def random_pairings(draw, max_n=40):
+    """Any partial matching of 1..n, crossing pairs included."""
+    n = draw(st.integers(0, max_n))
+    order = draw(st.permutations(range(1, n + 1)))
+    k = draw(st.integers(0, n // 2))
+    partner = [0] * n
+    for a in range(k):
+        i, j = order[2 * a], order[2 * a + 1]
+        partner[i - 1], partner[j - 1] = j, i
+    crossing = _crossing_oracle(partner)
+    return SecondaryStructure(n, tuple(partner), crossing)
+
+
+@st.composite
+def four_family_strings(draw):
+    """Dot-bracket strings in which each of the four families is balanced on
+    its own, so families may cross one another."""
+    depth = [0] * len(OPENERS)
+    chars = []
+    for fam, close in draw(st.lists(st.tuples(st.integers(0, 4), st.booleans()), max_size=40)):
+        if fam == len(OPENERS):
+            chars.append(".")
+        elif close and depth[fam]:
+            chars.append(CLOSERS[fam])
+            depth[fam] -= 1
+        else:
+            chars.append(OPENERS[fam])
+            depth[fam] += 1
+    for fam, d in enumerate(depth):
+        chars.append(CLOSERS[fam] * d)
+    return "".join(chars)
+
+
+def _crossing_oracle(partner):
+    pairs = [(i, j) for i, j in enumerate(partner, start=1) if j > i]
+    return any(i < k < j < l for i, j in pairs for k, l in pairs)
+
+
+def _greedy_render_oracle(s):
+    """The quadratic first-fit family assignment: each pair, in order of its
+    opening position, is compared with every pair already placed."""
+    chars = ["."] * s.length
+    placed_by_family = [[] for _ in OPENERS]
+    for i, j in s.pairs():
+        for fam, placed in enumerate(placed_by_family):
+            if all(not (k < i < l < j) and not (i < k < j < l) for k, l in placed):
+                placed.append((i, j))
+                chars[i - 1] = OPENERS[fam]
+                chars[j - 1] = CLOSERS[fam]
+                break
+        else:
+            raise StructureError("structure needs more than four bracket families")
+    return "".join(chars)
+
+
+def _render_or_error(render, s):
+    try:
+        return render(s)
+    except StructureError as exc:
+        return StructureError, str(exc)
+
+
+def _dyck_text(pairs: int, seed: int) -> str:
+    rnd = random.Random(seed)
+    chars, depth, opened = [], 0, 0
+    while opened < pairs or depth:
+        if opened < pairs and (depth == 0 or rnd.random() < 0.5):
+            chars.append("(")
+            depth += 1
+            opened += 1
+        else:
+            chars.append(")")
+            depth -= 1
+    return "".join(chars)
 
 
 class TestParseDotBracket:
@@ -74,6 +156,54 @@ class TestParseDotBracket:
         s = parse_dot_bracket(text)
         assert to_dot_bracket(s) == text
         assert not s.crossing
+
+
+class TestLinearStructureLayer:
+    @given(random_pairings())
+    @settings(max_examples=400)
+    def test_crossing_check_matches_pairwise_oracle(self, s):
+        s.validate()  # validate() recomputes the flag with the stack scan
+        with pytest.raises(StructureError, match="crossing flag"):
+            SecondaryStructure(s.length, s.partner, not s.crossing).validate()
+
+    @given(random_pairings())
+    @settings(max_examples=400)
+    def test_render_matches_quadratic_greedy(self, s):
+        assert _render_or_error(to_dot_bracket, s) == _render_or_error(_greedy_render_oracle, s)
+
+    @given(random_pairings())
+    @settings(max_examples=200)
+    def test_parsers_flag_crossing_like_the_oracle(self, s):
+        bpseq = "".join(f"{i} N {j}\n" for i, j in enumerate(s.partner, start=1))
+        assert parse_bpseq(bpseq).crossing == s.crossing
+        rendered = _render_or_error(to_dot_bracket, s)
+        if isinstance(rendered, str):
+            assert parse_dot_bracket(rendered).crossing == s.crossing
+
+    @given(four_family_strings())
+    @settings(max_examples=300)
+    def test_four_family_round_trip(self, text):
+        s = parse_dot_bracket(text)
+        assert s.crossing == _crossing_oracle(s.partner)
+        rendered = _render_or_error(to_dot_bracket, s)
+        assume(isinstance(rendered, str))
+        assert parse_dot_bracket(rendered).partner == s.partner
+
+    def test_ten_thousand_pair_dyck_round_trip(self):
+        text = _dyck_text(10_000, seed=3)
+        s = parse_dot_bracket(text)
+        assert len(s.pairs()) == 10_000 and not s.crossing
+        assert to_dot_bracket(s) == text
+
+    def test_ten_thousand_pair_dyck_with_crossing_pair(self):
+        # "[(" ... "])": the [ ] pair crosses the outer ( ) pair
+        text = "[(" + _dyck_text(10_000, seed=4) + "])"
+        s = parse_dot_bracket(text)
+        assert len(s.pairs()) == 10_002 and s.crossing
+        s.validate()
+        rendered = to_dot_bracket(s)
+        assert rendered == "([" + text[2:-2] + ")]"
+        assert parse_dot_bracket(rendered).partner == s.partner
 
 
 class TestParseBpseq:
@@ -242,3 +372,59 @@ class TestRecords:
         recs = read_dot_bracket_records("((..\n()\n")
         assert recs[0].error is not None
         assert recs[1].structure is not None
+
+    def test_three_line_record_attaches_sequence(self):
+        recs = read_dot_bracket_records(">x group=g\nACGUACGU\n((....))\n>y\n()\n", "file")
+        assert [(r.id, r.group, r.error) for r in recs] == [("x", "g", None), ("y", "file", None)]
+        assert recs[0].structure.sequence == "ACGUACGU"
+        assert recs[0].structure.partner == parse_dot_bracket("((....))").partner
+        assert recs[1].structure.sequence is None
+
+    def test_three_line_record_length_mismatch(self):
+        recs = read_dot_bracket_records(">x\nACGUACG\n((....))\n..\n")
+        assert [r.id for r in recs] == ["x", "rec2"]
+        assert recs[0].structure is None
+        assert "sequence length 7 differs from structure length 8" in recs[0].error
+        assert recs[1].structure is not None and recs[1].structure.sequence is None
+
+    def test_letters_without_header_stay_an_error(self):
+        recs = read_dot_bracket_records("ACGU\n(..)\n")
+        assert [r.id for r in recs] == ["rec1", "rec2"]
+        assert "illegal character" in recs[0].error
+        assert recs[1].structure.sequence is None
+
+
+reader_text = st.one_of(
+    st.text(max_size=200),
+    st.text(alphabet=">#()[]{}<>.ACGUN 0123456789-=\n\t", max_size=200),
+)
+
+
+class TestReaderFuzz:
+    """Any text yields records or a StructureError, never another exception."""
+
+    @given(reader_text)
+    @settings(max_examples=300)
+    def test_dot_bracket_records(self, text):
+        for rec in read_dot_bracket_records(text, "file"):
+            assert (rec.structure is None) != (rec.error is None)
+            if rec.structure is not None:
+                rec.structure.validate()
+
+    @given(st.one_of(reader_text, st.lists(
+        st.tuples(st.integers(-2, 12), st.sampled_from("ACGU"), st.integers(-2, 12)),
+        max_size=12,
+    ).map(lambda rows: "".join(f"{i} {b} {j}\n" for i, b, j in rows))))
+    @settings(max_examples=300)
+    def test_bpseq(self, text):
+        try:
+            s = parse_bpseq(text)
+        except StructureError:
+            return
+        s.validate()
+
+    @given(reader_text)
+    @settings(max_examples=300)
+    def test_fasta(self, text):
+        for rec_id, seq in read_fasta(text):
+            assert isinstance(rec_id, str) and isinstance(seq, str)
