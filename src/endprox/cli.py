@@ -239,7 +239,7 @@ def _cmd_exact(args) -> int:
             "model": table.model.value,
             "n": table.size,
             "axes": list(table.axes),
-            "entries": {exact._key_str(k): v for k, v in sorted(table.entries.items(), key=lambda kv: exact._key_order(kv[0]))},
+            "entries": {exact._key_str(k): table.entries[k] for k in table.ordered_keys()},
         }
         json.dump(payload, sys.stdout, indent=2, default=float)
         sys.stdout.write("\n")

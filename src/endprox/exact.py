@@ -10,20 +10,20 @@ three-rule stochastic grammar
 with qi = 1 - pi.  In all three the exterior loop is one construction, a
 sequence SEQ(dot | arch) of unpaired dots and arches "( ... )" (Flajolet &
 Sedgewick, Analytic Combinatorics, I.2 and ch. III); one kernel over it gives
-every (unp, deg) table and law.  Uniform-model tables hold arbitrary-precision integers; grammar tables hold
-double-precision weights.  The small-n tables double as brute-force oracles
-for the limit laws; conditional_law evaluates the same decompositions in
-scaled floating point so sizes in the thousands stay cheap.
+every (unp, deg) table.  Uniform-model tables hold arbitrary-precision
+integers; grammar tables hold double-precision weights.  The small-n tables
+double as brute-force oracles for the limit laws.  conditional_law evaluates
+the same decompositions in scaled floating point; its deg and unp laws take
+the same SEQ(dot | arch) parameters but go straight to each marginal by power
+projection, so sizes in the thousands stay cheap.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import islice
 from typing import IO, Iterator, Optional, Union
 
 import numpy as np
@@ -100,7 +100,8 @@ class CountTable:
     entries maps a statistic value to its weight: an integer count for the
     uniform models, a nonnegative real for the grammar.  None is the absent
     bucket (structures that do not carry the statistic, e.g. no pair at all).
-    axes names the key components, e.g. ("deg", "unp").
+    axes names the key components, e.g. ("deg", "unp"); a key of several
+    axes is a tuple with one component per axis.
     """
 
     model: Model
@@ -111,27 +112,38 @@ class CountTable:
     def total(self):
         return sum(self.entries.values())
 
+    def ordered_keys(self) -> list:
+        """Keys in output order: the absent bucket first, then ascending."""
+        keys = sorted(key for key in self.entries if key is not None)
+        return [None] + keys if None in self.entries else keys
+
     def write_csv(self, stream: IO[str]) -> None:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["model", "n", "stat_name", "stat_value", "weight"])
-        name = ",".join(self.axes)
-        for key in sorted(self.entries, key=_key_order):
-            writer.writerow([self.model.value, self.size, name, _key_str(key), self.entries[key]])
+        stream.write("model,n,stat_name,stat_value,weight\n")
+        prefix = f"{self.model.value},{self.size},{_csv_field(','.join(self.axes))},"
+        keys, entries = self.ordered_keys(), self.entries
+        if keys and keys[0] is None:
+            stream.write(f"{prefix}absent,{entries[None]!s}\n")
+            keys = keys[1:]
+        key_field = _csv_field(",".join(["%s"] * len(self.axes)))
+        # chunked writes: one string per table would hold every line at once
+        for start in range(0, len(keys), _CSV_CHUNK):
+            chunk = keys[start : start + _CSV_CHUNK]
+            stream.write("".join([f"{prefix}{key_field % key},{entries[key]!s}\n" for key in chunk]))
 
 
-def _key_order(key: TableKey):
-    if key is None:
-        return (0,)
-    if isinstance(key, tuple):
-        return (1,) + key
-    return (1, key)
+_CSV_CHUNK = 4096
+
+
+def _csv_field(text: str) -> str:
+    # csv's minimal quoting; axis names and keys never hold quotes or newlines
+    return f'"{text}"' if "," in text else text
 
 
 def _key_str(key: TableKey) -> str:
     if key is None:
         return "absent"
     if isinstance(key, tuple):
-        return ",".join(str(v) for v in key)
+        return ",".join(map(str, key))
     return str(key)
 
 
@@ -196,8 +208,8 @@ def _arch_powers(ext: _Exterior) -> Iterator[np.ndarray]:
     yield power
     if not ext.exact:
         # floats: convolution adds only nonnegative terms
-        for _ in range(n // s):
-            power = np.convolve(power, ext.arch)[: n + 1]
+        for l in range(1, n // s + 1):
+            power = _truncated_product(power, s * (l - 1), ext.arch, s)
             yield power
         return
     # arch = z^s A and 1/A = 1 - dot z - arch give
@@ -211,6 +223,58 @@ def _arch_powers(ext: _Exterior) -> Iterator[np.ndarray]:
             nxt[lo:] = power[lo:] - ext.dot * power[lo - 1 : n] - prev[lo - s : n + 1 - s]
             prev, power = power, nxt
         yield power
+
+
+def _truncated_product(a: np.ndarray, alo: int, b: np.ndarray, blo: int) -> np.ndarray:
+    """a * b truncated like a, for float series that vanish below z^alo and
+    z^blo: only the support is convolved, and only up to the last kept
+    output."""
+    n = len(a) - 1
+    lo = alo + blo
+    out = np.zeros(n + 1)
+    if lo <= n:
+        out[lo:] = np.convolve(a[alo : n + 1 - blo], b[blo : n + 1 - alo])[: n + 1 - lo]
+    return out
+
+
+def _over_one_minus(a: np.ndarray, x: float) -> np.ndarray:
+    """a / (1 - x z) along the last axis, truncated like a: the recurrence
+    out[m] = x out[m - 1] + a[m]."""
+    out = np.array(a, dtype=float)
+    if x:
+        for m in range(1, out.shape[-1]):
+            out[..., m] += x * out[..., m - 1]
+    return out
+
+
+def _power_projection(base: np.ndarray, blo: int, r: np.ndarray, top: int) -> np.ndarray:
+    """<r, base**l> for l = 0 .. top, every power truncated at z^n (n + 1 =
+    len(r)); base vanishes below z^blo, blo >= 1, and r and base are
+    nonnegative.
+
+    Baby steps base**j (j < J ~ sqrt(top + 1)), giant steps base**(J i), one
+    transposed product r * base**(J i) each and one matrix product: about
+    3 sqrt(top) truncated convolutions instead of top, all adding nonnegative
+    terms (Shoup's power projection by the transposition principle).
+    """
+    n = len(r) - 1
+    J = math.isqrt(top) + 1
+    baby = np.zeros((J + 1, n + 1))
+    baby[0, 0] = 1.0
+    for j in range(1, J + 1):
+        baby[j] = _truncated_product(baby[j - 1], blo * (j - 1), base, blo)
+    # column i holds t[m] = sum_d r[m + d] giant[d], so <r, giant * baby_j> = baby_j . t
+    steps = top // J + 1
+    t = np.zeros((n + 1, steps))
+    giant = baby[0]
+    for i in range(steps):
+        lo = blo * J * i
+        if lo > n:
+            break
+        if i:
+            giant = _truncated_product(giant, lo - blo * J, baby[J], blo * J)
+        t[: n + 1 - lo, i] = np.convolve(r[lo:][::-1], giant[lo:])[: n + 1 - lo][::-1]
+    return (baby[:J] @ t).T.reshape(-1)[: top + 1]
 
 
 def _seq_coefs(ext: _Exterior, l: int) -> np.ndarray:
@@ -543,40 +607,31 @@ def _motzkin_stem_rows(n: int, by_helices: bool) -> tuple[dict, ...]:
     return tuple(rows)
 
 
-def _pfold_hel_weights(p: PfoldParams, n: int, hmax: Optional[int] = None) -> list[np.ndarray]:
-    """Weight arrays by first-helix length; index h=0 is the no-pair bucket.
+def _pfold_hel_weights(p: PfoldParams, n: int, hmax: Optional[int] = None) -> np.ndarray:
+    """Weights of the length-n outputs by first-helix length h = 0 .. hmax;
+    h = 0 is the no-pair bucket.
 
     Built from the helix-tracking rewrite of the grammar: the start symbol
     may emit leading dots, then the first "( F )" opens the helix and nested
-    p3 productions extend it.
+    p3 productions extend it.  A helix of length h scales what follows it by
+    p3^(h-1) and shifts it by its 2(h-1) inner brackets, so one series y
+    serves every h: the weight is p3^(h-1) y[n - 2(h-1)].
     """
     inside = pfold_inside(p, n)
     S, LS = inside.S[: n + 1], inside.LS[: n + 1]
     if hmax is None:
         hmax = max(0, (n - 2) // 2)
-    x = p.p1 * p.q2
-    out: list[np.ndarray] = []
-    s0 = np.zeros(n + 1)
+    # row 0: dots only; row 1: the arch of a one-pair helix, closed by
+    # F -> L S (q3), then the rest of the exterior (p1 S) or nothing (q1)
+    rhs = np.zeros((2, n + 1))
     if n >= 1:
-        s0[1] = p.q1 * p.q2
-        for m in range(2, n + 1):
-            s0[m] = x * s0[m - 1]
-    out.append(s0)
-    for h in range(1, hmax + 1):
-        # F_f at helix depth h-1: p3^(h-1) q3 LS shifted by the 2(h-1) brackets
-        ff = np.zeros(n + 1)
-        shift = 2 * (h - 1)
-        if shift <= n:
-            ff[shift:] = (p.p3 ** (h - 1)) * p.q3 * LS[: n + 1 - shift]
-        rhs = np.zeros(n + 1)
-        conv = np.convolve(ff, S)[: max(0, n - 1)]
-        rhs[2 : 2 + conv.size] += p.p1 * p.p2 * conv
-        rhs[2:] += p.q1 * p.p2 * ff[: n - 1]
-        sf = np.zeros(n + 1)
-        for m in range(1, n + 1):
-            sf[m] = x * sf[m - 1] + rhs[m]
-        out.append(sf)
-    return out
+        rhs[0, 1] = p.q1 * p.q2
+    ff = p.q3 * LS
+    rhs[1, 2:] = p.p1 * p.p2 * np.convolve(ff, S)[: max(0, n - 1)]
+    rhs[1, 2:] += p.q1 * p.p2 * ff[: n - 1]
+    dots, y = _over_one_minus(rhs, p.p1 * p.q2)  # leading exterior dots
+    h = np.arange(1, hmax + 1)
+    return np.concatenate(([dots[n]], p.p3 ** (h - 1) * y[n - 2 * (h - 1)]))
 
 
 def hel_stm_counts(
@@ -602,11 +657,7 @@ def hel_stm_counts(
     elif model is Model.PFOLD and stat is Stat.HEL:
         _pfold_mass(p or DEFAULT_PFOLD, n)
         weights = _pfold_hel_weights(p or DEFAULT_PFOLD, n)
-        entries = {
-            (None if h == 0 else h): arr[n]
-            for h, arr in enumerate(weights)
-            if arr[n] > 0.0
-        }
+        entries = {(None if h == 0 else h): w for h, w in enumerate(weights) if w > 0.0}
         return CountTable(model, n, ("hel",), entries)
     else:
         raise UnsupportedCombination(f"no {stat.value} table for {model.value}")
@@ -688,8 +739,9 @@ def _scaled_catalan(n: int) -> np.ndarray:
     return ct
 
 
-# default truncation of deg in the DEG and UNP laws
+# largest value each law returns when no cap is given
 _DEG_CAP = {Model.DYCK: 400, Model.MOTZKIN: 250, Model.PFOLD: 160}
+_HEL_CAP = {Model.DYCK: 400, Model.MOTZKIN: 400, Model.PFOLD: 120}
 
 
 def conditional_law(
@@ -702,38 +754,58 @@ def conditional_law(
     """Conditional finite-size distribution of a statistic as a probability
     array indexed by value (index 0 doubles as the absent bucket for HEL).
 
-    Evaluates the same decompositions as the exact tables in scaled floating
-    point, so sizes up to a few thousand are cheap; any mass beyond the
-    truncation cap (already below double precision at the defaults) is simply
-    missing from the array.
+    cap is the largest value of the statistic returned, in every branch; the
+    defaults are 400 / 250 / 160 for DEG (Dyck / Motzkin / grammar), n for
+    UNP and 400 / 400 / 120 for HEL, and no law runs past the largest value
+    size n allows.  Mass beyond the cap (already below double precision at
+    the defaults) is simply missing from the array.
+
+    DEG and UNP come from the exterior sequence SEQ(dot | arch) by power
+    projection: with x = step dot, the weight of deg = l is
+    (head / step) <r, B^l> for B = step arch / (1 - x z), r[m] = x^(n - m),
+    and the weight of unp = k is (head / step) <r, B^k> for B = x z D,
+    r[m] = D[n - m], D = 1 / (1 - step arch), which sums over every deg.
+    HEL evaluates the first-helix decompositions.  All of it runs in scaled
+    floating point, so sizes up to a few thousand are cheap.
     """
+
+    def top(default: int, largest: int) -> int:
+        return min(default if cap is None else cap, largest)
+
     if stat is Stat.DEG or (stat is Stat.UNP and model is not Model.DYCK):
         if model is Model.PFOLD:
             params = p or DEFAULT_PFOLD
             ext, mass = _pfold_exterior(params, n), _pfold_mass(params, n)
         else:
             ext, mass = _uniform_exterior(model, n, exact=False)
-        lcap, kcap = cap or _DEG_CAP[model], n
-        if model is Model.PFOLD and stat is Stat.UNP:  # here cap bounds unp
-            lcap, kcap = _DEG_CAP[model], min(cap or n, n)
-        law = np.zeros((n + 1, min(lcap, n // ext.amin) + 1))
-        for l, w in islice(_exterior_weights(ext), law.shape[1]):
-            law[: len(w), l] = w
-        out = law.sum(axis=0) if stat is Stat.DEG else law.sum(axis=1)[: kcap + 1]
-        return out / mass
+        x = ext.step * ext.dot
+        if stat is Stat.DEG:
+            base = _over_one_minus(ext.step * ext.arch, x)
+            law = _power_projection(
+                base, ext.amin, x ** np.arange(n, -1, -1.0), top(_DEG_CAP[model], n // ext.amin)
+            )
+        else:
+            runs = np.zeros(n + 1)  # D, by D[m] = sum_j step arch[j] D[m - j]
+            runs[0] = 1.0
+            item = ext.step * ext.arch
+            for m in range(ext.amin, n + 1):
+                runs[m] = np.dot(item[ext.amin : m + 1], runs[m - ext.amin :: -1])
+            base = np.zeros(n + 1)
+            base[1:] = x * runs[:n]
+            law = _power_projection(base, 1, runs[::-1], top(n, n))
+        return ext.head / ext.step * law / mass
     if model is Model.DYCK and stat is Stat.HEL:
         ct = _scaled_catalan(n)
         notch = ct.copy()
         notch[1:] -= ct[:-1] * 0.25
         w = np.convolve(notch, ct)[: n + 1]
-        cap = min(cap or 400, n)
-        out = np.zeros(cap + 1)
+        hcap = top(_HEL_CAP[model], n)
+        out = np.zeros(hcap + 1)
         if n == 0:
             out[0] = 1.0
             return out
-        for h in range(1, cap + 1):
-            if n - h >= 0:
-                out[h] = 0.25**h * w[n - h] / ct[n]
+        for h in range(1, hcap + 1):
+            out[h] = 0.25**h * w[n - h] / ct[n]
         return out
     if model is Model.MOTZKIN and stat is Stat.HEL:
         x = 1.0 / 3.0
@@ -743,17 +815,15 @@ def conditional_law(
         w = np.convolve(notch, mt)[: n + 1]
         geo = x ** np.arange(n + 1)
         u = np.convolve(geo, w)[: n + 1]
-        cap = min(cap or 400, max(1, n // 2))
-        out = np.zeros(cap + 1)
+        hcap = top(_HEL_CAP[model], max(1, n // 2))
+        out = np.zeros(hcap + 1)
         out[0] = geo[n] / mt[n]
-        for d in range(1, cap + 1):
+        for d in range(1, hcap + 1):
             if n - 2 * d >= 0:
                 out[d] = x ** (2 * d) * u[n - 2 * d] / mt[n]
         return out
     if model is Model.PFOLD and stat is Stat.HEL:
         params = p or DEFAULT_PFOLD
         mass = _pfold_mass(params, n)
-        hcap = min(cap or 120, max(0, (n - 2) // 2))
-        weights = _pfold_hel_weights(params, n, hcap)
-        return np.array([arr[n] for arr in weights]) / mass
+        return _pfold_hel_weights(params, n, top(_HEL_CAP[model], max(0, (n - 2) // 2))) / mass
     raise UnsupportedCombination(f"no conditional law for {model.value} x {stat.value}")

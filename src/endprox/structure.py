@@ -484,19 +484,22 @@ def read_dot_bracket_records(text: str, default_group: Optional[str] = None) -> 
 
     A letters-only line right after a header is that record's sequence (the
     three-line header, sequence, structure layout); a record whose sequence
-    and structure differ in length gets an error.
+    and structure differ in length gets an error, and so does a header
+    followed by another header or by the end of the input.
     """
     records: list[ParsedRecord] = []
     header: Optional[tuple[str, Optional[str]]] = None
     sequence: Optional[str] = None
-    count = 0
+    orphan = "header with no structure line"
     for raw in text.splitlines():
         line = raw.strip()
         if not line:
             continue
         if line.startswith(">"):
+            if header:
+                records.append(ParsedRecord(*header, error=orphan))
             tokens = line[1:].split()
-            rec_id = tokens[0] if tokens else f"rec{count + 1}"
+            rec_id = tokens[0] if tokens else f"rec{len(records) + 1}"
             group = default_group
             for tok in tokens[1:]:
                 if tok.startswith("group="):
@@ -507,8 +510,7 @@ def read_dot_bracket_records(text: str, default_group: Optional[str] = None) -> 
         if header and sequence is None and line.isalpha():
             sequence = line
             continue
-        count += 1
-        rec_id, group = header if header else (f"rec{count}", default_group)
+        rec_id, group = header if header else (f"rec{len(records) + 1}", default_group)
         header = None
         rec = ParsedRecord(id=rec_id, group=group)
         try:
@@ -524,6 +526,8 @@ def read_dot_bracket_records(text: str, default_group: Optional[str] = None) -> 
             rec.error = str(exc)
         sequence = None
         records.append(rec)
+    if header:
+        records.append(ParsedRecord(*header, error=orphan))
     return records
 
 

@@ -151,6 +151,16 @@ class TestExact:
         code, out, _ = run(["exact", "--model", "motzkin", "--n", "3", "--stat", "hel"])
         assert "absent" in out
 
+    @pytest.mark.parametrize("stat", ["joint", "hel"])
+    def test_json_and_csv_share_key_order(self, run, stat):
+        argv = ["exact", "--model", "motzkin", "--n", "9", "--stat", stat]
+        _, out_csv, _ = run(argv)
+        _, out_json, _ = run(["--format", "json"] + argv)
+        csv_keys = [row["stat_value"] for row in csv.DictReader(io.StringIO(out_csv))]
+        assert list(json.loads(out_json)["entries"]) == csv_keys
+        assert (csv_keys[0] == "absent") == (stat == "hel")
+        assert len(csv_keys) >= 5
+
     def test_underflowed_grammar_length_is_an_error(self, run, tmp_path):
         params = tmp_path / "high_rho.json"
         params.write_text('{"p1": 0.2, "p2": 0.9, "p3": 0.2}')

@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 from collections import Counter
@@ -128,6 +129,28 @@ class TestExteriorEngine:
         p = PfoldParams(p1, p2, p3)
         totals = pfold_exterior_totals(p, n)
         assert np.abs(totals[1:] - pfold_inside(p, n).S[1 : n + 1]).max() < 1e-12
+
+    @given(
+        st.floats(0.05, 0.95, exclude_min=True, exclude_max=True),
+        st.floats(0.05, 0.95, exclude_min=True, exclude_max=True),
+        st.floats(0.05, 0.95, exclude_min=True, exclude_max=True),
+        st.integers(1, 300),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_projected_laws_match_kernel_sums(self, p1, p2, p3, n):
+        """The DEG and UNP laws (power projection) are the column and row
+        sums of the (unp, deg) weights of the table kernel."""
+        p = PfoldParams(p1, p2, p3)
+        mass = pfold_inside(p, n).S[n]
+        rows = list(exact._exterior_weights(exact._pfold_exterior(p, n)))
+        deg = conditional_law(Model.PFOLD, Stat.DEG, n, p, cap=n)
+        unp = conditional_law(Model.PFOLD, Stat.UNP, n, p)
+        assert len(deg) == len(rows) and len(unp) == n + 1
+        np.testing.assert_allclose(deg, [w.sum() / mass for _, w in rows], rtol=0, atol=1e-13)
+        by_unp = np.zeros(n + 1)
+        for _, w in rows:
+            by_unp[: len(w)] += w
+        np.testing.assert_allclose(unp, by_unp / mass, rtol=0, atol=1e-13)
 
     def test_motzkin_joint_400_sums_to_motzkin_number(self):
         assert motzkin_joint_counts(400).total() == motzkin_number(400)
@@ -347,6 +370,18 @@ class TestEnumeration:
             assert dict(stm) == hel_stm_counts(Model.MOTZKIN, n, Stat.STM).entries
 
 
+LAW_PAIRS = [
+    (Model.DYCK, Stat.DEG),
+    (Model.MOTZKIN, Stat.DEG),
+    (Model.PFOLD, Stat.DEG),
+    (Model.MOTZKIN, Stat.UNP),
+    (Model.PFOLD, Stat.UNP),
+    (Model.DYCK, Stat.HEL),
+    (Model.MOTZKIN, Stat.HEL),
+    (Model.PFOLD, Stat.HEL),
+]
+
+
 class TestConditionalLaw:
     def test_matches_exact_tables(self):
         for n in (5, 12):
@@ -402,6 +437,17 @@ class TestConditionalLaw:
         with pytest.raises(UnsupportedCombination):
             conditional_law(Model.DYCK, Stat.UNP, 50)
 
+    @pytest.mark.parametrize("model, stat", LAW_PAIRS)
+    def test_cap_is_the_largest_value_returned(self, model, stat):
+        for n in (9, 60, 150):
+            full = conditional_law(model, stat, n)
+            for c in (0, 1, 7):
+                # the baby/giant split of the projection depends on the cap,
+                # so the DEG and UNP values agree up to rounding
+                np.testing.assert_allclose(
+                    conditional_law(model, stat, n, cap=c), full[: c + 1], rtol=1e-13, atol=1e-16
+                )
+
 
 class TestSerialization:
     def test_csv_round(self):
@@ -418,3 +464,51 @@ class TestSerialization:
         buf = io.StringIO()
         table.write_csv(buf)
         assert "absent" in buf.getvalue()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: dyck_deg_counts(0),
+            lambda: dyck_deg_counts(40),
+            lambda: hel_stm_counts(Model.DYCK, 0, Stat.HEL),
+            lambda: hel_stm_counts(Model.DYCK, 30, Stat.HEL),
+            lambda: motzkin_joint_counts(60),
+            lambda: hel_stm_counts(Model.MOTZKIN, 40, Stat.HEL),
+            lambda: hel_stm_counts(Model.MOTZKIN, 40, Stat.STM),
+            lambda: hel_stm_counts(Model.MOTZKIN, 40, Stat.STEM_HELICES),
+            lambda: pfold_joint_table(300),
+            lambda: hel_stm_counts(Model.PFOLD, 300, Stat.HEL),
+        ],
+        ids=[
+            "dyck-deg-0", "dyck-deg", "dyck-hel-0", "dyck-hel", "motzkin-joint", "motzkin-hel",
+            "motzkin-stm", "motzkin-stem-helices", "pfold-joint", "pfold-hel",
+        ],
+    )
+    def test_csv_matches_csv_writer(self, make):
+        table = make()
+        buf = io.StringIO()
+        table.write_csv(buf)
+        assert buf.getvalue() == _csv_writer_oracle(table)
+        assert buf.getvalue().count("\n") == 1 + len(table.entries)
+
+
+def _csv_writer_oracle(table):
+    """The table through csv.writer, sorted with the absent bucket first."""
+
+    def order(key):
+        if key is None:
+            return (0,)
+        return (1,) + key if isinstance(key, tuple) else (1, key)
+
+    def text(key):
+        if key is None:
+            return "absent"
+        return ",".join(str(v) for v in key) if isinstance(key, tuple) else str(key)
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["model", "n", "stat_name", "stat_value", "weight"])
+    name = ",".join(table.axes)
+    for key in sorted(table.entries, key=order):
+        writer.writerow([table.model.value, table.size, name, text(key), table.entries[key]])
+    return buf.getvalue()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from endprox.pipeline import run_stats
 from endprox.shuffling import read_fasta
 from endprox.structure import (
     CLOSERS,
@@ -386,6 +387,21 @@ class TestRecords:
         assert recs[0].structure is None
         assert "sequence length 7 differs from structure length 8" in recs[0].error
         assert recs[1].structure is not None and recs[1].structure.sequence is None
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (">a\n>b\n()\n", [("a", False), ("b", True)]),
+            (">a\n()\n>tail\n", [("a", True), ("tail", False)]),
+        ],
+    )
+    def test_header_with_no_structure_is_a_record_error(self, text, expected):
+        recs = read_dot_bracket_records(text)
+        assert [(r.id, r.structure is not None) for r in recs] == expected
+        for rec in recs:
+            assert (rec.error == "header with no structure line") == (rec.structure is None)
+        _rows, _summary, errors = run_stats(recs)
+        assert [rec_id for rec_id, _ in errors] == [i for i, ok in expected if not ok]
 
     def test_letters_without_header_stay_an_error(self):
         recs = read_dot_bracket_records("ACGU\n(..)\n")
