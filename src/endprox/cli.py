@@ -219,7 +219,7 @@ def _cmd_exact(args) -> int:
         if model is Model.DYCK:
             table = exact.dyck_deg_counts(args.n)
         elif model is Model.MOTZKIN:
-            table = exact.motzkin_deg_counts(args.n)
+            table = exact.motzkin_joint_counts(args.n).marginal("deg")
         else:
             raise UnsupportedCombination("use --stat joint for the grammar model")
     elif args.stat == "joint":
@@ -254,14 +254,11 @@ def _cmd_sample(args) -> int:
     params = _pfold_params(args)
     if model is Model.DYCK:
         steps = sampling.sample_dyck_steps(args.n, args.count, rng)
-        structures = (sampling._steps_to_structure(row) for row in steps)
     elif model is Model.MOTZKIN:
         steps = sampling.sample_motzkin_steps(args.n, args.count, rng)
-        structures = (sampling._steps_to_structure(row) for row in steps)
     else:
-        structures = iter(sampling.sample_pfold_many(args.n, args.count, params, rng))
-    for s in structures:
-        sys.stdout.write(structure.to_dot_bracket(s) + "\n")
+        steps = sampling.sample_pfold_many(args.n, args.count, params, rng)
+    sys.stdout.write(sampling.step_rows_text(steps))
     return 0
 
 

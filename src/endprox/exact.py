@@ -112,6 +112,14 @@ class CountTable:
     def total(self):
         return sum(self.entries.values())
 
+    def marginal(self, axis: str) -> "CountTable":
+        """The table of one axis, summing the weights over the others."""
+        i = self.axes.index(axis)
+        entries: dict = {}
+        for key, w in self.entries.items():
+            entries[key[i]] = entries.get(key[i], 0) + w
+        return CountTable(self.model, self.size, (axis,), entries)
+
     def ordered_keys(self) -> list:
         """Keys in output order: the absent bucket first, then ascending."""
         keys = sorted(key for key in self.entries if key is not None)
@@ -356,7 +364,11 @@ def _motzkin_deg_rows(n: int) -> tuple[dict, ...]:
 
 
 def motzkin_deg_counts(n: int) -> CountTable:
-    """Deg marginal at length n via a DP that never tracks unp."""
+    """Deg marginal at length n via a DP that never tracks unp.
+
+    Cubic in n, so the CLI takes the marginal of `motzkin_joint_counts`
+    instead; this DP stays as an independent oracle for the tests.
+    """
     return CountTable(Model.MOTZKIN, n, ("deg",), dict(_motzkin_deg_rows(n)[n]))
 
 

@@ -1,63 +1,100 @@
 """Exact random generation of structures under the three models.
 
+Every sampler returns step rows: an int8 array of shape (count, length) whose
+entries are +1 (opens a pair), -1 (closes the innermost open pair) and 0 (an
+unpaired position), at count 0 and length 0 too.  `SecondaryStructure`
+objects are built only at the single-structure calls (`sample_dyck`,
+`sample_motzkin`, `sample_pfold`), and `step_rows_text` renders rows
+straight to dot-bracket lines.
+
 Randomness comes from the Philox 4x64 counter-based generator, so identical
-seeds reproduce identical sample streams on every platform.  Dyck paths are
-drawn by the cycle-lemma rotation of a random step multiset; Motzkin paths by
-sequential step choice against exact remaining-path counts; grammar output by
-stochastic traceback through the inside weight tables conditioned on length.
+seeds reproduce identical sample streams on every platform.
+
+- Dyck paths: the cycle-lemma rotation of a random step arrangement.
+- Motzkin paths up to length 38: sequential step choice against exact
+  remaining-path counts in machine integers.  Above that, the composition
+  draw: the number of pairs k from exact arbitrary-precision weights, the 2k
+  paired positions uniformly, and a Dyck pattern on them.
+- Grammar output: stochastic traceback through the inside tables conditioned
+  on length, run level by level over a batch of samples.  Each sample reads
+  its own block of 2n uniforms (a production slot and a split slot per
+  position), so a run of draws gives the same rows however its calls are
+  chunked.
+
+The seeded Dyck stream is the one earlier versions drew.  The seeded grammar
+stream, and the Motzkin stream above length 38, changed when the batched
+samplers replaced the per-sample ones; both draw from the same exact laws.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .exact import DEFAULT_PFOLD, PfoldParams, ZeroMassLength, catalan, pfold_inside
+from .exact import DEFAULT_PFOLD, PfoldParams, _pfold_mass, pfold_inside
 from .structure import SecondaryStructure
 
 
 @dataclass
 class RngHandle:
     """Seeded handle owning one sample stream; not safe to share across
-    concurrent streams (hand each its own handle).
-
-    The grammar sampler reads the handle's one uniform buffer, so a run of
-    draws gives the same structures however its calls are chunked.
-    """
+    concurrent streams (hand each its own handle)."""
 
     seed: int
     _gen: np.random.Generator = field(init=False, repr=False)
-    _uniforms: _UniformBuffer = field(init=False, repr=False)
 
     def __post_init__(self):
         self._gen = np.random.Generator(np.random.Philox(self.seed))
-        self._uniforms = _UniformBuffer(self._gen)
 
     @property
     def generator(self) -> np.random.Generator:
         return self._gen
 
 
-def _rand_below(gen: np.random.Generator, bound: int) -> int:
-    """Exact uniform integer in [0, bound) for arbitrary-precision bounds."""
+def _rand_below(gen: np.random.Generator, bound: int, count: int) -> list[int]:
+    """count exact uniform integers in [0, bound) for arbitrary-precision
+    bounds: one byte string for all of them, then a redraw per rejection."""
     nbits = bound.bit_length()
     nbytes = (nbits + 7) // 8
     excess = 8 * nbytes - nbits
-    while True:
-        r = int.from_bytes(gen.bytes(nbytes), "big") >> excess
-        if r < bound:
-            return r
+    raw = gen.bytes(nbytes * count)
+    out = [int.from_bytes(raw[i : i + nbytes], "big") >> excess for i in range(0, len(raw), nbytes)]
+    for i, r in enumerate(out):
+        while r >= bound:
+            r = int.from_bytes(gen.bytes(nbytes), "big") >> excess
+        out[i] = r
+    return out
+
+
+def _check_count(count: int) -> None:
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+
+
+# Rows are filled in blocks of at most this many steps, which bounds the
+# working arrays (uniforms, permutations) whatever the count.
+_BLOCK_STEPS = 1 << 20
+
+
+def _in_blocks(count: int, length: int, draw) -> np.ndarray:
+    """count step rows of the given length; draw(r) returns the next r rows."""
+    steps = np.empty((count, length), dtype=np.int8)
+    block = max(1, _BLOCK_STEPS // max(length, 1))
+    for start in range(0, count, block):
+        rows = steps[start : start + block]
+        rows[:] = draw(len(rows))
+    return steps
 
 
 def _steps_to_structure(steps) -> SecondaryStructure:
     """Steps +1 (open), -1 (close), 0 (dot) to a nested structure."""
     partner = [0] * len(steps)
     stack: list[int] = []
-    for pos0, s in enumerate(steps):
+    for pos0, s in enumerate(np.asarray(steps).tolist()):  # Python ints iterate faster
         if s > 0:
             stack.append(pos0)
         elif s < 0:
@@ -67,31 +104,50 @@ def _steps_to_structure(steps) -> SecondaryStructure:
     return SecondaryStructure(len(partner), tuple(partner), False)
 
 
+_DOT_BRACKET = np.frombuffer(b").(", dtype=np.uint8)  # indexed by step + 1
+
+
+def step_rows_text(steps: np.ndarray) -> str:
+    """Step rows as dot-bracket lines, each ending in a newline."""
+    count, length = steps.shape
+    out = np.empty((count, length + 1), dtype=np.uint8)
+    out[:, :length] = _DOT_BRACKET[steps + 1]
+    out[:, length] = ord("\n")
+    return out.tobytes().decode("ascii")
+
+
 # ---------------------------------------------------------------------------
-# Dyck
+# cycle lemma: Dyck paths, and Motzkin paths of a given pair count
+
+
+def _cycle_lemma_rows(ups: np.ndarray, length: int, gen: np.random.Generator) -> np.ndarray:
+    """One uniform path of the given length per entry of ups, with ups[r]
+    up steps, as many down steps and flat steps for the rest.
+
+    Row r starts as a random arrangement of ups[r] up steps, ups[r] + 1 down
+    steps and flat steps, length + 1 in all.  The steps sum to -1, so exactly
+    one rotation keeps every proper prefix nonnegative (the cycle lemma); it
+    ends in a forced down step, which is dropped.  Each path is the image of
+    length + 1 arrangements, one per rotation, so the draw is uniform.
+    """
+    col = np.arange(length + 1)
+    base = 2 * (col < ups[:, None]).astype(np.int8) - (col < 2 * ups[:, None] + 1)
+    perm = gen.permuted(base, axis=1)
+    first_min = np.argmin(np.cumsum(perm, axis=1, dtype=np.int32), axis=1)  # first minimum
+    idx = (first_min[:, None] + 1 + col[:length]) % (length + 1)
+    return np.take_along_axis(perm, idx, axis=1)
 
 
 def sample_dyck_steps(n: int, count: int, rng: RngHandle) -> np.ndarray:
-    """count exact-uniform Dyck paths of semilength n as rows of +1/-1 steps.
-
-    Each row starts from a random arrangement of n up and n+1 down steps; the
-    unique rotation with nonnegative proper prefixes ends in a forced down
-    step, which is dropped.
-    """
+    """count exact-uniform Dyck paths of semilength n as rows of +1/-1 steps,
+    by the cycle lemma on n up and n+1 down steps."""
     if n < 0:
         raise ValueError("semilength must be nonnegative")
+    _check_count(count)
     if n == 0 or count == 0:
-        return np.zeros((count, 0), dtype=np.int16)
-    width = 2 * n + 1
-    dtype = np.int16 if width < 2**15 else np.int64
-    base = np.full((count, width), -1, dtype=dtype)
-    base[:, :n] = 1
-    perm = rng.generator.permuted(base, axis=1)
-    sums = np.cumsum(perm, axis=1)
-    first_min = np.argmin(sums, axis=1)  # first index attaining the minimum
-    idx = (first_min[:, None] + 1 + np.arange(width)) % width
-    rotated = np.take_along_axis(perm, idx, axis=1)
-    return rotated[:, : 2 * n]
+        return np.zeros((count, 2 * n), dtype=np.int8)
+    gen = rng.generator
+    return _in_blocks(count, 2 * n, lambda r: _cycle_lemma_rows(np.full(r, n), 2 * n, gen))
 
 
 def sample_dyck(n: int, rng: RngHandle) -> SecondaryStructure:
@@ -102,113 +158,77 @@ def sample_dyck(n: int, rng: RngHandle) -> SecondaryStructure:
 # ---------------------------------------------------------------------------
 # Motzkin
 
-_MEANDER_CACHE: dict[int, list[list[int]]] = {}
+_INT64_SAFE_N = 38  # 3^38 < 2^62, so every remaining-path count fits a signed word
 
 
-def motzkin_meander_table(n: int) -> list[list[int]]:
-    """T[m][h] = number of {-1,0,+1} paths of length m from height h down to 0
-    staying nonnegative; T[m][0] is the Motzkin number."""
-    rows = _MEANDER_CACHE.get(n)
-    if rows is not None:
-        return rows
-    rows = [[1]]
-    for m in range(1, n + 1):
-        prev = rows[m - 1]
-
-        def tprev(h: int) -> int:
-            return prev[h] if 0 <= h < len(prev) else 0
-
-        rows.append([tprev(h) + tprev(h + 1) + (tprev(h - 1) if h else 0) for h in range(m + 1)])
-    _MEANDER_CACHE[n] = rows
-    return rows
-
-
-_INT64_SAFE_N = 38  # 3^38 < 2^62, so every table entry fits a signed word
-_MEANDER_MAX_N = 256  # above this the quadratic count table gets heavy
-
-
+@lru_cache(maxsize=32)  # single draws in a loop would rebuild it per call
 def _pair_count_cumweights(n: int) -> list[int]:
     """Cumulative counts of length-n paths by number of up steps k:
-    C(n, 2k) placements times the Catalan fill."""
-    acc = 0
-    cum = []
-    for k in range(n // 2 + 1):
-        acc += math.comb(n, 2 * k) * catalan(k)
+    C(n, 2k) placements times the Catalan fill, each term from the last by
+    the exact ratio (n-2k)(n-2k-1) / ((k+1)(k+2))."""
+    term = acc = 1
+    cum = [1]
+    for k in range(n // 2):
+        term = term * (n - 2 * k) * (n - 2 * k - 1) // ((k + 1) * (k + 2))
+        acc += term
         cum.append(acc)
     return cum
 
 
 def _sample_motzkin_composition(n: int, count: int, rng: RngHandle) -> np.ndarray:
-    """Exact-uniform paths for large n, avoiding the quadratic count table.
+    """Exact-uniform paths drawn as (pair count k, a path with k up steps).
 
-    A path is equivalent to (up-step count k, the sorted 2k paired positions,
-    a balanced pattern on them); each component is drawn exactly: k by
-    arbitrary-precision weights C(n, 2k) * Catalan(k), positions uniformly
-    without replacement, the pattern by the cycle lemma."""
+    k comes from the arbitrary-precision weights C(n, 2k) * Catalan(k); the
+    path given k from the cycle lemma, which places the 2k paired positions
+    and the bracket pattern in one permutation.
+    """
     gen = rng.generator
     cum = _pair_count_cumweights(n)
-    total = cum[-1]
+
+    def draw(r: int) -> np.ndarray:
+        ks = np.array([bisect_right(cum, x) for x in _rand_below(gen, cum[-1], r)])
+        return _cycle_lemma_rows(ks, n, gen)
+
+    return _in_blocks(count, n, draw)
+
+
+def _sample_motzkin_counted(n: int, count: int, rng: RngHandle) -> np.ndarray:
+    """Sequential step choice weighted by T[m][h], the number of {-1,0,+1}
+    paths of length m from height h down to 0 that stay nonnegative."""
+    table = np.zeros((n + 1, n + 2), dtype=np.int64)
+    table[0, 0] = 1
+    for m in range(1, n + 1):
+        prev = table[m - 1]
+        table[m, : n + 1] = prev[: n + 1] + prev[1:]
+        table[m, 1 : n + 1] += prev[:n]
+    gen = rng.generator
     steps = np.zeros((count, n), dtype=np.int8)
-    for r in range(count):
-        k = bisect_right(cum, _rand_below(gen, total))
-        if k == 0:
-            continue
-        slots = np.sort(gen.choice(n, size=2 * k, replace=False))
-        steps[r, slots] = sample_dyck_steps(k, 1, rng)[0].astype(np.int8)
+    h = np.zeros(count, dtype=np.int64)
+    for m in range(n, 0, -1):
+        w_flat = table[m - 1, h]
+        w_up = table[m - 1, h + 1]
+        u = gen.integers(0, table[m, h])
+        up = (u >= w_flat) & (u < w_flat + w_up)
+        down = u >= w_flat + w_up
+        steps[:, n - m] = up.astype(np.int8) - down.astype(np.int8)
+        h = h + up - down
     return steps
 
 
 def sample_motzkin_steps(n: int, count: int, rng: RngHandle) -> np.ndarray:
     """count exact-uniform Motzkin paths of length n as rows over {0, +1, -1}.
 
-    Steps are chosen sequentially with probability proportional to the exact
-    number of completions: small sizes run vectorized on machine integers,
-    mid sizes walk each sample with arbitrary-precision counts, and large
-    sizes switch to the composition draw (still exactly uniform) because the
-    completion-count table grows quadratically.
+    Up to length 38 steps are chosen sequentially against exact completion
+    counts in machine integers; longer paths come from the composition draw.
     """
     if n < 0:
         raise ValueError("length must be nonnegative")
-    if n > _MEANDER_MAX_N:
-        return _sample_motzkin_composition(n, count, rng)
-    rows = motzkin_meander_table(n)
-    steps = np.zeros((count, n), dtype=np.int8)
+    _check_count(count)
     if n == 0 or count == 0:
-        return steps
-    if n <= _INT64_SAFE_N:
-        table = np.zeros((n + 1, n + 2), dtype=np.int64)
-        for m, row in enumerate(rows):
-            table[m, : len(row)] = row
-        gen = rng.generator
-        h = np.zeros(count, dtype=np.int64)
-        for m in range(n, 0, -1):
-            w_flat = table[m - 1, h]
-            w_up = table[m - 1, h + 1]
-            total = table[m, h]
-            u = gen.integers(0, total)
-            up = (u >= w_flat) & (u < w_flat + w_up)
-            down = u >= w_flat + w_up
-            steps[:, n - m] = up.astype(np.int8) - down.astype(np.int8)
-            h = h + up - down
-        return steps
-    for r in range(count):
-        rank = _rand_below(rng.generator, rows[n][0])
-        h = 0
-        for m in range(n, 0, -1):
-            prev = rows[m - 1]
-            w_flat = prev[h] if h < len(prev) else 0
-            w_up = prev[h + 1] if h + 1 < len(prev) else 0
-            if rank < w_flat:
-                continue
-            rank -= w_flat
-            if rank < w_up:
-                steps[r, n - m] = 1
-                h += 1
-            else:
-                rank -= w_up
-                steps[r, n - m] = -1
-                h -= 1
-    return steps
+        return np.zeros((count, n), dtype=np.int8)
+    if n > _INT64_SAFE_N:
+        return _sample_motzkin_composition(n, count, rng)
+    return _sample_motzkin_counted(n, count, rng)
 
 
 def sample_motzkin(n: int, rng: RngHandle) -> SecondaryStructure:
@@ -220,70 +240,98 @@ def sample_motzkin(n: int, rng: RngHandle) -> SecondaryStructure:
 # grammar traceback
 
 
-class _GrammarSampler:
-    """Per-(params, capacity) caches: inside weights as plain lists plus
-    lazily built cumulative split tables for the L*S convolutions."""
+class _GrammarTables:
+    """Per-(params, capacity) arrays for the batched traceback.
+
+    A job is an S (symbol 0) or F (symbol 1) spanning m positions, and its
+    row in total/thresh is symbol * (capacity + 1) + m.  The production test
+    is u * total < thresh: for S a hit means S -> L S, for F it means
+    F -> ( F ).  Split rows hold cumsum(L[1:m] * S[m-1:0:-1]) for every m
+    from 2 to capacity, back to back, with row m starting at start[m].
+    """
 
     def __init__(self, p: PfoldParams, capacity: int):
         inside = pfold_inside(p, capacity)
-        self.p = p
+        S, L, F, LS = (a[: capacity + 1] for a in (inside.S, inside.L, inside.F, inside.LS))
+        nest = np.zeros(capacity + 1)
+        nest[2:] = p.p3 * F[:-2]
         self.capacity = capacity
-        self.S = inside.S.tolist()
-        self.L = inside.L.tolist()
-        self.F = inside.F.tolist()
-        self.LS = inside.LS.tolist()
-        self._splits: dict[int, list[float]] = {}
-
-    def split_cum(self, m: int) -> list[float]:
-        cum = self._splits.get(m)
-        if cum is None:
-            acc = 0.0
-            cum = []
-            L, S = self.L, self.S
-            for a in range(1, m):
-                acc += L[a] * S[m - a]
-                cum.append(acc)
-            self._splits[m] = cum
-        return cum
+        self.total = np.concatenate([S, F])
+        self.thresh = np.concatenate([p.p1 * LS, nest])
+        lengths = np.maximum(np.arange(capacity + 1) - 1, 0)
+        self.start = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+        self.splits = np.empty(int(lengths.sum()) + 1)  # one pad slot for the search
+        for m in range(2, capacity + 1):
+            s = self.start[m]
+            self.splits[s : s + m - 1] = np.cumsum(L[1:m] * S[m - 1 : 0 : -1])
+        self.last = np.zeros(capacity + 1)
+        self.last[2:] = self.splits[self.start[2:] + lengths[2:] - 1]
 
 
-_SAMPLER_CACHE: dict[PfoldParams, _GrammarSampler] = {}
+_SAMPLER_CACHE: dict[PfoldParams, _GrammarTables] = {}
 
 
-def _grammar_sampler(p: PfoldParams, n: int) -> _GrammarSampler:
+def _grammar_tables(p: PfoldParams, n: int) -> _GrammarTables:
     cached = _SAMPLER_CACHE.get(p)
     if cached is None or cached.capacity < n:
-        cached = _GrammarSampler(p, max(n, 256))
+        cached = _GrammarTables(p, max(n, 256))
         _SAMPLER_CACHE[p] = cached
     return cached
 
 
-class _UniformBuffer:
-    """Blocks of uniforms drawn once, consumed one at a time."""
-
-    _BLOCK = 8192
-
-    def __init__(self, gen: np.random.Generator):
-        self._gen = gen
-        self._buf: list[float] = []
-        self._pos = 0
-
-    def next(self) -> float:
-        if self._pos >= len(self._buf):
-            self._buf = self._gen.random(self._BLOCK).tolist()
-            self._pos = 0
-        u = self._buf[self._pos]
-        self._pos += 1
-        return u
+def _split_points(tables: _GrammarTables, m: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """bisect_right(row m, u * row_m[-1]) + 1 for every job, by a branchless
+    binary search over each job's own split row."""
+    splits = tables.splits
+    x = u * tables.last[m]
+    base = tables.start[m]
+    size = m - 1
+    for _ in range(int(size.max(initial=1) - 1).bit_length()):  # ceil(log2(longest row))
+        half = size >> 1
+        base = np.where(splits[base + half] <= x, base + half, base)
+        size = size - half
+    return base - tables.start[m] + (splits[base] <= x) + 1
 
 
-_SYM_S, _SYM_L, _SYM_F, _EMIT_CLOSE = 0, 1, 2, 3
+def _pfold_traceback(tables: _GrammarTables, n: int, u: np.ndarray) -> np.ndarray:
+    """Step rows for one block; row r reads the uniforms u[r, 2*i] (the
+    production at position i) and u[r, 2*i + 1] (the split at position i).
+
+    Jobs live in flat coordinates, r * n + offset, and are expanded one
+    derivation level at a time.  L is resolved where it appears: its length
+    fixes the rule (L -> . at length 1, L -> ( F ) above it).
+    """
+    count = u.shape[0]
+    rows = np.zeros(count * n, dtype=np.int8)
+    flat_u = u.reshape(-1)
+    stride = tables.capacity + 1
+    pos = np.arange(count, dtype=np.int64) * n
+    size = np.full(count, n, dtype=np.int64)
+    is_f = np.zeros(count, dtype=bool)
+    while pos.size:
+        key = size + stride * is_f
+        hit = flat_u[2 * pos] * tables.total[key] < tables.thresh[key]
+        split = hit != is_f
+        whole = ~split
+        sp, sm = pos[split], size[split]
+        a = _split_points(tables, sm, flat_u[2 * sp + 1])
+        l_pos = np.concatenate([pos[whole], sp])
+        l_size = np.concatenate([size[whole], a])
+        arch = l_size >= 2
+        l_pos, l_size = l_pos[arch], l_size[arch]
+        rows[l_pos] = 1
+        rows[l_pos + l_size - 1] = -1
+        pos = np.concatenate([l_pos + 1, sp + a])
+        size = np.concatenate([l_size - 2, sm - a])
+        is_f = np.arange(len(pos)) < len(l_pos)
+    return rows.reshape(count, n)
 
 
-def sample_pfold(
-    n: int, p: PfoldParams = DEFAULT_PFOLD, rng: Optional[RngHandle] = None
-) -> SecondaryStructure:
-    """One structure drawn from the grammar conditioned on output length n.
+def sample_pfold_many(
+    n: int, count: int, p: PfoldParams = DEFAULT_PFOLD, rng: Optional[RngHandle] = None
+) -> np.ndarray:
+    """count structures drawn from the grammar conditioned on output length n,
+    as step rows.
 
     Stochastic traceback through the inside tables: every production and
     split point is chosen with probability proportional to its contribution
@@ -291,63 +339,15 @@ def sample_pfold(
     """
     if rng is None:
         raise ValueError("an RngHandle is required")
-    return _pfold_traceback(n, p, rng._uniforms)
+    _check_count(count)
+    _pfold_mass(p, n)  # raises for a length without mass, before any split table is built
+    tables = _grammar_tables(p, n)
+    gen = rng.generator
+    return _in_blocks(count, n, lambda r: _pfold_traceback(tables, n, gen.random((r, 2 * n))))
 
 
-def sample_pfold_many(
-    n: int, count: int, p: PfoldParams = DEFAULT_PFOLD, rng: Optional[RngHandle] = None
-) -> list[SecondaryStructure]:
-    if rng is None:
-        raise ValueError("an RngHandle is required")
-    return [_pfold_traceback(n, p, rng._uniforms) for _ in range(count)]
-
-
-def _pfold_traceback(n: int, p: PfoldParams, buf: _UniformBuffer) -> SecondaryStructure:
-    tables = _grammar_sampler(p, n)
-    if n < 1 or tables.S[n] <= 0.0:
-        raise ZeroMassLength(f"no length-{n} output")
-    S, L, F, LS = tables.S, tables.L, tables.F, tables.LS
-    p1, p2, p3 = p.p1, p.p2, p.p3
-    partner = [0] * n
-    open_stack: list[int] = []
-    pos = 0
-    work: list[tuple[int, int]] = [(_SYM_S, n)]
-    while work:
-        sym, m = work.pop()
-        if sym == _EMIT_CLOSE:
-            i = open_stack.pop()
-            partner[i] = pos + 1
-            partner[pos] = i + 1
-            pos += 1
-            continue
-        if sym == _SYM_S:
-            if buf.next() * S[m] < p1 * LS[m]:
-                cum = tables.split_cum(m)
-                a = bisect_right(cum, buf.next() * cum[-1]) + 1
-                work.append((_SYM_S, m - a))
-                work.append((_SYM_L, a))
-            else:
-                work.append((_SYM_L, m))
-        elif sym == _SYM_L:
-            w_pair = p2 * F[m - 2] if m >= 2 else 0.0
-            if buf.next() * L[m] < w_pair:
-                open_stack.append(pos)
-                pos += 1
-                work.append((_EMIT_CLOSE, 0))
-                work.append((_SYM_F, m - 2))
-            else:
-                pos += 1  # unpaired
-        else:  # _SYM_F
-            w_nest = p3 * F[m - 2] if m >= 2 else 0.0
-            if buf.next() * F[m] < w_nest:
-                open_stack.append(pos)
-                pos += 1
-                work.append((_EMIT_CLOSE, 0))
-                work.append((_SYM_F, m - 2))
-            else:
-                cum = tables.split_cum(m)
-                a = bisect_right(cum, buf.next() * cum[-1]) + 1
-                work.append((_SYM_S, m - a))
-                work.append((_SYM_L, a))
-    assert pos == n and not open_stack
-    return SecondaryStructure(n, tuple(partner), False)
+def sample_pfold(
+    n: int, p: PfoldParams = DEFAULT_PFOLD, rng: Optional[RngHandle] = None
+) -> SecondaryStructure:
+    """One structure drawn from the grammar conditioned on output length n."""
+    return _steps_to_structure(sample_pfold_many(n, 1, p, rng)[0])

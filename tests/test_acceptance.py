@@ -30,6 +30,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from endprox import exact, limits, sampling, shuffling
 from endprox.exact import (
@@ -49,7 +51,14 @@ from endprox.exact import (
     pfold_string_probability,
 )
 from endprox.limits import dyck_ete_truncations, ete_limit_moments, limit_of, moments, pfold_rho_delta
-from endprox.sampling import RngHandle, sample_dyck_steps, sample_motzkin_steps, sample_pfold_many
+from endprox.sampling import (
+    RngHandle,
+    _steps_to_structure,
+    sample_dyck_steps,
+    sample_motzkin_steps,
+    sample_pfold_many,
+    step_rows_text,
+)
 from endprox.structure import DEFAULT_ETE, exterior_stats, parse_dot_bracket, shortest_path_stats, to_dot_bracket
 
 
@@ -214,7 +223,7 @@ def test_criterion_08a_sampler_exactness_small():
     zm = max(abs(v / count - p0) / se for v in freqs.values())
     ok = ok and len(freqs) == motzkin_number(n) and zm < 5
 
-    hist = Counter(to_dot_bracket(s) for s in sample_pfold_many(n, count, rng=RngHandle(103)))
+    hist = Counter(step_rows_text(sample_pfold_many(n, count, rng=RngHandle(103))).splitlines())
     mass = pfold_inside(DEFAULT_PFOLD, n).S[n]
     support = {}
     for s in enumerate_all(Model.MOTZKIN, n):
@@ -238,30 +247,61 @@ def test_criterion_08a_sampler_exactness_small():
 _JOINT_CHUNK = 100_000
 
 
+def _unp_deg_of_steps(steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exterior (unp, deg) of every step row: the dots and the up steps met
+    at height zero.  Heights are int16, enough for rows shorter than 2**16."""
+    before = np.cumsum(steps, axis=1, dtype=np.int16)
+    before -= steps
+    top = before == 0
+    return (top & (steps == 0)).sum(axis=1), (top & (steps == 1)).sum(axis=1)
+
+
+def _unp_deg_walk(partner: tuple[int, ...]) -> tuple[int, int]:
+    """Exterior (unp, deg) by walking the partner table item by item."""
+    deg = 0
+    unp = 0
+    i = 1
+    while i <= len(partner):
+        j = partner[i - 1]
+        if j == 0:
+            unp += 1
+            i += 1
+        else:
+            deg += 1
+            i = j + 1
+    return unp, deg
+
+
 def _pfold_joint_hist(n: int, count: int, seed: int) -> Counter:
     """(unp, deg) histogram of ``count`` grammar draws from one seeded stream.
 
-    Draws go in chunks so that no more than ``_JOINT_CHUNK`` structures are
-    alive at once (1e6 at n=200 would take about 1.8 GB); a count up to one
-    chunk is a single ``sample_pfold_many`` call.
+    Draws go in chunks so that no more than ``_JOINT_CHUNK`` step rows are
+    alive at once; a count up to one chunk is a single ``sample_pfold_many``
+    call.
     """
     rng = RngHandle(seed)
     hist: Counter = Counter()
     for start in range(0, count, _JOINT_CHUNK):
-        for s in sample_pfold_many(n, min(_JOINT_CHUNK, count - start), rng=rng):
-            deg = 0
-            unp = 0
-            i = 1
-            while i <= n:
-                j = s.partner[i - 1]
-                if j == 0:
-                    unp += 1
-                    i += 1
-                else:
-                    deg += 1
-                    i = j + 1
-            hist[(unp, deg)] += 1
+        unp, deg = _unp_deg_of_steps(sample_pfold_many(n, min(_JOINT_CHUNK, count - start), rng=rng))
+        hist.update(zip(unp.tolist(), deg.tolist()))
     return hist
+
+
+@given(st.sampled_from(["dyck", "motzkin", "pfold"]), st.integers(1, 120), st.integers(0, 2**31))
+@settings(max_examples=60, deadline=None)
+def test_unp_deg_reading_matches_partner_walk(model, n, seed):
+    """Not a criterion: the vectorized reading that criterion 8b histograms
+    agrees with the partner walk on rows from every sampler."""
+    rng = RngHandle(seed)
+    if model == "dyck":
+        steps = sample_dyck_steps(n, 20, rng)
+    elif model == "motzkin":
+        steps = sample_motzkin_steps(n, 20, rng)
+    else:
+        steps = sample_pfold_many(n, 20, rng=rng)
+    unp, deg = _unp_deg_of_steps(steps)
+    walked = [_unp_deg_walk(_steps_to_structure(row).partner) for row in steps]
+    assert list(zip(unp.tolist(), deg.tolist())) == walked
 
 
 def _joint_tv(hist: Counter, probs: dict, count: int) -> float:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from endprox.cli import main
+from endprox.exact import motzkin_deg_counts
 
 
 @pytest.fixture
@@ -140,6 +141,15 @@ class TestExact:
         values = {r["stat_value"]: r["weight"] for r in rows}
         assert values == {"1": "2", "2": "2", "3": "1"}
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 17, 40, 60])
+    def test_motzkin_deg_matches_oracle(self, run, n):
+        # the CLI reads the deg marginal off the joint table; the cubic DP
+        # is the independent oracle
+        code, out, _ = run(["exact", "--model", "motzkin", "--n", str(n), "--stat", "deg"])
+        expected = io.StringIO()
+        motzkin_deg_counts(n).write_csv(expected)
+        assert code == 0 and out == expected.getvalue()
+
     def test_motzkin_joint_json(self, run):
         code, out, _ = run(
             ["--format", "json", "exact", "--model", "motzkin", "--n", "3", "--stat", "joint"]
@@ -187,6 +197,17 @@ class TestSample:
         code, out, _ = run(["sample", "--model", "motzkin", "--n", "6", "--count", "2"])
         assert code == 0
         assert all(len(line) == 6 for line in out.strip().splitlines())
+
+    def test_dyck_stream_pinned(self, run):
+        # the seeded Dyck stream is stable across releases
+        code, out, _ = run(["--seed", "11", "sample", "--model", "dyck", "--n", "6", "--count", "5"])
+        assert code == 0
+        assert out == "()((()()))()\n(((()))()())\n()(())((()))\n(((())()))()\n()(()())()()\n"
+
+    @pytest.mark.parametrize("model", ["dyck", "motzkin", "pfold"])
+    def test_negative_count(self, run, model):
+        code, out, err = run(["sample", "--model", model, "--n", "5", "--count", "-1"])
+        assert code == 1 and out == "" and "count must be nonnegative" in err
 
 
 class TestShuffle:

@@ -1,30 +1,40 @@
 import math
+from bisect import bisect_right
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from endprox.exact import (
     DEFAULT_PFOLD,
     Model,
+    PfoldParams,
     ZeroMassLength,
     catalan,
     enumerate_all,
     motzkin_number,
+    pfold_inside,
     pfold_joint_probs,
     pfold_string_probability,
 )
 from endprox.sampling import (
     RngHandle,
-    motzkin_meander_table,
+    _steps_to_structure,
     sample_dyck,
     sample_dyck_steps,
     sample_motzkin,
     sample_motzkin_steps,
     sample_pfold,
     sample_pfold_many,
+    step_rows_text,
 )
 from endprox.structure import to_dot_bracket
+
+
+def _structures(steps: np.ndarray) -> list:
+    return [_steps_to_structure(row) for row in steps]
 
 
 def _deg_of_steps(steps: np.ndarray) -> np.ndarray:
@@ -77,11 +87,6 @@ class TestDyck:
 
 
 class TestMotzkin:
-    def test_meander_marginal(self):
-        rows = motzkin_meander_table(40)
-        for m in range(41):
-            assert rows[m][0] == motzkin_number(m)
-
     def test_degenerate(self):
         for seed in range(5):
             assert to_dot_bracket(sample_motzkin(1, RngHandle(seed))) == "."
@@ -96,14 +101,14 @@ class TestMotzkin:
             assert v / count == pytest.approx(0.25, abs=0.01)
 
     def test_bigint_path_valid(self):
-        # n above the machine-word regime exercises the exact unranking walk
+        # n above the machine-word regime exercises the composition draw
         for seed in range(4):
             s = sample_motzkin(55, RngHandle(seed))
             s.validate()
             assert not s.crossing
 
     def test_bigint_path_uniform_spot(self):
-        # tiny-size distribution check routed through the scalar walk
+        # tiny-size distribution check routed through the composition draw
         import endprox.sampling as sampling
 
         old = sampling._INT64_SAFE_N
@@ -120,7 +125,7 @@ class TestMotzkin:
 
     def test_deg_mean_matches_exact_table(self):
         # moderate-size statistical agreement with the exact DP mean,
-        # through the arbitrary-precision sequential walk
+        # through the composition draw
         from endprox.exact import conditional_law, Stat
 
         n, count = 120, 20_000
@@ -177,20 +182,21 @@ class TestPfold:
             sample_pfold(0, rng=RngHandle(1))
 
     def test_reproducible(self):
-        a = [to_dot_bracket(s) for s in sample_pfold_many(30, 5, rng=RngHandle(8))]
-        b = [to_dot_bracket(s) for s in sample_pfold_many(30, 5, rng=RngHandle(8))]
+        a = [to_dot_bracket(s) for s in _structures(sample_pfold_many(30, 5, rng=RngHandle(8)))]
+        b = [to_dot_bracket(s) for s in _structures(sample_pfold_many(30, 5, rng=RngHandle(8)))]
         assert a == b
 
     def test_chunked_calls_match_one_call(self):
         n = 50
-        whole = sample_pfold_many(n, 20, rng=RngHandle(1))
+        whole = _structures(sample_pfold_many(n, 20, rng=RngHandle(1)))
         rng = RngHandle(1)
-        chunked = sample_pfold_many(n, 10, rng=rng) + sample_pfold_many(n, 9, rng=rng)
+        chunked = _structures(sample_pfold_many(n, 10, rng=rng))
+        chunked += _structures(sample_pfold_many(n, 9, rng=rng))
         chunked.append(sample_pfold(n, rng=rng))
         assert [s.partner for s in chunked] == [s.partner for s in whole]
 
     def test_samples_live_in_grammar_support(self):
-        for s in sample_pfold_many(40, 50, rng=RngHandle(4)):
+        for s in _structures(sample_pfold_many(40, 50, rng=RngHandle(4))):
             s.validate()
             assert s.length == 40
             assert pfold_string_probability(s) > 0.0
@@ -198,7 +204,7 @@ class TestPfold:
     def test_small_length_frequencies(self):
         n, count = 6, 60_000
         hist = Counter(
-            to_dot_bracket(s) for s in sample_pfold_many(n, count, rng=RngHandle(17))
+            to_dot_bracket(s) for s in _structures(sample_pfold_many(n, count, rng=RngHandle(17)))
         )
         total = 0.0
         support = {}
@@ -218,7 +224,7 @@ class TestPfold:
         n, count = 80, 30_000
         probs = pfold_joint_probs(n)
         hist = Counter()
-        for s in sample_pfold_many(n, count, rng=RngHandle(19)):
+        for s in _structures(sample_pfold_many(n, count, rng=RngHandle(19))):
             deg = 0
             unp = 0
             i = 1
@@ -236,3 +242,108 @@ class TestPfold:
         )
         # expected empirical TV at this sample size is ~0.021
         assert tv < 0.035
+
+
+def _draw(model: str, n: int, count: int, seed: int) -> np.ndarray:
+    rng = RngHandle(seed)
+    if model == "dyck":
+        return sample_dyck_steps(n, count, rng)
+    if model == "motzkin":
+        return sample_motzkin_steps(n, count, rng)
+    return sample_pfold_many(n, count, rng=rng)
+
+
+class TestStepRows:
+    @pytest.mark.parametrize("model", ["dyck", "motzkin", "pfold"])
+    def test_shape_and_dtype(self, model):
+        width = {"dyck": 10, "motzkin": 5, "pfold": 5}[model]
+        for count in (0, 1, 4):
+            steps = _draw(model, 5, count, 3)
+            assert steps.dtype == np.int8 and steps.shape == (count, width)
+        if model != "pfold":  # the grammar has no length-0 output
+            for count in (0, 3):
+                steps = _draw(model, 0, count, 3)
+                assert steps.dtype == np.int8 and steps.shape == (count, 0)
+
+    @pytest.mark.parametrize("model", ["dyck", "motzkin", "pfold"])
+    def test_negative_count(self, model):
+        with pytest.raises(ValueError, match="count must be nonnegative"):
+            _draw(model, 5, -1, 3)
+
+    @given(st.sampled_from(["dyck", "motzkin", "pfold"]), st.integers(1, 80), st.integers(0, 6), st.integers(0, 2**31))
+    @settings(max_examples=60, deadline=None)
+    def test_rendering_matches_structures(self, model, n, count, seed):
+        steps = _draw(model, n, count, seed)
+        expected = "".join(to_dot_bracket(_steps_to_structure(row)) + "\n" for row in steps)
+        assert step_rows_text(steps) == expected
+
+
+def _serial_traceback(n: int, p: PfoldParams, u: np.ndarray) -> list[int]:
+    """One sample by the serial stochastic traceback with Python floats and
+    per-length split lists, reading u[2*i] for the production and u[2*i + 1]
+    for the split of the S or F job that starts at position i."""
+    inside = pfold_inside(p, n)
+    S, L, F, LS = (a.tolist() for a in (inside.S, inside.L, inside.F, inside.LS))
+
+    def split(m: int, v: float) -> int:
+        acc, cum = 0.0, []
+        for a in range(1, m):
+            acc += L[a] * S[m - a]
+            cum.append(acc)
+        return bisect_right(cum, v * cum[-1]) + 1
+
+    row = [0] * n
+    work = [("S", 0, n)]
+    while work:
+        sym, i, m = work.pop()
+        if sym == "L":
+            if m >= 2:  # L -> ( F ); at length 1, L -> .
+                row[i], row[i + m - 1] = 1, -1
+                work.append(("F", i + 1, m - 2))
+        elif sym == "S" and u[2 * i] * S[m] >= p.p1 * LS[m]:
+            work.append(("L", i, m))
+        elif sym == "F" and u[2 * i] * F[m] < (p.p3 * F[m - 2] if m >= 2 else 0.0):
+            row[i], row[i + m - 1] = 1, -1
+            work.append(("F", i + 1, m - 2))
+        else:
+            a = split(m, u[2 * i + 1])
+            work += [("S", i + a, m - a), ("L", i, a)]
+    return row
+
+
+_PARAM_SETS = [DEFAULT_PFOLD, PfoldParams(0.5, 0.5, 0.5), PfoldParams(0.2, 0.9, 0.2)]
+
+
+class TestPfoldBatch:
+    @pytest.mark.parametrize("p", _PARAM_SETS)
+    def test_matches_serial_traceback(self, p):
+        # the batched traceback makes the serial traceback's decisions on
+        # the same uniforms: 2n per sample, read from the handle in order
+        for n in (1, 2, 3, 8, 45, 130):
+            u = RngHandle(n).generator.random((30, 2 * n))
+            expected = np.array([_serial_traceback(n, p, row) for row in u], dtype=np.int8)
+            assert np.array_equal(sample_pfold_many(n, 30, p, RngHandle(n)), expected)
+
+    @given(st.integers(1, 60), st.lists(st.integers(0, 7), min_size=1, max_size=6), st.integers(0, 2**31))
+    @settings(max_examples=40, deadline=None)
+    def test_chunk_invariant(self, n, chunks, seed):
+        whole = sample_pfold_many(n, sum(chunks), rng=RngHandle(seed))
+        rng = RngHandle(seed)
+        parts = [sample_pfold_many(n, c, rng=rng) for c in chunks]
+        assert np.array_equal(np.concatenate(parts), whole)
+
+    @pytest.mark.parametrize("p", _PARAM_SETS)
+    def test_small_length_frequencies(self, p):
+        count = 100_000
+        for n in (5, 7):
+            hist = Counter(step_rows_text(sample_pfold_many(n, count, p, RngHandle(n))).splitlines())
+            support = {}
+            for s in enumerate_all(Model.MOTZKIN, n):
+                w = pfold_string_probability(s, p)
+                if w > 0.0:
+                    support[to_dot_bracket(s)] = w
+            total = sum(support.values())
+            assert set(hist) <= set(support)
+            for text, w in support.items():
+                q = w / total
+                assert abs(hist.get(text, 0) / count - q) < 5 * math.sqrt(q * (1 - q) / count)
