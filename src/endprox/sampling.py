@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -158,10 +157,12 @@ def sample_dyck(n: int, rng: RngHandle) -> SecondaryStructure:
 # ---------------------------------------------------------------------------
 # Motzkin
 
-_INT64_SAFE_N = 38  # 3^38 < 2^62, so every remaining-path count fits a signed word
+# 3^38 < 2^62, so every remaining-path count fits a signed word.  Below this
+# length the counted walk is also the faster draw: 0.35 s against 5.9 s for
+# 10^6 paths at n=8, 0.16 s against 0.34 s for 10^5 at n=38 (one Xeon core).
+_INT64_SAFE_N = 38
 
 
-@lru_cache(maxsize=32)  # single draws in a loop would rebuild it per call
 def _pair_count_cumweights(n: int) -> list[int]:
     """Cumulative counts of length-n paths by number of up steps k:
     C(n, 2k) placements times the Catalan fill, each term from the last by

@@ -171,6 +171,15 @@ class TestMotzkin:
         assert abs(np.mean(degs) - exact_mean) < 4 * se
 
 
+_PARAM_SETS = [DEFAULT_PFOLD, PfoldParams(0.5, 0.5, 0.5), PfoldParams(0.2, 0.9, 0.2)]
+
+
+# (n, params, draws, seed) for the frequency test against pfold_string_probability
+_FREQUENCY_CASES = [(6, DEFAULT_PFOLD, 60_000, 17)] + [
+    (n, p, 100_000, n) for p in _PARAM_SETS for n in (5, 7)
+]
+
+
 class TestPfold:
     def test_forced_small_lengths(self):
         for seed in range(5):
@@ -202,22 +211,20 @@ class TestPfold:
             assert pfold_string_probability(s) > 0.0
 
     def test_small_length_frequencies(self):
-        n, count = 6, 60_000
-        hist = Counter(
-            to_dot_bracket(s) for s in _structures(sample_pfold_many(n, count, rng=RngHandle(17)))
-        )
-        total = 0.0
-        support = {}
-        for s in enumerate_all(Model.MOTZKIN, n):
-            w = pfold_string_probability(s)
-            if w > 0:
-                support[to_dot_bracket(s)] = w
-                total += w
-        assert set(hist) <= set(support)
-        for text, w in support.items():
-            q = w / total
-            se = math.sqrt(q * (1 - q) / count)
-            assert abs(hist.get(text, 0) / count - q) < 5 * se
+        for n, p, count, seed in _FREQUENCY_CASES:
+            rows = sample_pfold_many(n, count, p, RngHandle(seed))
+            hist = Counter(step_rows_text(rows).splitlines())
+            support = {}
+            for s in enumerate_all(Model.MOTZKIN, n):
+                w = pfold_string_probability(s, p)
+                if w > 0:
+                    support[to_dot_bracket(s)] = w
+            total = sum(support.values())
+            assert set(hist) <= set(support)
+            for text, w in support.items():
+                q = w / total
+                se = math.sqrt(q * (1 - q) / count)
+                assert abs(hist.get(text, 0) / count - q) < 5 * se
 
     def test_joint_histogram_moderate(self):
         # distribution-level agreement with the exact conditional law
@@ -311,9 +318,6 @@ def _serial_traceback(n: int, p: PfoldParams, u: np.ndarray) -> list[int]:
     return row
 
 
-_PARAM_SETS = [DEFAULT_PFOLD, PfoldParams(0.5, 0.5, 0.5), PfoldParams(0.2, 0.9, 0.2)]
-
-
 class TestPfoldBatch:
     @pytest.mark.parametrize("p", _PARAM_SETS)
     def test_matches_serial_traceback(self, p):
@@ -331,19 +335,3 @@ class TestPfoldBatch:
         rng = RngHandle(seed)
         parts = [sample_pfold_many(n, c, rng=rng) for c in chunks]
         assert np.array_equal(np.concatenate(parts), whole)
-
-    @pytest.mark.parametrize("p", _PARAM_SETS)
-    def test_small_length_frequencies(self, p):
-        count = 100_000
-        for n in (5, 7):
-            hist = Counter(step_rows_text(sample_pfold_many(n, count, p, RngHandle(n))).splitlines())
-            support = {}
-            for s in enumerate_all(Model.MOTZKIN, n):
-                w = pfold_string_probability(s, p)
-                if w > 0.0:
-                    support[to_dot_bracket(s)] = w
-            total = sum(support.values())
-            assert set(hist) <= set(support)
-            for text, w in support.items():
-                q = w / total
-                assert abs(hist.get(text, 0) / count - q) < 5 * math.sqrt(q * (1 - q) / count)
