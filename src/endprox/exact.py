@@ -10,11 +10,18 @@ three-rule stochastic grammar
 with qi = 1 - pi.  In all three the exterior loop is one construction, a
 sequence SEQ(dot | arch) of unpaired dots and arches "( ... )" (Flajolet &
 Sedgewick, Analytic Combinatorics, I.2 and ch. III); one kernel over it gives
-every (unp, deg) table.  Uniform-model tables hold arbitrary-precision
-integers; grammar tables hold double-precision weights.  The small-n tables
-double as brute-force oracles for the limit laws.  conditional_law evaluates
-the same decompositions in scaled floating point; its deg and unp laws take
-the same SEQ(dot | arch) parameters but go straight to each marginal by power
+every (unp, deg) table.  The first-helix and first-stem statistics (hel, stm,
+stem_helices; Hofacker, Schuster & Stadler 1998) belong to the first arch of
+that sequence, and one first-arch split gives every table and law of them:
+leading dots, the arch's pair, its contents, the rest of the exterior.  Each
+statistic only supplies the continuation series cont by which the contents
+extend it: a stacked pair for hel, a lone child pair between two dot runs for
+stm, and for stem_helices a run of stacked pairs closed by a child pair with
+a dot beside it.  Uniform-model tables hold arbitrary-precision integers;
+grammar tables hold double-precision weights.  The small-n tables double as
+brute-force oracles for the limit laws.  conditional_law evaluates the same
+decompositions in scaled floating point; its deg and unp laws take the same
+SEQ(dot | arch) parameters but go straight to each marginal by power
 projection, so sizes in the thousands stay cheap.
 """
 
@@ -193,15 +200,23 @@ class _Exterior:
     seq(j) = head * step**(j - 1) (1 for the uniform models, p1^(j-1) q1 for
     the grammar) and arch[m] weighs one arch of size m >= amin.  An integer
     (object) arch makes every weight exact; it must be z^amin A with
-    A = 1 / (1 - dot z - arch), as for the uniform models.
+    A = 1 / (1 - dot z - arch), as for the uniform models.  total[m] weighs
+    every structure of size m: the counts A, or the grammar's S.  An arch is
+    a pair of weight pair around its contents inner: arch = pair z^amin A
+    (inner = A) for the uniform models, pair z^2 F (inner = F) for the
+    grammar.  head and step default to the integer 1, so exact weights stay
+    integers.
     """
 
     n: int
     dot: float
     amin: int
     arch: np.ndarray
-    head: float = 1.0
-    step: float = 1.0
+    inner: np.ndarray
+    total: np.ndarray
+    pair: float
+    head: float = 1
+    step: float = 1
 
     @property
     def exact(self) -> bool:
@@ -234,24 +249,23 @@ def _arch_powers(ext: _Exterior) -> Iterator[np.ndarray]:
 
 
 def _truncated_product(a: np.ndarray, alo: int, b: np.ndarray, blo: int) -> np.ndarray:
-    """a * b truncated like a, for float series that vanish below z^alo and
-    z^blo: only the support is convolved, and only up to the last kept
-    output."""
+    """a * b truncated like a, for series that vanish below z^alo and z^blo:
+    only the support is convolved, and only up to the last kept output."""
     n = len(a) - 1
     lo = alo + blo
-    out = np.zeros(n + 1)
+    out = np.zeros(n + 1, dtype=np.result_type(a, b))
     if lo <= n:
         out[lo:] = np.convolve(a[alo : n + 1 - blo], b[blo : n + 1 - alo])[: n + 1 - lo]
     return out
 
 
-def _over_one_minus(a: np.ndarray, x: float) -> np.ndarray:
-    """a / (1 - x z) along the last axis, truncated like a: the recurrence
-    out[m] = x out[m - 1] + a[m]."""
-    out = np.array(a, dtype=float)
+def _over_one_minus(a: np.ndarray, x: float, k: int = 1) -> np.ndarray:
+    """a / (1 - x z^k), truncated like a: the recurrence
+    out[m] = x out[m - k] + a[m], in a's dtype (exact for integers)."""
+    out = np.array(a)
     if x:
-        for m in range(1, out.shape[-1]):
-            out[..., m] += x * out[..., m - 1]
+        for m in range(k, len(out)):
+            out[m] += x * out[m - k]
     return out
 
 
@@ -312,11 +326,13 @@ def _exterior_weights(ext: _Exterior) -> Iterator[tuple[int, np.ndarray]]:
         yield l, coef * power[n + 1 - len(coef) : n + 1][::-1]
 
 
-def _uniform_exterior(model: Model, n: int, exact: bool) -> tuple[_Exterior, float]:
+def _uniform_exterior(model: Model, n: int, exact: bool) -> _Exterior:
     """Dyck by semilength (no dot, arch z C) or Motzkin by length (dot z,
-    arch z^2 M), with the total weight at size n: integer counts, or floats
-    with z = 1/4 or 1/3, which keeps the weights inside the float range."""
+    arch z^2 M): integer counts, or floats with z = 1/4 or 1/3, which keeps
+    the weights inside the float range."""
     dyck = model is Model.DYCK
+    if n < 0:
+        raise ValueError(f"{'semi' if dyck else ''}length must be nonnegative")
     dot, amin, z = (0, 1, 0.25) if dyck else (1, 2, 1 / 3)
     if exact:
         count = catalan if dyck else motzkin_number
@@ -325,7 +341,7 @@ def _uniform_exterior(model: Model, n: int, exact: bool) -> tuple[_Exterior, flo
         counts = _scaled_catalan(n) if dyck else _scaled_motzkin(n)
     arch = np.zeros(n + 1, dtype=counts.dtype)
     arch[amin:] = z**amin * counts[: n + 1 - amin]
-    return _Exterior(n, dot * z, amin, arch), counts[n]
+    return _Exterior(n, dot * z, amin, arch, counts, counts, z**amin)
 
 
 # ---------------------------------------------------------------------------
@@ -334,17 +350,13 @@ def _uniform_exterior(model: Model, n: int, exact: bool) -> tuple[_Exterior, flo
 
 def dyck_deg_counts(n: int) -> CountTable:
     """Counts of semilength-n balanced bracketings by top-level pair count."""
-    if n < 0:
-        raise ValueError("semilength must be nonnegative")
-    weights = _exterior_weights(_uniform_exterior(Model.DYCK, n, exact=True)[0])
+    weights = _exterior_weights(_uniform_exterior(Model.DYCK, n, exact=True))
     return CountTable(Model.DYCK, n, ("deg",), {l: w[0] for l, w in weights if w[0]})
 
 
 def motzkin_joint_counts(n: int) -> CountTable:
     """Counts of length-n dot-bracket strings keyed by (deg, unp)."""
-    if n < 0:
-        raise ValueError("length must be nonnegative")
-    weights = _exterior_weights(_uniform_exterior(Model.MOTZKIN, n, exact=True)[0])
+    weights = _exterior_weights(_uniform_exterior(Model.MOTZKIN, n, exact=True))
     entries = {(l, k): c for l, w in weights for k, c in enumerate(w) if c}
     return CountTable(Model.MOTZKIN, n, ("deg", "unp"), entries)
 
@@ -431,7 +443,9 @@ def _pfold_mass(p: PfoldParams, n: int) -> float:
 def _pfold_exterior(p: PfoldParams, n: int) -> _Exterior:
     """The grammar's exterior: dot q2, arch p2 ( F ) of length at least 4,
     seq(j) = p1^(j-1) q1."""
-    return _Exterior(n, p.q2, 4, pfold_inside(p, n).arch[: n + 1], head=p.q1, step=p.p1)
+    inside = pfold_inside(p, n)
+    arch, inner, total = inside.arch[: n + 1], inside.F[: n + 1], inside.S[: n + 1]
+    return _Exterior(n, p.q2, 4, arch, inner, total, p.p2, head=p.q1, step=p.p1)
 
 
 def pfold_joint_table(n: int, p: PfoldParams = DEFAULT_PFOLD) -> CountTable:
@@ -532,148 +546,110 @@ def pfold_string_probability(
 
 
 # ---------------------------------------------------------------------------
-# first-helix / first-stem tables
+# first-arch statistics: first helix and first stem
 
 
-@lru_cache(maxsize=None)
-def _dyck_hel_rows(n: int) -> tuple[dict, ...]:
-    # helper H assigns positive depth only to paths whose first and last
-    # steps are matched; everything else sits in its 0 bucket
-    hrows: list[dict] = [{0: 1}]
-    for m in range(1, n + 1):
-        row = {d + 1: w for d, w in hrows[m - 1].items()}
-        notch = catalan(m) - catalan(m - 1)
-        if notch:
-            row[0] = row.get(0, 0) + notch
-        hrows.append(row)
-    rows: list[dict] = [{}]
-    for m in range(1, n + 1):
-        row: dict = {}
-        for j in range(m):
-            c = catalan(m - 1 - j)
-            for d, w in hrows[j].items():
-                row[d + 1] = row.get(d + 1, 0) + c * w
-        rows.append(row)
-    return tuple(rows)
+def _model_exterior(model: Model, n: int, p: Optional[PfoldParams], exact: bool) -> _Exterior:
+    """The model's exterior at size n; the grammar's weight at n is checked
+    positive."""
+    if model is Model.PFOLD:
+        p = p or DEFAULT_PFOLD
+        _pfold_mass(p, n)
+        return _pfold_exterior(p, n)
+    return _uniform_exterior(model, n, exact)
 
 
-@lru_cache(maxsize=None)
-def _motzkin_hel_rows(n: int) -> tuple[dict, ...]:
-    hrows: list[dict] = [{0: 1}]
-    if n >= 1:
-        hrows.append({0: motzkin_number(1)})
-    for m in range(2, n + 1):
-        row = {d + 1: w for d, w in hrows[m - 2].items()}
-        notch = motzkin_number(m) - motzkin_number(m - 2)
-        if notch:
-            row[0] = row.get(0, 0) + notch
-        hrows.append(row)
-    rows: list[dict] = [{0: 1}]
-    for m in range(1, n + 1):
-        row = {d: w for d, w in rows[m - 1].items()}  # leading dot
-        for j in range(m - 1):
-            c = motzkin_number(m - 2 - j)
-            for d, w in hrows[j].items():
-                row[d + 1] = row.get(d + 1, 0) + c * w
-        rows.append(row)
-    return tuple(rows)
+def _first_arch_weights(
+    model: Model,
+    stat: Stat,
+    n: int,
+    p: Optional[PfoldParams] = None,
+    exact: bool = False,
+    top: Optional[int] = None,
+) -> tuple[np.ndarray, float]:
+    """(w, total): w[d] is the weight at size n of the structures whose first
+    arch has statistic value d, for d = 0 .. top (default: every value size n
+    allows), and w[0] that of the dots-only structure; total weighs every
+    structure of size n.
 
+    A structure splits at its first arch: leading dots, the arch's pair, its
+    contents, then the rest of the exterior.  The contents extend the
+    statistic by one through a continuation series cont, or end it, so
 
-def _dots_squared_triple(n: int) -> list[int]:
-    """Coefficients of z^4 * L^2 * M^3 with L the dot-run series."""
-    mot = [motzkin_number(i) for i in range(n + 1)]
-    m2 = [sum(mot[a] * mot[m - a] for a in range(m + 1)) for m in range(n + 1)]
-    m3 = [sum(mot[a] * m2[m - a] for a in range(m + 1)) for m in range(n + 1)]
-    out = [0] * (n + 1)
-    for m in range(4, n + 1):
-        out[m] = sum((a + 1) * m3[m - 4 - a] for a in range(m - 3))
-    return out
+        w[d] = [z^n] lead * pair * inner (1 - cont) * cont^(d - 1) * rest
 
-
-@lru_cache(maxsize=None)
-def _motzkin_stem_rows(n: int, by_helices: bool) -> tuple[dict, ...]:
-    tail = _dots_squared_triple(n)
-    star: list[dict] = []
-    for m in range(n + 1):
-        row = {0: 1 + tail[m]}  # hairpin dots, or a multiloop ending the stem
-        if by_helices:
-            if m >= 2:
-                for d, w in star[m - 2].items():  # tight nesting, same helix
-                    row[d] = row.get(d, 0) + w
-            for gap in range(1, m - 1):  # dots on either side start a helix
-                for d, w in star[m - 2 - gap].items():
-                    row[d + 1] = row.get(d + 1, 0) + (gap + 1) * w
-        else:
-            for gap in range(0, m - 1):  # any continuation pair extends stm
-                for d, w in star[m - 2 - gap].items():
-                    row[d + 1] = row.get(d + 1, 0) + (gap + 1) * w
-        star.append(row)
-    rows: list[dict] = [{0: 1}]
-    for m in range(1, n + 1):
-        row = dict(rows[m - 1])
-        for a in range(m - 1):
-            c = motzkin_number(m - 2 - a)
-            for d, w in star[a].items():
-                row[d + 1] = row.get(d + 1, 0) + c * w
-        rows.append(row)
-    return tuple(rows)
-
-
-def _pfold_hel_weights(p: PfoldParams, n: int, hmax: Optional[int] = None) -> np.ndarray:
-    """Weights of the length-n outputs by first-helix length h = 0 .. hmax;
-    h = 0 is the no-pair bucket.
-
-    Built from the helix-tracking rewrite of the grammar: the start symbol
-    may emit leading dots, then the first "( F )" opens the helix and nested
-    p3 productions extend it.  A helix of length h scales what follows it by
-    p3^(h-1) and shifts it by its 2(h-1) inner brackets, so one series y
-    serves every h: the weight is p3^(h-1) y[n - 2(h-1)].
+    with lead = 1 / (1 - step dot z) and rest = head + step * (exterior
+    total).  The arch pair * inner is z^amin A for a uniform model (rest = A
+    too) and p2 z^2 F for the grammar (rest = q1 + p1 S).  cont = c z^s
+    ratio(z) is, for
+      HEL            pair z^amin (uniform) or p3 z^2 (grammar): a stacked pair;
+      STM            pair z^2 L^2, L = 1 / (1 - dot z): the only child pair,
+                     between two dot runs (Motzkin);
+      STEM_HELICES   pair z^2 (L^2 - 1) / (1 - pair z^2): stacked pairs, then
+                     a child pair with a dot beside it (Motzkin).
+    Multiplying by ratio takes a few O(n) recurrences, so a table costs one
+    product and O(n^2) additions, in exact integers for an exact uniform
+    model.
     """
-    inside = pfold_inside(p, n)
-    S, LS = inside.S[: n + 1], inside.LS[: n + 1]
-    if hmax is None:
-        hmax = max(0, (n - 2) // 2)
-    # row 0: dots only; row 1: the arch of a one-pair helix, closed by
-    # F -> L S (q3), then the rest of the exterior (p1 S) or nothing (q1)
-    rhs = np.zeros((2, n + 1))
-    if n >= 1:
-        rhs[0, 1] = p.q1 * p.q2
-    ff = p.q3 * LS
-    rhs[1, 2:] = p.p1 * p.p2 * np.convolve(ff, S)[: max(0, n - 1)]
-    rhs[1, 2:] += p.q1 * p.p2 * ff[: n - 1]
-    dots, y = _over_one_minus(rhs, p.p1 * p.q2)  # leading exterior dots
-    h = np.arange(1, hmax + 1)
-    return np.concatenate(([dots[n]], p.p3 ** (h - 1) * y[n - 2 * (h - 1)]))
+    if not (stat is Stat.HEL or model is Model.MOTZKIN and stat in (Stat.STM, Stat.STEM_HELICES)):
+        raise UnsupportedCombination(f"no {stat.value} table or law for {model.value}")
+    ext = _model_exterior(model, n, p, exact)
+    if model is Model.PFOLD:  # F -> ( F ) stacks a pair
+        c, s = (p or DEFAULT_PFOLD).p3, 2
+    else:  # a stacked pair is one more arch
+        c, s = ext.pair, ext.amin
+
+    def runs(u):  # L^2 u
+        return _over_one_minus(_over_one_minus(u, ext.dot), ext.dot)
+
+    ratio = {
+        Stat.HEL: lambda u: u,
+        Stat.STM: runs,
+        Stat.STEM_HELICES: lambda u: _over_one_minus(runs(u) - u, c, s),
+    }[stat]
+    ends = ext.inner.copy()  # inner (1 - cont): contents that end the statistic
+    ends[s:] -= c * ratio(ext.inner[: n + 1 - s])
+    rest = ext.step * ext.total
+    rest[0] = ext.head
+    u = np.zeros_like(ends)
+    u[s:] = ext.pair * _truncated_product(ends[: n + 1 - s], 0, rest[: n + 1 - s], 0)
+    u = _over_one_minus(u, ext.step * ext.dot)
+    top = n // s if top is None else top
+    w = np.zeros(top + 1, dtype=u.dtype)
+    # dots only; at n = 0 the empty structure (the grammar has no empty output)
+    w[0] = ext.head * ext.dot * (ext.step * ext.dot) ** (n - 1) if n else 1
+    for d in range(1, top + 1):
+        m = n - s * (d - 1)  # [z^n] cont^(d - 1) u = c^(d - 1) [z^m] ratio^(d - 1) u
+        if m < s:
+            break
+        w[d] = c ** (d - 1) * u[m]
+        u = ratio(u[: m - s + 1])
+    return w, ext.total[n]
 
 
 def hel_stm_counts(
     model: Model, n: int, stat: Stat, p: Optional[PfoldParams] = None
 ) -> CountTable:
-    """Finite-size table of a first-helix/first-stem statistic.
+    """Finite-size table of a first-arch statistic: the first helix's pair
+    count (HEL), the first stem's pair count (STM) or its helix count
+    (STEM_HELICES).
 
     Supported: Dyck x HEL, Motzkin x {HEL, STM, STEM_HELICES}, Pfold x HEL.
-    The absent bucket (key None) collects structures with no pair.
+    Uniform tables hold exact counts, the grammar's table unconditional
+    weights that sum to S(n).  The absent bucket (key None) collects
+    structures with no pair.
+
+    Every table splits the structures at their first arch (leading dots, the
+    arch's pair, its contents, the rest of the exterior), and the weight of
+    value d is [z^n] lead * pair * inner (1 - cont) * cont^(d - 1) * rest
+    (_first_arch_weights).  Each statistic supplies only cont, the series by
+    which the contents extend it: a stacked pair for HEL; for STM the only
+    child pair between two dot runs, pair z^2 L^2 with L = 1 / (1 - dot z);
+    for STEM_HELICES stacked pairs closed by a child pair with a dot beside
+    it, pair z^2 (L^2 - 1) / (1 - pair z^2).
     """
-    if model is Model.DYCK and stat is Stat.HEL:
-        row = _dyck_hel_rows(n)[n]
-        entries = {(None if d == 0 else d): w for d, w in row.items() if w}
-        if n == 0:
-            entries = {None: 1}
-        return CountTable(model, n, ("hel",), entries)
-    if model is Model.MOTZKIN and stat is Stat.HEL:
-        row = _motzkin_hel_rows(n)[n]
-    elif model is Model.MOTZKIN and stat is Stat.STM:
-        row = _motzkin_stem_rows(n, False)[n]
-    elif model is Model.MOTZKIN and stat is Stat.STEM_HELICES:
-        row = _motzkin_stem_rows(n, True)[n]
-    elif model is Model.PFOLD and stat is Stat.HEL:
-        _pfold_mass(p or DEFAULT_PFOLD, n)
-        weights = _pfold_hel_weights(p or DEFAULT_PFOLD, n)
-        entries = {(None if h == 0 else h): w for h, w in enumerate(weights) if w > 0.0}
-        return CountTable(model, n, ("hel",), entries)
-    else:
-        raise UnsupportedCombination(f"no {stat.value} table for {model.value}")
-    entries = {(None if d == 0 else d): w for d, w in row.items() if w}
+    weights, _ = _first_arch_weights(model, stat, n, p, exact=True)
+    entries = {(d or None): w for d, w in enumerate(weights) if w}
     return CountTable(model, n, (stat.value,), entries)
 
 
@@ -777,19 +753,19 @@ def conditional_law(
     (head / step) <r, B^l> for B = step arch / (1 - x z), r[m] = x^(n - m),
     and the weight of unp = k is (head / step) <r, B^k> for B = x z D,
     r[m] = D[n - m], D = 1 / (1 - step arch), which sums over every deg.
-    HEL evaluates the first-helix decompositions.  All of it runs in scaled
-    floating point, so sizes up to a few thousand are cheap.
+    HEL splits each structure at its first arch: the weight of hel = d is
+    [z^n] lead * pair * inner (1 - cont) * cont^(d - 1) * rest with cont a
+    stacked pair (pair z^amin for the uniform models, p3 z^2 for the
+    grammar), read off one series per d; it is the code of the exact HEL
+    tables (_first_arch_weights).  All of it runs in scaled floating point,
+    so sizes up to a few thousand are cheap.
     """
 
     def top(default: int, largest: int) -> int:
         return min(default if cap is None else cap, largest)
 
     if stat is Stat.DEG or (stat is Stat.UNP and model is not Model.DYCK):
-        if model is Model.PFOLD:
-            params = p or DEFAULT_PFOLD
-            ext, mass = _pfold_exterior(params, n), _pfold_mass(params, n)
-        else:
-            ext, mass = _uniform_exterior(model, n, exact=False)
+        ext = _model_exterior(model, n, p, exact=False)
         x = ext.step * ext.dot
         if stat is Stat.DEG:
             base = _over_one_minus(ext.step * ext.arch, x)
@@ -805,37 +781,10 @@ def conditional_law(
             base = np.zeros(n + 1)
             base[1:] = x * runs[:n]
             law = _power_projection(base, 1, runs[::-1], top(n, n))
-        return ext.head / ext.step * law / mass
-    if model is Model.DYCK and stat is Stat.HEL:
-        ct = _scaled_catalan(n)
-        notch = ct.copy()
-        notch[1:] -= ct[:-1] * 0.25
-        w = np.convolve(notch, ct)[: n + 1]
-        hcap = top(_HEL_CAP[model], n)
-        out = np.zeros(hcap + 1)
-        if n == 0:
-            out[0] = 1.0
-            return out
-        for h in range(1, hcap + 1):
-            out[h] = 0.25**h * w[n - h] / ct[n]
-        return out
-    if model is Model.MOTZKIN and stat is Stat.HEL:
-        x = 1.0 / 3.0
-        mt = _scaled_motzkin(n)
-        notch = mt.copy()
-        notch[2:] -= mt[:-2] * x * x
-        w = np.convolve(notch, mt)[: n + 1]
-        geo = x ** np.arange(n + 1)
-        u = np.convolve(geo, w)[: n + 1]
-        hcap = top(_HEL_CAP[model], max(1, n // 2))
-        out = np.zeros(hcap + 1)
-        out[0] = geo[n] / mt[n]
-        for d in range(1, hcap + 1):
-            if n - 2 * d >= 0:
-                out[d] = x ** (2 * d) * u[n - 2 * d] / mt[n]
-        return out
-    if model is Model.PFOLD and stat is Stat.HEL:
-        params = p or DEFAULT_PFOLD
-        mass = _pfold_mass(params, n)
-        return _pfold_hel_weights(params, n, top(_HEL_CAP[model], max(0, (n - 2) // 2))) / mass
+        return ext.head / ext.step * law / ext.total[n]
+    if stat is Stat.HEL:
+        largest = {Model.DYCK: n, Model.MOTZKIN: max(1, n // 2), Model.PFOLD: max(0, (n - 2) // 2)}
+        hcap = top(_HEL_CAP[model], largest[model])
+        weights, total = _first_arch_weights(model, stat, n, p, top=hcap)
+        return weights / total
     raise UnsupportedCombination(f"no conditional law for {model.value} x {stat.value}")

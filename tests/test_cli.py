@@ -171,6 +171,20 @@ class TestExact:
         assert (csv_keys[0] == "absent") == (stat == "hel")
         assert len(csv_keys) >= 5
 
+    @pytest.mark.parametrize(
+        "model, stat",
+        [
+            ("dyck", "hel"),
+            ("motzkin", "hel"),
+            ("motzkin", "stm"),
+            ("motzkin", "stem-helices"),
+            ("pfold", "hel"),
+        ],
+    )
+    def test_negative_size_is_an_error(self, run, model, stat):
+        code, out, err = run(["exact", "--model", model, "--n", "-1", "--stat", stat])
+        assert code == 1 and out == "" and err.startswith("error: ")
+
     def test_underflowed_grammar_length_is_an_error(self, run, tmp_path):
         params = tmp_path / "high_rho.json"
         params.write_text('{"p1": 0.2, "p2": 0.9, "p3": 0.2}')

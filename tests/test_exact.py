@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from endprox import exact
+from endprox.cli import main
 from endprox.exact import (
     DEFAULT_PFOLD,
     Model,
@@ -348,6 +349,242 @@ class TestHelStmTables:
             hel_stm_counts(Model.DYCK, 10, Stat.STM)
 
 
+# The derivations that the first-arch engine replaced, kept as oracles: the
+# helix and stem dict DPs of the tables, the uniform HEL laws and the
+# grammar's helix-tracking recurrence.
+
+
+def _dyck_hel_rows_oracle(n):
+    # helper H assigns positive depth only to paths whose first and last
+    # steps are matched; everything else sits in its 0 bucket
+    hrows = [{0: 1}]
+    for m in range(1, n + 1):
+        row = {d + 1: w for d, w in hrows[m - 1].items()}
+        notch = catalan(m) - catalan(m - 1)
+        if notch:
+            row[0] = row.get(0, 0) + notch
+        hrows.append(row)
+    rows = [{}]
+    for m in range(1, n + 1):
+        row = {}
+        for j in range(m):
+            c = catalan(m - 1 - j)
+            for d, w in hrows[j].items():
+                row[d + 1] = row.get(d + 1, 0) + c * w
+        rows.append(row)
+    return rows
+
+
+def _motzkin_hel_rows_oracle(n):
+    hrows = [{0: 1}]
+    if n >= 1:
+        hrows.append({0: motzkin_number(1)})
+    for m in range(2, n + 1):
+        row = {d + 1: w for d, w in hrows[m - 2].items()}
+        notch = motzkin_number(m) - motzkin_number(m - 2)
+        if notch:
+            row[0] = row.get(0, 0) + notch
+        hrows.append(row)
+    rows = [{0: 1}]
+    for m in range(1, n + 1):
+        row = {d: w for d, w in rows[m - 1].items()}  # leading dot
+        for j in range(m - 1):
+            c = motzkin_number(m - 2 - j)
+            for d, w in hrows[j].items():
+                row[d + 1] = row.get(d + 1, 0) + c * w
+        rows.append(row)
+    return rows
+
+
+def _dots_squared_triple_oracle(n):
+    """Coefficients of z^4 * L^2 * M^3 with L the dot-run series."""
+    mot = [motzkin_number(i) for i in range(n + 1)]
+    m2 = [sum(mot[a] * mot[m - a] for a in range(m + 1)) for m in range(n + 1)]
+    m3 = [sum(mot[a] * m2[m - a] for a in range(m + 1)) for m in range(n + 1)]
+    out = [0] * (n + 1)
+    for m in range(4, n + 1):
+        out[m] = sum((a + 1) * m3[m - 4 - a] for a in range(m - 3))
+    return out
+
+
+def _motzkin_stem_rows_oracle(n, by_helices):
+    tail = _dots_squared_triple_oracle(n)
+    star = []
+    for m in range(n + 1):
+        row = {0: 1 + tail[m]}  # hairpin dots, or a multiloop ending the stem
+        if by_helices:
+            if m >= 2:
+                for d, w in star[m - 2].items():  # tight nesting, same helix
+                    row[d] = row.get(d, 0) + w
+            for gap in range(1, m - 1):  # dots on either side start a helix
+                for d, w in star[m - 2 - gap].items():
+                    row[d + 1] = row.get(d + 1, 0) + (gap + 1) * w
+        else:
+            for gap in range(0, m - 1):  # any continuation pair extends stm
+                for d, w in star[m - 2 - gap].items():
+                    row[d + 1] = row.get(d + 1, 0) + (gap + 1) * w
+        star.append(row)
+    rows = [{0: 1}]
+    for m in range(1, n + 1):
+        row = dict(rows[m - 1])
+        for a in range(m - 1):
+            c = motzkin_number(m - 2 - a)
+            for d, w in star[a].items():
+                row[d + 1] = row.get(d + 1, 0) + c * w
+        rows.append(row)
+    return rows
+
+
+_TABLE_ORACLES = {
+    Stat.HEL: _motzkin_hel_rows_oracle,
+    Stat.STM: lambda n: _motzkin_stem_rows_oracle(n, False),
+    Stat.STEM_HELICES: lambda n: _motzkin_stem_rows_oracle(n, True),
+}
+
+
+def _oracle_entries(row):
+    return {(None if d == 0 else d): w for d, w in row.items() if w}
+
+
+def _uniform_hel_law_oracle(model, n, cap):
+    if model is Model.DYCK:
+        ct = exact._scaled_catalan(n)
+        notch = ct.copy()
+        notch[1:] -= ct[:-1] * 0.25
+        w = np.convolve(notch, ct)[: n + 1]
+        hcap = min(400 if cap is None else cap, n)
+        out = np.zeros(hcap + 1)
+        if n == 0:
+            out[0] = 1.0
+            return out
+        for h in range(1, hcap + 1):
+            out[h] = 0.25**h * w[n - h] / ct[n]
+        return out
+    x = 1.0 / 3.0
+    mt = exact._scaled_motzkin(n)
+    notch = mt.copy()
+    notch[2:] -= mt[:-2] * x * x
+    w = np.convolve(notch, mt)[: n + 1]
+    geo = x ** np.arange(n + 1)
+    u = np.convolve(geo, w)[: n + 1]
+    hcap = min(400 if cap is None else cap, max(1, n // 2))
+    out = np.zeros(hcap + 1)
+    out[0] = geo[n] / mt[n]
+    for d in range(1, hcap + 1):
+        if n - 2 * d >= 0:
+            out[d] = x ** (2 * d) * u[n - 2 * d] / mt[n]
+    return out
+
+
+def _pfold_hel_weights_oracle(p, n, hmax=None):
+    """Weights of the length-n outputs by first-helix length h = 0 .. hmax
+    from the helix-tracking rewrite of the grammar: leading dots, a one-pair
+    helix closed by F -> L S, then p3^(h-1) and a shift per stacked pair."""
+    inside = pfold_inside(p, n)
+    S, LS = inside.S[: n + 1], inside.LS[: n + 1]
+    if hmax is None:
+        hmax = max(0, (n - 2) // 2)
+    rhs = np.zeros((2, n + 1))
+    if n >= 1:
+        rhs[0, 1] = p.q1 * p.q2
+    ff = p.q3 * LS
+    rhs[1, 2:] = p.p1 * p.p2 * np.convolve(ff, S)[: max(0, n - 1)]
+    rhs[1, 2:] += p.q1 * p.p2 * ff[: n - 1]
+    x = p.p1 * p.q2
+    for m in range(1, n + 1):  # leading exterior dots
+        rhs[:, m] += x * rhs[:, m - 1]
+    dots, y = rhs
+    h = np.arange(1, hmax + 1)
+    return np.concatenate(([dots[n]], p.p3 ** (h - 1) * y[n - 2 * (h - 1)]))
+
+
+LAW_PAIRS = [
+    (Model.DYCK, Stat.DEG),
+    (Model.MOTZKIN, Stat.DEG),
+    (Model.PFOLD, Stat.DEG),
+    (Model.MOTZKIN, Stat.UNP),
+    (Model.PFOLD, Stat.UNP),
+    (Model.DYCK, Stat.HEL),
+    (Model.MOTZKIN, Stat.HEL),
+    (Model.PFOLD, Stat.HEL),
+]
+TABLE_PAIRS = [
+    (Model.DYCK, Stat.HEL),
+    (Model.MOTZKIN, Stat.HEL),
+    (Model.MOTZKIN, Stat.STM),
+    (Model.MOTZKIN, Stat.STEM_HELICES),
+    (Model.PFOLD, Stat.HEL),
+]
+ORACLE_SIZES = (1, 2, 3, 9, 60, 250, 2000)
+ORACLE_PARAMS = [DEFAULT_PFOLD, PfoldParams(0.5, 0.5, 0.5), PfoldParams(0.2, 0.9, 0.2)]
+
+
+class TestFirstArchEngine:
+    """Every HEL, STM and STEM_HELICES table and every HEL law comes from one
+    first-arch split; these check it against the derivations it replaced."""
+
+    def test_dyck_hel_matches_deleted_dp(self):
+        rows = _dyck_hel_rows_oracle(40)
+        for n in range(41):
+            expected = {None: 1} if n == 0 else _oracle_entries(rows[n])
+            assert hel_stm_counts(Model.DYCK, n, Stat.HEL).entries == expected
+
+    @pytest.mark.parametrize("stat", list(_TABLE_ORACLES), ids=lambda s: s.value)
+    def test_motzkin_tables_match_deleted_dps(self, stat):
+        rows = _TABLE_ORACLES[stat](60)
+        for n in range(61):
+            entries = hel_stm_counts(Model.MOTZKIN, n, stat).entries
+            assert entries == _oracle_entries(rows[n])
+            assert all(type(w) is int for w in entries.values())
+
+    def test_motzkin_stm_csv_at_150_matches_deleted_dp(self, capsys):
+        # the size the benchmark's tables workload writes
+        assert main(["exact", "--model", "motzkin", "--n", "150", "--stat", "stm"]) == 0
+        expected = io.StringIO()
+        entries = _oracle_entries(_motzkin_stem_rows_oracle(150, False)[150])
+        exact.CountTable(Model.MOTZKIN, 150, ("stm",), entries).write_csv(expected)
+        assert capsys.readouterr().out == expected.getvalue()
+
+    @pytest.mark.parametrize("model", [Model.DYCK, Model.MOTZKIN], ids=lambda m: m.value)
+    def test_uniform_hel_laws_match_deleted_derivation(self, model):
+        for n in ORACLE_SIZES:
+            for cap in (0, 1, 7, None):
+                law = conditional_law(model, Stat.HEL, n, cap=cap)
+                expected = _uniform_hel_law_oracle(model, n, cap)
+                assert law.shape == expected.shape
+                np.testing.assert_allclose(law, expected, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("p", ORACLE_PARAMS, ids=["default", "half", "high-rho"])
+    def test_pfold_hel_matches_deleted_recurrence(self, p):
+        for n in ORACLE_SIZES:
+            mass = pfold_inside(p, n).S[n]
+            weights = _pfold_hel_weights_oracle(p, n)
+            expected = {(None if h == 0 else h): w for h, w in enumerate(weights) if w > 0.0}
+            table = hel_stm_counts(Model.PFOLD, n, Stat.HEL, p).entries
+            assert set(table) == set(expected)
+            for key, w in expected.items():
+                assert table[key] == pytest.approx(w, rel=1e-12, abs=0)
+            for cap in (0, 1, 7, None):
+                hmax = min(120 if cap is None else cap, max(0, (n - 2) // 2))
+                law = conditional_law(Model.PFOLD, Stat.HEL, n, p, cap)
+                oracle = _pfold_hel_weights_oracle(p, n, hmax) / mass
+                assert law.shape == oracle.shape
+                np.testing.assert_allclose(law, oracle, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "kind, model, stat",
+    [("table", m, s) for m, s in TABLE_PAIRS] + [("law", m, s) for m, s in LAW_PAIRS],
+    ids=lambda v: getattr(v, "value", v),
+)
+def test_negative_size_is_rejected(kind, model, stat):
+    with pytest.raises(ValueError):
+        if kind == "table":
+            hel_stm_counts(model, -1, stat)
+        else:
+            conditional_law(model, stat, -1)
+
+
 class TestEnumeration:
     def test_counts(self):
         assert sum(1 for _ in enumerate_all(Model.MOTZKIN, 3)) == 4
@@ -368,18 +605,6 @@ class TestEnumeration:
                 stm[st.stm] += 1
             assert dict(joint) == motzkin_joint_counts(n).entries
             assert dict(stm) == hel_stm_counts(Model.MOTZKIN, n, Stat.STM).entries
-
-
-LAW_PAIRS = [
-    (Model.DYCK, Stat.DEG),
-    (Model.MOTZKIN, Stat.DEG),
-    (Model.PFOLD, Stat.DEG),
-    (Model.MOTZKIN, Stat.UNP),
-    (Model.PFOLD, Stat.UNP),
-    (Model.DYCK, Stat.HEL),
-    (Model.MOTZKIN, Stat.HEL),
-    (Model.PFOLD, Stat.HEL),
-]
 
 
 class TestConditionalLaw:
