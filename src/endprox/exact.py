@@ -17,12 +17,15 @@ leading dots, the arch's pair, its contents, the rest of the exterior.  Each
 statistic only supplies the continuation series cont by which the contents
 extend it: a stacked pair for hel, a lone child pair between two dot runs for
 stm, and for stem_helices a run of stacked pairs closed by a child pair with
-a dot beside it.  Uniform-model tables hold arbitrary-precision integers;
-grammar tables hold double-precision weights.  The small-n tables double as
-brute-force oracles for the limit laws.  conditional_law evaluates the same
-decompositions in scaled floating point; its deg and unp laws take the same
-SEQ(dot | arch) parameters but go straight to each marginal by power
-projection, so sizes in the thousands stay cheap.
+a dot beside it.  A table (CountTable) holds its weights as one numpy array
+over its key grid, which the kernel's rows fill directly: arbitrary-precision
+integers (an object array) for the uniform models, doubles for the grammar.
+Its CSV streams the nonzero cells in row-major order, ascending key order,
+and no {key: weight} dict is built unless asked for.  The small-n tables
+double as brute-force oracles for the limit laws.  conditional_law evaluates
+the same decompositions in scaled floating point; its deg and unp laws take
+the same SEQ(dot | arch) parameters but go straight to each marginal by
+power projection, so sizes in the thousands stay cheap.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import IO, Iterator, Optional, Union
 
 import numpy as np
@@ -100,50 +103,87 @@ DEFAULT_PFOLD = PfoldParams()
 TableKey = Union[int, tuple, None]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CountTable:
     """Exact distribution of one statistic (or statistic tuple) at one size.
 
-    entries maps a statistic value to its weight: an integer count for the
-    uniform models, a nonnegative real for the grammar.  None is the absent
-    bucket (structures that do not carry the statistic, e.g. no pair at all).
-    axes names the key components, e.g. ("deg", "unp"); a key of several
-    axes is a tuple with one component per axis.
+    weights holds the weight of every key on the table's grid, as one numpy
+    array: weights[v] for a one-axis table, weights[a, b] for the key (a, b)
+    of a two-axis table, whose axes name the key components in order, e.g.
+    ("deg", "unp").  A weight is an integer count for the uniform models
+    (Python ints in an object array, so they stay exact) and a nonnegative
+    double for the grammar.  absent weighs the structures that do not carry
+    the statistic (e.g. no pair at all); 0 means the table has no absent
+    bucket.  The table's keys are the cells of nonzero weight, and None for
+    a nonzero absent bucket.
+
+    Row-major order over the grid is ascending key order, so write_csv
+    streams the nonzero cells a few thousand at a time and sorts nothing;
+    entries, the {key: weight} dict, is built only when asked for.
     """
 
     model: Model
     size: int
     axes: tuple[str, ...]
-    entries: dict
+    weights: np.ndarray
+    absent: Union[int, float] = 0
+
+    @classmethod
+    def from_entries(cls, model: Model, size: int, axes: tuple[str, ...], entries: dict) -> "CountTable":
+        """The table of a {key: weight} dict keyed like entries; integer
+        weights stay exact."""
+        cells = {key: w for key, w in entries.items() if key is not None}
+        points = [key if isinstance(key, tuple) else (key,) for key in cells]
+        shape = tuple(max(c) + 1 for c in zip(*points)) if points else (0,) * len(axes)
+        exact = all(isinstance(w, int) for w in entries.values())
+        weights = np.zeros(shape, dtype=object if exact else float)
+        for key, w in cells.items():
+            weights[key] = w
+        return cls(model, size, tuple(axes), weights, entries.get(None, 0))
+
+    def _cells(self) -> Iterator[tuple[list, list]]:
+        """(keys, weights) of the nonzero cells, in blocks of about
+        _CSV_CHUNK grid cells, in ascending key order."""
+        grid = self.weights
+        rows = max(1, _CSV_CHUNK // max(1, grid[:1].size))
+        for start in range(0, len(grid), rows):
+            block = grid[start : start + rows]
+            index = np.nonzero(block)
+            first = (index[0] + start).tolist()
+            keys = first if grid.ndim == 1 else list(zip(first, index[1].tolist()))
+            yield keys, block[index].tolist()
+
+    @cached_property
+    def entries(self) -> dict:
+        """{key: weight} of every key, in output order: the absent bucket
+        first, then ascending."""
+        entries = {None: self.absent} if self.absent else {}
+        for keys, weights in self._cells():
+            entries.update(zip(keys, weights))
+        return entries
 
     def total(self):
-        return sum(self.entries.values())
+        return self.absent + self.weights.sum()
 
     def marginal(self, axis: str) -> "CountTable":
         """The table of one axis, summing the weights over the others."""
         i = self.axes.index(axis)
-        entries: dict = {}
-        for key, w in self.entries.items():
-            entries[key[i]] = entries.get(key[i], 0) + w
-        return CountTable(self.model, self.size, (axis,), entries)
+        others = tuple(j for j in range(len(self.axes)) if j != i)
+        return CountTable(self.model, self.size, (axis,), self.weights.sum(axis=others), self.absent)
 
     def ordered_keys(self) -> list:
         """Keys in output order: the absent bucket first, then ascending."""
-        keys = sorted(key for key in self.entries if key is not None)
-        return [None] + keys if None in self.entries else keys
+        return list(self.entries)
 
     def write_csv(self, stream: IO[str]) -> None:
         stream.write("model,n,stat_name,stat_value,weight\n")
         prefix = f"{self.model.value},{self.size},{_csv_field(','.join(self.axes))},"
-        keys, entries = self.ordered_keys(), self.entries
-        if keys and keys[0] is None:
-            stream.write(f"{prefix}absent,{entries[None]!s}\n")
-            keys = keys[1:]
+        if self.absent:
+            stream.write(f"{prefix}absent,{self.absent!s}\n")
         key_field = _csv_field(",".join(["%s"] * len(self.axes)))
-        # chunked writes: one string per table would hold every line at once
-        for start in range(0, len(keys), _CSV_CHUNK):
-            chunk = keys[start : start + _CSV_CHUNK]
-            stream.write("".join([f"{prefix}{key_field % key},{entries[key]!s}\n" for key in chunk]))
+        # one write per block: one string per table would hold every line at once
+        for keys, weights in self._cells():
+            stream.write("".join([f"{prefix}{key_field % key},{w!s}\n" for key, w in zip(keys, weights)]))
 
 
 _CSV_CHUNK = 4096
@@ -299,22 +339,34 @@ def _power_projection(base: np.ndarray, blo: int, r: np.ndarray, top: int) -> np
     return (baby[:J] @ t).T.reshape(-1)[: top + 1]
 
 
-def _seq_coefs(ext: _Exterior, l: int) -> np.ndarray:
-    """seq(k + l) * C(k + l, k) * dot**k for k = 0 .. n - amin*l (k = 0 only
-    when there are no dots).  Past that bound the coefficients would only
-    multiply structural zeros, and in floats they would overflow."""
+def _seq_coefs(ext: _Exterior, l: int, power: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(coef, power): coef[k] = seq(k + l) * C(k + l, k) * dot**k for
+    k = 0 .. n - amin*l (k = 0 only when there are no dots), and the arch
+    power arch**l that it multiplies.  Past that bound the coefficients
+    would only multiply structural zeros.
+
+    In floats a running product builds C(k + l, k) * (step dot)**k.  From
+    n ~ 3250 at the default grammar it would pass 2**1024 while every weight
+    coef[k] * power[m] stays below 1, so then coef comes back scaled by
+    2**-shift, with its peak near 2**1000, and power by 2**shift.  Scaling
+    by a power of two is exact in the normal float range, so the weights
+    are the products they were.
+    """
     kmax = ext.n - ext.amin * l if ext.dot else 0
     if ext.exact:  # dot = 1 whenever kmax > 0
         coef = [1]
         for k in range(1, kmax + 1):
             coef.append(coef[-1] * (k + l) // k)
-        return np.array(coef, dtype=object)
-    # a running product keeps C(k + l, k) * dot**k inside the float range
+        return np.array(coef, dtype=object), power
     coef = np.empty(kmax + 1)
     coef[0] = ext.step ** (l - 1)
     ks = np.arange(1, kmax + 1)
-    coef[1:] = coef[0] * np.cumprod(ext.step * ext.dot * (ks + l) / ks)
-    return ext.head * coef
+    ratios = ext.step * ext.dot * (ks + l) / ks
+    shift = max(0, math.ceil(np.log2(ratios).cumsum().max(initial=0.0)) - 1000)
+    ratios[:1] = np.ldexp(ratios[:1], -shift)
+    coef[1:] = coef[0] * np.cumprod(ratios)
+    coef[0] = np.ldexp(coef[0], -shift)
+    return ext.head * coef, np.ldexp(power, shift)
 
 
 def _exterior_weights(ext: _Exterior) -> Iterator[tuple[int, np.ndarray]]:
@@ -322,7 +374,7 @@ def _exterior_weights(ext: _Exterior) -> Iterator[tuple[int, np.ndarray]]:
     deg = l) at size n."""
     n = ext.n
     for l, power in enumerate(_arch_powers(ext)):
-        coef = _seq_coefs(ext, l)
+        coef, power = _seq_coefs(ext, l, power)
         yield l, coef * power[n + 1 - len(coef) : n + 1][::-1]
 
 
@@ -351,14 +403,15 @@ def _uniform_exterior(model: Model, n: int, exact: bool) -> _Exterior:
 def dyck_deg_counts(n: int) -> CountTable:
     """Counts of semilength-n balanced bracketings by top-level pair count."""
     weights = _exterior_weights(_uniform_exterior(Model.DYCK, n, exact=True))
-    return CountTable(Model.DYCK, n, ("deg",), {l: w[0] for l, w in weights if w[0]})
+    return CountTable(Model.DYCK, n, ("deg",), np.array([w[0] for _, w in weights], dtype=object))
 
 
 def motzkin_joint_counts(n: int) -> CountTable:
     """Counts of length-n dot-bracket strings keyed by (deg, unp)."""
-    weights = _exterior_weights(_uniform_exterior(Model.MOTZKIN, n, exact=True))
-    entries = {(l, k): c for l, w in weights for k, c in enumerate(w) if c}
-    return CountTable(Model.MOTZKIN, n, ("deg", "unp"), entries)
+    grid = np.zeros((n // 2 + 1, n + 1), dtype=object)
+    for l, w in _exterior_weights(_uniform_exterior(Model.MOTZKIN, n, exact=True)):
+        grid[l, : len(w)] = w
+    return CountTable(Model.MOTZKIN, n, ("deg", "unp"), grid)
 
 
 @lru_cache(maxsize=None)
@@ -381,7 +434,9 @@ def motzkin_deg_counts(n: int) -> CountTable:
     Cubic in n, so the CLI takes the marginal of `motzkin_joint_counts`
     instead; this DP stays as an independent oracle for the tests.
     """
-    return CountTable(Model.MOTZKIN, n, ("deg",), dict(_motzkin_deg_rows(n)[n]))
+    if n < 0:
+        raise ValueError("length must be nonnegative")
+    return CountTable.from_entries(Model.MOTZKIN, n, ("deg",), _motzkin_deg_rows(n)[n])
 
 
 # ---------------------------------------------------------------------------
@@ -456,13 +511,10 @@ def pfold_joint_table(n: int, p: PfoldParams = DEFAULT_PFOLD) -> CountTable:
     the l-fold convolution of the arch weights.
     """
     _pfold_mass(p, n)
-    entries = {
-        (k, l): w
-        for l, row in _exterior_weights(_pfold_exterior(p, n))
-        for k, w in enumerate(row.tolist())
-        if w > 0.0
-    }
-    return CountTable(Model.PFOLD, n, ("unp", "deg"), entries)
+    grid = np.zeros((n + 1, n // 4 + 1))
+    for l, w in _exterior_weights(_pfold_exterior(p, n)):
+        grid[: len(w), l] = w
+    return CountTable(Model.PFOLD, n, ("unp", "deg"), grid)
 
 
 def pfold_joint_probs(n: int, p: PfoldParams = DEFAULT_PFOLD) -> dict[tuple[int, int], float]:
@@ -479,7 +531,7 @@ def pfold_exterior_totals(p: PfoldParams, n: int) -> np.ndarray:
     ext = _pfold_exterior(p, n)
     totals = np.zeros(n + 1)
     for l, power in enumerate(_arch_powers(ext)):
-        totals += np.convolve(_seq_coefs(ext, l), power)[: n + 1]
+        totals += np.convolve(*_seq_coefs(ext, l, power))[: n + 1]
     totals[0] = 0.0  # seq(0) = 0: the grammar has no empty output
     return totals
 
@@ -649,8 +701,8 @@ def hel_stm_counts(
     it, pair z^2 (L^2 - 1) / (1 - pair z^2).
     """
     weights, _ = _first_arch_weights(model, stat, n, p, exact=True)
-    entries = {(d or None): w for d, w in enumerate(weights) if w}
-    return CountTable(model, n, (stat.value,), entries)
+    absent, weights[0] = weights[0], 0
+    return CountTable(model, n, (stat.value,), weights, absent)
 
 
 # ---------------------------------------------------------------------------
@@ -742,11 +794,12 @@ def conditional_law(
     """Conditional finite-size distribution of a statistic as a probability
     array indexed by value (index 0 doubles as the absent bucket for HEL).
 
-    cap is the largest value of the statistic returned, in every branch; the
-    defaults are 400 / 250 / 160 for DEG (Dyck / Motzkin / grammar), n for
-    UNP and 400 / 400 / 120 for HEL, and no law runs past the largest value
-    size n allows.  Mass beyond the cap (already below double precision at
-    the defaults) is simply missing from the array.
+    cap, a nonnegative integer, is the largest value of the statistic
+    returned, in every branch; the defaults are 400 / 250 / 160 for DEG
+    (Dyck / Motzkin / grammar), n for UNP and 400 / 400 / 120 for HEL, and
+    no law runs past the largest value size n allows.  Mass beyond the cap
+    (already below double precision at the defaults) is simply missing from
+    the array.
 
     DEG and UNP come from the exterior sequence SEQ(dot | arch) by power
     projection: with x = step dot, the weight of deg = l is
@@ -760,6 +813,8 @@ def conditional_law(
     tables (_first_arch_weights).  All of it runs in scaled floating point,
     so sizes up to a few thousand are cheap.
     """
+    if cap is not None and cap < 0:
+        raise ValueError(f"cap must be nonnegative, got {cap}")
 
     def top(default: int, largest: int) -> int:
         return min(default if cap is None else cap, largest)

@@ -1,6 +1,9 @@
 import csv
 import io
 import math
+import os
+import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -71,6 +74,10 @@ class TestMotzkinJoint:
     def test_totals(self):
         for n in range(0, 31):
             assert motzkin_joint_counts(n).total() == motzkin_number(n)
+
+    def test_deg_oracle_rejects_negative_length(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            motzkin_deg_counts(-1)
 
     def test_deg_marginal_matches_independent_dp(self):
         for n in range(0, 26):
@@ -201,6 +208,58 @@ class TestPfoldInside:
         totals = pfold_exterior_totals(p, 300)
         ins = pfold_inside(p, 300)
         assert np.abs(totals[1:301] - ins.S[1:301]).max() < 1e-13
+
+    @pytest.mark.parametrize("n", [3250, 4000])
+    def test_conservation_past_the_coefficient_overflow(self, n):
+        """From n ~ 3250 the running product C(k + l, k) (p1 q2)^k passes
+        the float range; the totals stay finite, warning-free and equal to S."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            totals = pfold_exterior_totals(DEFAULT_PFOLD, n)
+        S = pfold_inside(DEFAULT_PFOLD, n).S[1 : n + 1]
+        assert np.isfinite(totals).all()
+        np.testing.assert_allclose(totals[1:], S, rtol=1e-12, atol=0)
+
+    def test_joint_table_past_the_coefficient_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = pfold_joint_table(4000)
+        assert np.isfinite(table.weights).all()
+        assert table.total() == pytest.approx(pfold_inside(DEFAULT_PFOLD, 4000).S[4000], rel=1e-12)
+
+    def test_scaled_coefficients_keep_every_product(self):
+        """Where the running product passes 2**1024, coef comes back scaled
+        down and the arch power up by the same power of two.  Against a
+        subnormal power every product is a normal weight, checked in log
+        space."""
+        n, l, tiny = 4000, 600, 2.0**-1060
+        ext = exact._pfold_exterior(DEFAULT_PFOLD, n)
+        k = np.arange(n - 4 * l + 1)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.cumprod(ext.step * ext.dot * (k[1:] + l) / k[1:])).all()
+        coef, power = exact._seq_coefs(ext, l, np.full(n + 1, tiny))
+        w = coef * power[: len(coef)]
+        log_fact = np.array([math.lgamma(i + 1) for i in range(n + 1)])
+        log_w = (
+            math.log(ext.head) + (l - 1) * math.log(ext.step) + k * math.log(ext.step * ext.dot)
+            + log_fact[k + l] - log_fact[k] - log_fact[l] + math.log(tiny)
+        )
+        normal = w >= np.finfo(float).tiny
+        assert np.isfinite(w).all() and normal.sum() > 1000
+        np.testing.assert_allclose(np.log(w[normal]), log_w[normal], rtol=0, atol=1e-9)
+
+    def test_weights_below_the_coefficient_overflow_are_unchanged(self):
+        """At n = 3000 the running product stays finite, and every kernel
+        weight is bitwise the plain product."""
+        ext = exact._pfold_exterior(DEFAULT_PFOLD, 3000)
+        for (l, w), power in zip(exact._exterior_weights(ext), exact._arch_powers(ext)):
+            ks = np.arange(1, ext.n - 4 * l + 1)
+            coef = np.empty(len(ks) + 1)
+            coef[0] = ext.step ** (l - 1)
+            coef[1:] = coef[0] * np.cumprod(ext.step * ext.dot * (ks + l) / ks)
+            plain = ext.head * coef * power[ext.n + 1 - len(coef) :][::-1]
+            assert np.isfinite(plain).all()
+            assert np.array_equal(w.view(np.uint64), plain.view(np.uint64))
 
     def test_partial_sums_below_one(self):
         ins = pfold_inside(DEFAULT_PFOLD, 500)
@@ -542,7 +601,7 @@ class TestFirstArchEngine:
         assert main(["exact", "--model", "motzkin", "--n", "150", "--stat", "stm"]) == 0
         expected = io.StringIO()
         entries = _oracle_entries(_motzkin_stem_rows_oracle(150, False)[150])
-        exact.CountTable(Model.MOTZKIN, 150, ("stm",), entries).write_csv(expected)
+        exact.CountTable.from_entries(Model.MOTZKIN, 150, ("stm",), entries).write_csv(expected)
         assert capsys.readouterr().out == expected.getvalue()
 
     @pytest.mark.parametrize("model", [Model.DYCK, Model.MOTZKIN], ids=lambda m: m.value)
@@ -663,6 +722,11 @@ class TestConditionalLaw:
             conditional_law(Model.DYCK, Stat.UNP, 50)
 
     @pytest.mark.parametrize("model, stat", LAW_PAIRS)
+    def test_negative_cap_is_rejected(self, model, stat):
+        with pytest.raises(ValueError, match="cap"):
+            conditional_law(model, stat, 60, cap=-1)
+
+    @pytest.mark.parametrize("model, stat", LAW_PAIRS)
     def test_cap_is_the_largest_value_returned(self, model, stat):
         for n in (9, 60, 150):
             full = conditional_law(model, stat, n)
@@ -672,6 +736,89 @@ class TestConditionalLaw:
                 np.testing.assert_allclose(
                     conditional_law(model, stat, n, cap=c), full[: c + 1], rtol=1e-13, atol=1e-16
                 )
+
+
+# The dict builders that the array-backed tables replaced, kept as oracles:
+# each reads the same kernel rows into a {key: weight} dict.
+
+
+def _dyck_deg_entries_oracle(n):
+    weights = exact._exterior_weights(exact._uniform_exterior(Model.DYCK, n, exact=True))
+    return {l: w[0] for l, w in weights if w[0]}
+
+
+def _motzkin_joint_entries_oracle(n):
+    weights = exact._exterior_weights(exact._uniform_exterior(Model.MOTZKIN, n, exact=True))
+    return {(l, k): c for l, w in weights for k, c in enumerate(w) if c}
+
+
+def _pfold_joint_entries_oracle(n):
+    rows = exact._exterior_weights(exact._pfold_exterior(DEFAULT_PFOLD, n))
+    return {(k, l): w for l, row in rows for k, w in enumerate(row.tolist()) if w > 0.0}
+
+
+def _first_arch_entries_oracle(model, stat, n):
+    weights, _ = exact._first_arch_weights(model, stat, n, exact=True)
+    return {(d or None): w for d, w in enumerate(weights) if w}
+
+
+def _marginal_oracle(entries, i):
+    marginal = {}
+    for key, w in entries.items():
+        marginal[key[i]] = marginal.get(key[i], 0) + w
+    return marginal
+
+
+ARRAY_TABLES = {
+    "dyck-deg": (dyck_deg_counts, _dyck_deg_entries_oracle),
+    "motzkin-joint": (motzkin_joint_counts, _motzkin_joint_entries_oracle),
+    "motzkin-deg-marginal": (
+        lambda n: motzkin_joint_counts(n).marginal("deg"),
+        lambda n: _marginal_oracle(_motzkin_joint_entries_oracle(n), 0),
+    ),
+    "motzkin-unp-marginal": (
+        lambda n: motzkin_joint_counts(n).marginal("unp"),
+        lambda n: _marginal_oracle(_motzkin_joint_entries_oracle(n), 1),
+    ),
+    "pfold-joint": (pfold_joint_table, _pfold_joint_entries_oracle),
+    **{
+        f"{m.value}-{s.value}": (
+            lambda n, m=m, s=s: hel_stm_counts(m, n, s),
+            lambda n, m=m, s=s: _first_arch_entries_oracle(m, s, n),
+        )
+        for m, s in TABLE_PAIRS
+    },
+}
+
+
+class TestArrayTables:
+    """A table holds one weight array; its entries, key order and marginals
+    must match the dict builders it replaced, bitwise."""
+
+    @pytest.mark.parametrize("name", list(ARRAY_TABLES))
+    def test_entries_match_deleted_dict_builders(self, name):
+        build, oracle = ARRAY_TABLES[name]
+        sizes = (1, 2, 5, 300, 2000) if name.startswith("pfold") else (0, 1, 2, 5, 300)
+        for n in sizes:
+            table, expected = build(n), oracle(n)
+            assert table.entries == expected
+            assert list(table.entries) == table.ordered_keys() == sorted(expected, key=_key_order)
+            if table.model is not Model.PFOLD:
+                assert all(type(w) is int for w in table.entries.values())
+
+    def test_grammar_csv_streams_from_the_array(self):
+        """The n = 2000 grammar CSV (310014 lines) is written without its
+        {key: weight} dict, which alone would take tens of MB."""
+        tracemalloc.start()
+        try:
+            table = pfold_joint_table(2000)
+            with open(os.devnull, "w") as null:
+                table.write_csv(null)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+        assert "entries" not in vars(table)
 
 
 class TestSerialization:
@@ -717,13 +864,15 @@ class TestSerialization:
         assert buf.getvalue().count("\n") == 1 + len(table.entries)
 
 
+def _key_order(key):
+    """Output order: the absent bucket first, then ascending keys."""
+    if key is None:
+        return (0,)
+    return (1,) + key if isinstance(key, tuple) else (1, key)
+
+
 def _csv_writer_oracle(table):
     """The table through csv.writer, sorted with the absent bucket first."""
-
-    def order(key):
-        if key is None:
-            return (0,)
-        return (1,) + key if isinstance(key, tuple) else (1, key)
 
     def text(key):
         if key is None:
@@ -734,6 +883,6 @@ def _csv_writer_oracle(table):
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["model", "n", "stat_name", "stat_value", "weight"])
     name = ",".join(table.axes)
-    for key in sorted(table.entries, key=order):
+    for key in sorted(table.entries, key=_key_order):
         writer.writerow([table.model.value, table.size, name, text(key), table.entries[key]])
     return buf.getvalue()
