@@ -54,7 +54,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="file with grammar probabilities: JSON {p1,p2,p3} or three whitespace-separated numbers",
     )
     parser.add_argument("--seed", type=int, default=0, help="sampler seed")
-    parser.add_argument("--format", choices=["csv", "json"], default="csv")
+    parser.add_argument(
+        "--format",
+        choices=["csv", "json"],
+        default="csv",
+        help="output of stats, exact, compare and heatmap; limits always writes JSON, "
+        "sample and shuffle plain text",
+    )
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -239,7 +245,7 @@ def _cmd_exact(args) -> int:
             "model": table.model.value,
             "n": table.size,
             "axes": list(table.axes),
-            "entries": {exact._key_str(k): table.entries[k] for k in table.ordered_keys()},
+            "entries": {exact._key_str(k): w for k, w in table.entries.items()},
         }
         json.dump(payload, sys.stdout, indent=2, default=float)
         sys.stdout.write("\n")
@@ -263,6 +269,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_shuffle(args) -> int:
+    sampling._check_count(args.count)
     rng = sampling.RngHandle(args.seed)
     if args.files:
         texts = [Path(path).read_text() for path in args.files]

@@ -171,10 +171,6 @@ class CountTable:
         others = tuple(j for j in range(len(self.axes)) if j != i)
         return CountTable(self.model, self.size, (axis,), self.weights.sum(axis=others), self.absent)
 
-    def ordered_keys(self) -> list:
-        """Keys in output order: the absent bucket first, then ascending."""
-        return list(self.entries)
-
     def write_csv(self, stream: IO[str]) -> None:
         stream.write("model,n,stat_name,stat_value,weight\n")
         prefix = f"{self.model.value},{self.size},{_csv_field(','.join(self.axes))},"

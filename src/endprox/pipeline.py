@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import csv
 from collections import Counter
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from typing import IO, Mapping, Optional, Sequence
 
 from .exact import Model, PfoldParams, Stat
@@ -54,21 +54,7 @@ class SummaryBlock:
     variances: dict[str, float]
 
 
-ROW_FIELDS = [
-    "id",
-    "length",
-    "deg",
-    "unp",
-    "chn",
-    "len_ext",
-    "ete_nm",
-    "rms_nm",
-    "hel",
-    "stm",
-    "stem_helices",
-    "pseudoknotted",
-    "group",
-]
+ROW_FIELDS = [f.name for f in fields(StatsRow)]
 
 _SUMMARY_STATS = ["deg", "unp", "chn", "len_ext", "ete_nm", "rms_nm", "hel", "stm", "stem_helices"]
 

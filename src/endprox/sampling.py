@@ -11,10 +11,9 @@ Randomness comes from the Philox 4x64 counter-based generator, so identical
 seeds reproduce identical sample streams on every platform.
 
 - Dyck paths: the cycle-lemma rotation of a random step arrangement.
-- Motzkin paths up to length 38: sequential step choice against exact
-  remaining-path counts in machine integers.  Above that, the composition
-  draw: the number of pairs k from exact arbitrary-precision weights, the 2k
-  paired positions uniformly, and a Dyck pattern on them.
+- Motzkin paths: the number of pairs k drawn exactly from arbitrary-precision
+  weights, then the cycle lemma on k up steps, k + 1 down steps and flat
+  steps, which places the 2k paired positions and their pattern at once.
 - Grammar output: stochastic traceback through the inside tables conditioned
   on length, run level by level over a batch of samples.  Each sample reads
   its own block of 2n uniforms (a production slot and a split slot per
@@ -22,17 +21,19 @@ seeds reproduce identical sample streams on every platform.
   chunked.
 
 The seeded Dyck stream is the one earlier versions drew.  The seeded grammar
-stream, and the Motzkin stream above length 38, changed when the batched
-samplers replaced the per-sample ones; both draw from the same exact laws.
+stream changed when the batched traceback replaced the per-sample one, and
+the seeded Motzkin stream, at every length, when the vectorized pair-count
+draw replaced both the counted walk and the per-value draw; both draw from
+the same exact laws.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .exact import DEFAULT_PFOLD, PfoldParams, _pfold_mass, pfold_inside
 from .structure import SecondaryStructure
@@ -52,21 +53,6 @@ class RngHandle:
     @property
     def generator(self) -> np.random.Generator:
         return self._gen
-
-
-def _rand_below(gen: np.random.Generator, bound: int, count: int) -> list[int]:
-    """count exact uniform integers in [0, bound) for arbitrary-precision
-    bounds: one byte string for all of them, then a redraw per rejection."""
-    nbits = bound.bit_length()
-    nbytes = (nbits + 7) // 8
-    excess = 8 * nbytes - nbits
-    raw = gen.bytes(nbytes * count)
-    out = [int.from_bytes(raw[i : i + nbytes], "big") >> excess for i in range(0, len(raw), nbytes)]
-    for i, r in enumerate(out):
-        while r >= bound:
-            r = int.from_bytes(gen.bytes(nbytes), "big") >> excess
-        out[i] = r
-    return out
 
 
 def _check_count(count: int) -> None:
@@ -133,8 +119,9 @@ def _cycle_lemma_rows(ups: np.ndarray, length: int, gen: np.random.Generator) ->
     base = 2 * (col < ups[:, None]).astype(np.int8) - (col < 2 * ups[:, None] + 1)
     perm = gen.permuted(base, axis=1)
     first_min = np.argmin(np.cumsum(perm, axis=1, dtype=np.int32), axis=1)  # first minimum
-    idx = (first_min[:, None] + 1 + col[:length]) % (length + 1)
-    return np.take_along_axis(perm, idx, axis=1)
+    # each rotation is a window of the row written twice
+    windows = sliding_window_view(np.concatenate([perm, perm], axis=1), length, axis=1)
+    return windows[np.arange(len(perm)), first_min + 1]
 
 
 def sample_dyck_steps(n: int, count: int, rng: RngHandle) -> np.ndarray:
@@ -157,12 +144,6 @@ def sample_dyck(n: int, rng: RngHandle) -> SecondaryStructure:
 # ---------------------------------------------------------------------------
 # Motzkin
 
-# 3^38 < 2^62, so every remaining-path count fits a signed word.  Below this
-# length the counted walk is also the faster draw: 0.35 s against 5.9 s for
-# 10^6 paths at n=8, 0.16 s against 0.34 s for 10^5 at n=38 (one Xeon core).
-_INT64_SAFE_N = 38
-
-
 def _pair_count_cumweights(n: int) -> list[int]:
     """Cumulative counts of length-n paths by number of up steps k:
     C(n, 2k) placements times the Catalan fill, each term from the last by
@@ -176,60 +157,46 @@ def _pair_count_cumweights(n: int) -> list[int]:
     return cum
 
 
-def _sample_motzkin_composition(n: int, count: int, rng: RngHandle) -> np.ndarray:
-    """Exact-uniform paths drawn as (pair count k, a path with k up steps).
+def _pair_counts(cum: list[int], count: int, gen: np.random.Generator) -> np.ndarray:
+    """count exact draws of bisect_right(cum, x), x uniform in [0, cum[-1]).
 
-    k comes from the arbitrary-precision weights C(n, 2k) * Catalan(k); the
-    path given k from the cycle lemma, which places the 2k paired positions
-    and the bracket pattern in one permutation.
+    x is a big-endian string of nbytes random bytes, its top byte masked to
+    the bit length of cum[-1].  Equal-width big-endian strings sort as the
+    integers they encode, so one searchsorted over cum in the same form gives
+    every k; x >= cum[-1] lands past the end and is drawn again, all such x
+    of a round in one batch.
     """
-    gen = rng.generator
-    cum = _pair_count_cumweights(n)
-
-    def draw(r: int) -> np.ndarray:
-        ks = np.array([bisect_right(cum, x) for x in _rand_below(gen, cum[-1], r)])
-        return _cycle_lemma_rows(ks, n, gen)
-
-    return _in_blocks(count, n, draw)
-
-
-def _sample_motzkin_counted(n: int, count: int, rng: RngHandle) -> np.ndarray:
-    """Sequential step choice weighted by T[m][h], the number of {-1,0,+1}
-    paths of length m from height h down to 0 that stay nonnegative."""
-    table = np.zeros((n + 1, n + 2), dtype=np.int64)
-    table[0, 0] = 1
-    for m in range(1, n + 1):
-        prev = table[m - 1]
-        table[m, : n + 1] = prev[: n + 1] + prev[1:]
-        table[m, 1 : n + 1] += prev[:n]
-    gen = rng.generator
-    steps = np.zeros((count, n), dtype=np.int8)
-    h = np.zeros(count, dtype=np.int64)
-    for m in range(n, 0, -1):
-        w_flat = table[m - 1, h]
-        w_up = table[m - 1, h + 1]
-        u = gen.integers(0, table[m, h])
-        up = (u >= w_flat) & (u < w_flat + w_up)
-        down = u >= w_flat + w_up
-        steps[:, n - m] = up.astype(np.int8) - down.astype(np.int8)
-        h = h + up - down
-    return steps
+    nbits = cum[-1].bit_length()
+    nbytes = (nbits + 7) // 8
+    width = f"S{nbytes}"
+    table = np.array([c.to_bytes(nbytes, "big") for c in cum], dtype=width)
+    ks = np.empty(count, dtype=np.intp)
+    todo = np.arange(count)
+    while todo.size:
+        raw = np.frombuffer(gen.bytes(nbytes * todo.size), dtype=np.uint8)
+        x = raw.reshape(todo.size, nbytes).copy()
+        x[:, 0] &= 0xFF >> (8 * nbytes - nbits)
+        ks[todo] = np.searchsorted(table, x.view(width).ravel(), side="right")
+        todo = todo[ks[todo] == len(cum)]
+    return ks
 
 
 def sample_motzkin_steps(n: int, count: int, rng: RngHandle) -> np.ndarray:
     """count exact-uniform Motzkin paths of length n as rows over {0, +1, -1}.
 
-    Up to length 38 steps are chosen sequentially against exact completion
-    counts in machine integers; longer paths come from the composition draw.
+    Each path is drawn as (pair count k, a path with k up steps): k from the
+    arbitrary-precision weights C(n, 2k) * Catalan(k), the path given k from
+    the cycle lemma, which places the 2k paired positions and the bracket
+    pattern in one permutation.
     """
     if n < 0:
         raise ValueError("length must be nonnegative")
     _check_count(count)
     if n == 0 or count == 0:
         return np.zeros((count, n), dtype=np.int8)
-    if n > _INT64_SAFE_N:
-        return _sample_motzkin_composition(n, count, rng)
-    return _sample_motzkin_counted(n, count, rng)
+    gen = rng.generator
+    cum = _pair_count_cumweights(n)
+    return _in_blocks(count, n, lambda r: _cycle_lemma_rows(_pair_counts(cum, r, gen), n, gen))
 
 
 def sample_motzkin(n: int, rng: RngHandle) -> SecondaryStructure:

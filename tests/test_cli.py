@@ -225,6 +225,10 @@ class TestSample:
 
 
 class TestShuffle:
+    def test_negative_count(self, run):
+        code, out, err = run(["shuffle", "--count", "-1"], stdin=">a\nACGT\n")
+        assert code == 1 and out == "" and "count must be nonnegative" in err
+
     def test_fasta_round(self, run, tmp_path):
         path = tmp_path / "seqs.fa"
         path.write_text(">s1\nAACGTT\n")

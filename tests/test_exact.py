@@ -802,7 +802,7 @@ class TestArrayTables:
         for n in sizes:
             table, expected = build(n), oracle(n)
             assert table.entries == expected
-            assert list(table.entries) == table.ordered_keys() == sorted(expected, key=_key_order)
+            assert list(table.entries) == sorted(expected, key=_key_order)
             if table.model is not Model.PFOLD:
                 assert all(type(w) is int for w in table.entries.values())
 

@@ -175,7 +175,7 @@ class TestWriters:
         buf = io.StringIO()
         write_rows_csv(rows, buf)
         header = buf.getvalue().splitlines()[0]
-        assert header.startswith("id,length,deg,unp,chn,len_ext,ete_nm,rms_nm,hel")
+        assert header == "id,length,deg,unp,chn,len_ext,ete_nm,rms_nm,hel,stm,stem_helices,pseudoknotted,group"
         buf2 = io.StringIO()
         write_summary_csv(blocks, buf2)
         assert buf2.getvalue().splitlines()[0] == "group,n_structures,stat,mean,variance"

@@ -21,6 +21,8 @@ from endprox.exact import (
 )
 from endprox.sampling import (
     RngHandle,
+    _pair_count_cumweights,
+    _pair_counts,
     _steps_to_structure,
     sample_dyck,
     sample_dyck_steps,
@@ -86,6 +88,19 @@ class TestDyck:
         assert to_dot_bracket(single) == "".join("(" if s > 0 else ")" for s in batch)
 
 
+class _FixedBytes:
+    """Stands in for a Generator's bytes(): hands out the given integers as
+    big-endian strings of nbytes bytes, in order."""
+
+    def __init__(self, values, nbytes):
+        self.data = b"".join(v.to_bytes(nbytes, "big") for v in values)
+
+    def bytes(self, length):
+        out, self.data = self.data[:length], self.data[length:]
+        assert len(out) == length
+        return out
+
+
 class TestMotzkin:
     def test_degenerate(self):
         for seed in range(5):
@@ -101,23 +116,16 @@ class TestMotzkin:
             assert v / count == pytest.approx(0.25, abs=0.01)
 
     def test_bigint_path_valid(self):
-        # n above the machine-word regime exercises the composition draw
+        # at n = 55 the pair-count weights pass 64 bits
         for seed in range(4):
             s = sample_motzkin(55, RngHandle(seed))
             s.validate()
             assert not s.crossing
 
     def test_bigint_path_uniform_spot(self):
-        # tiny-size distribution check routed through the composition draw
-        import endprox.sampling as sampling
-
-        old = sampling._INT64_SAFE_N
-        sampling._INT64_SAFE_N = 0
-        try:
-            count = 40_000
-            steps = sample_motzkin_steps(3, count, RngHandle(21))
-        finally:
-            sampling._INT64_SAFE_N = old
+        # tiny-size distribution check of the composition draw
+        count = 40_000
+        steps = sample_motzkin_steps(3, count, RngHandle(21))
         freqs = Counter(map(bytes, steps))
         assert len(freqs) == 4
         for v in freqs.values():
@@ -138,17 +146,31 @@ class TestMotzkin:
         assert abs(np.mean(degs) - exact_mean) < 4 * se
 
     def test_composition_path_exact_small(self):
-        # force the large-n composition draw at an enumerable size
-        from endprox.sampling import _sample_motzkin_composition
-
+        # the composition draw at an enumerable size
         n, count = 5, 200_000
-        steps = _sample_motzkin_composition(n, count, RngHandle(33))
+        steps = sample_motzkin_steps(n, count, RngHandle(33))
         freqs = Counter(map(bytes, steps))
         assert len(freqs) == motzkin_number(n)
         p0 = 1 / motzkin_number(n)
         se = math.sqrt(p0 * (1 - p0) / count)
         for v in freqs.values():
             assert abs(v / count - p0) < 5 * se
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 39, 1000])
+    def test_pair_count_draw_is_bisect_right(self, n):
+        # x = c - 1 and x = c at every cumulative weight c
+        cum = _pair_count_cumweights(n)
+        nbytes = (cum[-1].bit_length() + 7) // 8
+        xs = sorted({x for c in cum for x in (c - 1, c) if x < cum[-1]})
+        ks = _pair_counts(cum, len(xs), _FixedBytes(xs, nbytes))
+        assert ks.tolist() == [bisect_right(cum, x) for x in xs]
+
+    def test_pair_count_draw_masks_and_redraws(self):
+        # 323 paths of length 8 need 9 bits: 0xFE01 masks to 1, and 323 and
+        # 511 are drawn again from the values that follow
+        cum = _pair_count_cumweights(8)
+        ks = _pair_counts(cum, 4, _FixedBytes([322, 323, 511, 0xFE01, 0, 2], 2))
+        assert ks.tolist() == [bisect_right(cum, x) for x in (322, 0, 2, 1)]
 
     def test_composition_samples_are_valid_structures(self):
         for seed in range(4):

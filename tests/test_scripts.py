@@ -1,7 +1,9 @@
-"""The scripts under scripts/ run end to end against the installed package."""
+"""The scripts under scripts/, and the benchmark's tracer, run end to end
+against the package in src/."""
 
 import csv
 import io
+import json
 import os
 import subprocess
 import sys
@@ -11,10 +13,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def run_script(path, *args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""))
     done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
+        [sys.executable, str(ROOT / path), *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 0, done.stderr
@@ -22,7 +24,7 @@ def run_script(name, *args):
 
 
 def test_limit_table():
-    lines = run_script("limit_table.py").splitlines()
+    lines = run_script("scripts/limit_table.py").splitlines()
     assert lines[0].split() == ["model", "stat", "law", "mean", "variance"]
     assert set(lines[1]) == {"-"}
     stats = defaultdict(set)
@@ -36,7 +38,7 @@ def test_limit_table():
 
 
 def test_convergence_report():
-    rows = list(csv.DictReader(io.StringIO(run_script("convergence_report.py", "--sizes", "250", "500"))))
+    rows = list(csv.DictReader(io.StringIO(run_script("scripts/convergence_report.py", "--sizes", "250", "500"))))
     tvs = defaultdict(dict)
     for row in rows:
         tvs[(row["model"], row["stat"])][int(row["n"])] = float(row["tv"])
@@ -44,3 +46,16 @@ def test_convergence_report():
     for pair, by_n in tvs.items():
         assert set(by_n) == {250, 500}
         assert 0.0 <= by_n[500] < by_n[250] <= 1.0, pair
+
+
+def test_tracer_finds_its_spans(tmp_path):
+    # the benchmark's per-layer instrument patches package functions by
+    # module and name, so a deleted or renamed one must show here
+    spans = tmp_path / "spans.json"
+    sample = ["--seed", "3", "sample", "--model", "motzkin", "--n", "60", "--count", "5"]
+    run_script("bench/tracer.py", str(spans), "cli", *sample)
+    assert "sampling.sample_motzkin_steps.n60" in json.loads(spans.read_text())["seconds"]
+    run_script("bench/tracer.py", str(spans), "cli", "exact", "--model", "dyck", "--n", "20", "--stat", "deg")
+    summary = json.loads(spans.read_text())
+    assert {"exact.dyck_deg_counts", "exact.CountTable.write_csv"} <= set(summary["seconds"])
+    assert summary["counts"]["exact.table_rows"] == 20
