@@ -38,7 +38,7 @@ from typing import IO, Iterator, Optional, Union
 
 import numpy as np
 
-from .structure import SecondaryStructure, parse_dot_bracket
+from .structure import SecondaryStructure, parse_dot_bracket, parse_dot_bracket_lines
 
 
 class Model(str, Enum):
@@ -527,7 +527,8 @@ def pfold_exterior_totals(p: PfoldParams, n: int) -> np.ndarray:
     ext = _pfold_exterior(p, n)
     totals = np.zeros(n + 1)
     for l, power in enumerate(_arch_powers(ext)):
-        totals += np.convolve(*_seq_coefs(ext, l, power))[: n + 1]
+        coef, power = _seq_coefs(ext, l, power)
+        totals += _truncated_product(np.pad(coef, (0, n + 1 - len(coef))), 0, power, ext.amin * l)
     totals[0] = 0.0  # seq(0) = 0: the grammar has no empty output
     return totals
 
@@ -745,8 +746,7 @@ def enumerate_all(model: Model, n: int) -> Iterator[SecondaryStructure]:
         strings = _motzkin_strings(n)
     else:
         raise UnsupportedCombination("enumeration covers the uniform models only")
-    for text in strings:
-        yield parse_dot_bracket(text)
+    yield from parse_dot_bracket_lines(strings)
 
 
 # ---------------------------------------------------------------------------

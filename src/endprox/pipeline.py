@@ -10,15 +10,7 @@ from typing import IO, Mapping, Optional, Sequence
 
 from .exact import Model, PfoldParams, Stat
 from .limits import LenDist, LimitDist, NegBinomial, limit_of, moments
-from .structure import (
-    DEFAULT_ETE,
-    EteModel,
-    ExteriorStats,
-    ParsedRecord,
-    ete_distance,
-    exterior_stats,
-    shortest_path_stats,
-)
+from .structure import DEFAULT_ETE, EteModel, ParsedRecord, ete_distance, stats_columns
 
 
 class NoRecords(ValueError):
@@ -59,27 +51,6 @@ ROW_FIELDS = [f.name for f in fields(StatsRow)]
 _SUMMARY_STATS = ["deg", "unp", "chn", "len_ext", "ete_nm", "rms_nm", "hel", "stm", "stem_helices"]
 
 
-def _row_from_record(rec: ParsedRecord, m: EteModel) -> StatsRow:
-    s = rec.structure
-    assert s is not None
-    ex: ExteriorStats = shortest_path_stats(s, m) if s.crossing else exterior_stats(s, m)
-    return StatsRow(
-        id=rec.id,
-        length=s.length,
-        deg=ex.deg,
-        unp=ex.unp,
-        chn=ex.chn,
-        len_ext=ex.len_ext,
-        ete_nm=ex.ete_nm,
-        rms_nm=ex.rms_nm,
-        hel=ex.hel,
-        stm=ex.stm,
-        stem_helices=ex.stem_helices,
-        pseudoknotted=s.crossing,
-        group=rec.group or "default",
-    )
-
-
 def run_stats(
     records: Sequence[ParsedRecord], m: EteModel = DEFAULT_ETE
 ) -> tuple[list[StatsRow], list[SummaryBlock], list[tuple[str, str]]]:
@@ -88,11 +59,15 @@ def run_stats(
     through the shortest path.  Raises NoRecords when nothing parses."""
     if not records:
         raise NoRecords("no records in input")
-    good = [rec for rec in records if rec.structure is not None]
-    errors = [(rec.id, rec.error or "parse error") for rec in records if rec.structure is None]
+    good = [rec for rec in records if rec.has_structure]
+    errors = [(rec.id, rec.error or "parse error") for rec in records if not rec.has_structure]
     if not good:
         raise NoRecords("every record failed to parse")
-    rows = [_row_from_record(rec, m) for rec in good]
+    columns = stats_columns(good, m)
+    columns["id"] = [rec.id for rec in good]
+    columns["group"] = [rec.group or "default" for rec in good]
+    columns["pseudoknotted"] = columns.pop("crossing")
+    rows = [StatsRow(*values) for values in zip(*(columns[name] for name in ROW_FIELDS))]
     return rows, summarize(rows), errors
 
 

@@ -6,18 +6,42 @@ enclosed by any pair.  All statistics here are measurements of that loop:
 pair count (deg), unpaired count (unp), covalent-bond count (chn), nucleotide
 count (len_ext), a two-scale physical distance estimate (ete), the first-helix
 length (hel) and the first-stem pair count (stm).
+
+Dot-bracket records are read in blocks of whole lines, each at most
+_BLOCK_CHARS characters unless one line is longer, so the memory a scan takes
+is bounded by the block cap whatever the file size.  One scan per block maps
+the characters through a lookup table and pairs every bracket of the block at
+once: in a stable sort by nesting level each opener lands right before its
+mate.  The statistics are columns over a block's partner and depth arrays,
+with one level-synchronous breadth-first search for all of its crossing
+records.  The single-structure functions (`parse_dot_bracket`,
+`exterior_stats`, `shortest_path_stats`, `first_helix_length`, `first_stem`)
+are blocks of one record.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Iterator, Optional, Sequence
+from dataclasses import dataclass, fields
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
+
+import numpy as np
 
 OPENERS = "([{<"
 CLOSERS = ")]}>"
-_CLOSE_OF = dict(zip(OPENERS, CLOSERS))
-_OPEN_OF = dict(zip(CLOSERS, OPENERS))
+
+# a block of records holds at most this many characters (one longer line
+# makes a block of its own); the scan's temporaries are arrays of that size
+_BLOCK_CHARS = 1 << 18
+
+# character classes of the scan: 0 a dot, 1-4 the openers and 5-8 the
+# closers of the bracket families in OPENERS order, 9 anything else
+_DOT, _ILLEGAL = 0, 9
+_CLASS = np.frombuffer(
+    bytes({ord(ch): k for k, ch in enumerate("." + OPENERS + CLOSERS)}.get(b, _ILLEGAL) for b in range(256)),
+    dtype=np.int8,
+)
 
 
 class StructureError(ValueError):
@@ -100,7 +124,7 @@ class SecondaryStructure:
                 raise SelfPair(f"position {i1} pairs with itself")
             if not 1 <= j <= self.length or self.partner[j - 1] != i1:
                 raise AsymmetricPair(f"pair ({i1},{j}) is not reciprocated")
-        if self.crossing != _has_crossing(self.partner):
+        if self.crossing != _crosses(self.partner):
             raise StructureError("crossing flag inconsistent with pairs")
 
     def pairs(self) -> list[tuple[int, int]]:
@@ -126,20 +150,181 @@ class ExteriorStats:
     stem_helices: Optional[int] = None
 
 
-def _has_crossing(partner: Sequence[int]) -> bool:
-    """True iff two pairs of a symmetric partner table interleave.
+_STAT_FIELDS = [f.name for f in fields(ExteriorStats)]
 
-    One stack scan over the pair endpoints: in a nested structure every
-    closing position's mate is the innermost pair still open, so a closer
-    whose mate is not on top of the stack crosses the pair that is.
+
+# ---------------------------------------------------------------------------
+# the block scan
+
+_T = TypeVar("_T")
+
+
+def _blocks(items: Iterable[_T], size: Callable[[_T], int]) -> Iterator[list[_T]]:
+    """Consecutive items in lists of at most _BLOCK_CHARS total size; an
+    item larger than that makes a list of its own."""
+    block: list[_T] = []
+    total = 0
+    for item in items:
+        n = size(item)
+        if block and total + n > _BLOCK_CHARS:
+            yield block
+            block, total = [], 0
+        block.append(item)
+        total += n
+    if block:
+        yield block
+
+
+def _offsets(lengths) -> np.ndarray:
+    """0, then the running totals of lengths."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    out = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=out[1:])
+    return out
+
+
+def _level_order(at: np.ndarray, opens: np.ndarray, depth: np.ndarray) -> np.ndarray:
+    """Bracket positions `at` of one stack, reordered so that each opener is
+    followed by its mate.
+
+    depth is the depth after each bracket, and the brackets form balanced
+    runs (records) one after another.  An opener's level is the depth after
+    it and a closer's the depth before it; at each level openers and closers
+    then alternate, opener first, so a stable sort by level makes mates
+    neighbours.
     """
-    stack: list[int] = []
-    for i1, j in enumerate(partner, start=1):
-        if j > i1:
-            stack.append(i1)
-        elif j and stack.pop() != j:
-            return True
-    return False
+    level = depth + ~opens
+    if level.size and level.max() < 1 << 15:  # a stable sort of 16-bit keys is a radix sort
+        level = level.astype(np.int16)
+    return at[np.argsort(level, kind="stable")]
+
+
+def _crossing(partner: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per record, whether two of its pairs interleave.
+
+    One stack for all families nests whatever it pairs, and reproduces
+    exactly the nested pairings, so a record crosses iff its pairs differ
+    from the one-stack matching of the same brackets.
+    """
+    at = (partner >= 0).nonzero()[0]
+    opens = partner[at] > at
+    order = _level_order(at, opens, np.cumsum(opens.astype(np.int8) * 2 - 1, dtype=np.int32))
+    first = order[0::2]
+    wrong = first[partner[first] != order[1::2]]
+    crossing = np.zeros(len(starts) - 1, dtype=bool)
+    crossing[starts.searchsorted(wrong, side="right") - 1] = True
+    return crossing
+
+
+def _crosses(partner: Sequence[int]) -> bool:
+    """True iff two pairs of a symmetric 1-based partner table interleave."""
+    mate = np.asarray(partner, dtype=np.int64) - 1
+    return bool(_crossing(mate, np.array([0, len(mate)]))[0])
+
+
+@dataclass(eq=False)
+class _Block:
+    """Records scanned or measured together.
+
+    Record r holds positions starts[r]:starts[r + 1]; partner holds each
+    position's mate as a block position, or -1 (every position of a record
+    with an error is -1).  errors maps a record to its parse error.
+    """
+
+    starts: np.ndarray
+    partner: np.ndarray
+    crossing: np.ndarray
+    errors: dict[int, StructureError]
+
+    @classmethod
+    def of(cls, structures: Sequence[SecondaryStructure]) -> "_Block":
+        starts = _offsets([s.length for s in structures])
+        partner = np.fromiter(chain.from_iterable(s.partner for s in structures), np.int64, starts[-1]) - 1
+        paired = partner >= 0
+        partner[paired] += np.repeat(starts[:-1], starts[1:] - starts[:-1])[paired]
+        return cls(starts, partner, np.array([s.crossing for s in structures], dtype=bool), {})
+
+    def structure(self, r: int, sequence: Optional[str] = None) -> SecondaryStructure:
+        a, b = int(self.starts[r]), int(self.starts[r + 1])
+        mate = self.partner[a:b]
+        partner = np.where(mate >= 0, mate - (a - 1), 0)
+        return SecondaryStructure(b - a, tuple(partner.tolist()), bool(self.crossing[r]), sequence)
+
+
+def _classes(text: str) -> np.ndarray:
+    """The scan class of every character of text."""
+    if text.isascii():
+        return _CLASS[np.frombuffer(text.encode("ascii"), np.uint8)]
+    # one code point per character keeps character positions
+    return _CLASS[np.minimum(np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32), 255)]
+
+
+def _record_depths(at: np.ndarray, opens: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Depth after each bracket of one family, counted from the start of
+    its record."""
+    depth = np.cumsum(opens.astype(np.int8) * 2 - 1, dtype=np.int32)
+    bounds = at.searchsorted(starts)
+    base = np.where(bounds[:-1] > 0, depth[bounds[:-1] - 1], 0)
+    depth -= np.repeat(base.astype(np.int32), bounds[1:] - bounds[:-1])
+    return depth
+
+
+def _errors(lines: Sequence[str], starts: np.ndarray, illegal: np.ndarray, families: list) -> dict[int, StructureError]:
+    """Each bad record's error: its first illegal character or unmatched
+    closer, by position; failing that, the top unmatched opener of its first
+    family in OPENERS order.  families holds (family, positions, opens,
+    depths) of the brackets of each family that occurs, in OPENERS order."""
+    errors: dict[int, StructureError] = {}
+    bad = np.sort(np.concatenate([illegal, *(at[depth < 0] for _, at, _, depth in families)]))
+    rec = starts.searchsorted(bad, side="right") - 1
+    for r, p in zip(rec.tolist(), bad.tolist()):
+        if r in errors:  # not the record's first bad position
+            continue
+        pos = p - int(starts[r])
+        ch = lines[r][pos]
+        if ch in CLOSERS:
+            errors[r] = UnbalancedBracket(f"unmatched '{ch}' at position {pos + 1}")
+        else:
+            errors[r] = IllegalCharacter(f"illegal character {ch!r} at position {pos + 1}")
+    for f, at, opens, depth in families:
+        bounds = at.searchsorted(starts)
+        left_open = (bounds[1:] > bounds[:-1]) & (depth[bounds[1:] - 1] > 0)
+        for r in left_open.nonzero()[0].tolist():
+            if r in errors:  # an earlier error, or an earlier family left open
+                continue
+            a, b = bounds[r], bounds[r + 1]
+            top = a + (opens[a:b] & (depth[a:b] == depth[b - 1])).nonzero()[0][-1]
+            pos = int(at[top] - starts[r])
+            errors[r] = UnbalancedBracket(f"unmatched '{OPENERS[f]}' at position {pos + 1} (end of string reached)")
+    return errors
+
+
+def _scan(lines: Sequence[str]) -> _Block:
+    """Parse dot-bracket lines (stripped) as one block; four bracket
+    families pair independently, each on its own stack."""
+    starts = _offsets([len(line) for line in lines])
+    cls = _classes("".join(lines))
+    counts = np.bincount(cls, minlength=_ILLEGAL + 1)
+    families = []
+    for f in range(len(OPENERS)):
+        if counts[1 + f] or counts[5 + f]:
+            at = ((cls == 1 + f) | (cls == 5 + f)).nonzero()[0]
+            opens = cls[at] == 1 + f
+            families.append((f, at, opens, _record_depths(at, opens, starts)))
+    illegal = (cls == _ILLEGAL).nonzero()[0] if counts[_ILLEGAL] else np.zeros(0, dtype=np.int64)
+    del cls
+    errors = _errors(lines, starts, illegal, families)
+    ok = np.ones(len(lines), dtype=bool)
+    ok[list(errors)] = False
+    partner = np.full(starts[-1], -1, dtype=np.int32)
+    for _, at, opens, depth in families:
+        if errors:
+            keep = np.repeat(ok, starts[1:] - starts[:-1])[at]
+            at, opens, depth = at[keep], opens[keep], depth[keep]
+        order = _level_order(at, opens, depth)
+        partner[order[0::2]] = order[1::2]
+        partner[order[1::2]] = order[0::2]
+    return _Block(starts, partner, _crossing(partner, starts), errors)
 
 
 def parse_dot_bracket(text: str) -> SecondaryStructure:
@@ -147,29 +332,21 @@ def parse_dot_bracket(text: str) -> SecondaryStructure:
 
     Raises IllegalCharacter or UnbalancedBracket (with 1-based position).
     """
-    line = text.strip()
-    partner = [0] * len(line)
-    stacks: dict[str, list[int]] = {op: [] for op in OPENERS}
-    for pos, ch in enumerate(line, start=1):
-        if ch == ".":
-            continue
-        if ch in OPENERS:
-            stacks[ch].append(pos)
-        elif ch in CLOSERS:
-            stack = stacks[_OPEN_OF[ch]]
-            if not stack:
-                raise UnbalancedBracket(f"unmatched '{ch}' at position {pos}")
-            i = stack.pop()
-            partner[i - 1] = pos
-            partner[pos - 1] = i
-        else:
-            raise IllegalCharacter(f"illegal character {ch!r} at position {pos}")
-    for op, stack in stacks.items():
-        if stack:
-            raise UnbalancedBracket(
-                f"unmatched '{op}' at position {stack[-1]} (end of string reached)"
-            )
-    return SecondaryStructure(len(line), tuple(partner), _has_crossing(partner))
+    block = _scan([text.strip()])
+    if block.errors:
+        raise block.errors[0]
+    return block.structure(0)
+
+
+def parse_dot_bracket_lines(texts: Iterable[str]) -> Iterator[SecondaryStructure]:
+    """parse_dot_bracket of each text, one scan per block of texts; raises
+    the error of the first text that fails."""
+    for lines in _blocks((text.strip() for text in texts), len):
+        block = _scan(lines)
+        for r in range(len(lines)):
+            if r in block.errors:
+                raise block.errors[r]
+            yield block.structure(r)
 
 
 def parse_bpseq(text: str) -> SecondaryStructure:
@@ -208,7 +385,7 @@ def parse_bpseq(text: str) -> SecondaryStructure:
         if not 1 <= mate <= n or entries[mate][1] != i1:
             raise AsymmetricPair(f"pair ({i1},{mate}) is not reciprocated")
         partner[i1 - 1] = mate
-    return SecondaryStructure(n, tuple(partner), _has_crossing(partner), "".join(seq))
+    return SecondaryStructure(n, tuple(partner), _crosses(partner), "".join(seq))
 
 
 def to_dot_bracket(s: SecondaryStructure) -> str:
@@ -251,209 +428,200 @@ def rms_distance(length: int, m: EteModel = DEFAULT_ETE) -> float:
     return m.a_nm * math.sqrt(max(0, length - 1))
 
 
-def _exterior_walk(s: SecondaryStructure) -> tuple[list[tuple[int, int]], int]:
-    """Top-level pairs and exterior unpaired count of a nested structure."""
-    top_pairs = []
-    unp = 0
-    i1 = 1
-    while i1 <= s.length:
-        j = s.partner[i1 - 1]
-        if j == 0:
-            unp += 1
-            i1 += 1
-        else:
-            top_pairs.append((i1, j))
-            i1 = j + 1
-    return top_pairs, unp
+# ---------------------------------------------------------------------------
+# statistics as columns
 
 
-def first_helix_length(s: SecondaryStructure) -> Optional[int]:
-    """Length of the run of directly nested pairs starting at the pair with
-    smallest opening position; None if the structure has no pair.
+def _runs(flags: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """One plus the number of True flags in a row from each start on; the
+    last flag must be False."""
+    ends = (~flags).nonzero()[0]
+    return ends[ends.searchsorted(start)] - start + 1
 
-    Defined for crossing structures too (the run definition does not need
-    nestedness), since pipelines report it for pseudoknotted records.
+
+def _optional(values: np.ndarray, present: np.ndarray) -> list[Optional[int]]:
+    return [v if ok else None for v, ok in zip(values.tolist(), present.tolist())]
+
+
+def _cached(fn: Callable, m: EteModel) -> Callable:
+    """fn(*args, m), computed once per distinct args."""
+    cache: dict = {}
+
+    def get(*args):
+        if args not in cache:
+            cache[args] = fn(*args, m)
+        return cache[args]
+
+    return get
+
+
+def _columns(block: _Block, rows: np.ndarray, path: np.ndarray, m: EteModel) -> list[list]:
+    """The ExteriorStats fields of the block's records `rows`, one list per
+    field.  Records flagged in `path` are measured along the shortest 5'-3'
+    path, the others by the exterior walk, which needs them nested.
+
+    Depth is the one-stack depth after each position.  In a nested record
+    the exterior holds the pairs that open at depth 1 and the dots at depth
+    0.  The first helix and the first stem run along consecutive pair
+    openings: a pair (i, j) continues the helix when (i+1, j-1) is a pair,
+    and continues the stem when the next opening lies inside it and the
+    opening after that child pair does not.
     """
-    first = None
-    for i1, j in enumerate(s.partner, start=1):
-        if j > i1:
-            first = (i1, j)
-            break
-    if first is None:
-        return None
-    i, j = first
-    h = 0
-    while i + h < j - h and s.partner[i + h - 1] == j - h:
-        h += 1
-    return h
+    partner, starts = block.partner, block.starts
+    size = len(partner)
+    opener = partner > np.arange(size, dtype=partner.dtype)
+    depth = np.cumsum(opener.astype(np.int8) - ((partner >= 0) & ~opener), dtype=np.int32)
+    top = (opener & (depth == 1)).nonzero()[0].searchsorted(starts)
+    dots = ((partner < 0) & (depth == 0)).nonzero()[0].searchsorted(starts)
+    del depth
+    deg = (top[1:] - top[:-1])[rows]
+    unp = (dots[1:] - dots[:-1])[rows]
+    chn = np.maximum(deg + unp - 1, 0)
+
+    op = opener.nonzero()[0]
+    close = partner[op].astype(np.int64)
+    stacked = (op + 2 < close) & (partner[op + 1] == close - 1)
+    op_end = np.concatenate((op, [size]))
+    single = (op_end[1:] < close) & (op_end[op.searchsorted(np.concatenate((close[1:], [size])))] > close)
+    first = op.searchsorted(starts[rows])
+    has = first < op.searchsorted(starts[rows + 1])
+    hel = np.zeros(len(rows), dtype=np.int64)
+    stm = np.zeros(len(rows), dtype=np.int64)
+    helices = np.zeros(len(rows), dtype=np.int64)
+    k = first[has]
+    hel[has] = _runs(stacked, k)
+    stm[has] = _runs(single, k)
+    breaks = _offsets(~stacked)  # breaks[k]: openings before k that are not stacked
+    helices[has] = 1 + breaks[k + stm[has] - 1] - breaks[k]
+    stem = has & ~block.crossing[rows]
+
+    ete = _cached(ete_distance, m)
+    if path.any():
+        deg[path], unp[path], chn[path] = _path_counts(block, rows[path], ete)
+    rms = _cached(rms_distance, m)
+    deg_list, chn_list = deg.tolist(), chn.tolist()
+    return [
+        deg_list,
+        unp.tolist(),
+        chn_list,
+        (2 * deg + unp).tolist(),
+        [ete(d, c) for d, c in zip(deg_list, chn_list)],
+        [rms(n) for n in (starts[rows + 1] - starts[rows]).tolist()],
+        _optional(hel, has),
+        _optional(stm, stem),
+        _optional(helices, stem),
+    ]
 
 
-def first_stem(s: SecondaryStructure) -> Optional[tuple[int, int]]:
-    """(stem pair count, helix count within the stem) for the stem that the
-    first pair opens; None if no pair exists.
+def _distances(block: _Block, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Breadth-first distances from both ends of each of the block's
+    records `rows`, all found in one level-synchronous pass.
 
-    The stem follows the unique chain of pairs below the first pair and stops
-    at a hairpin or at a multiloop (two or more child pairs).
+    The records are laid out one after another, twice: the search starts
+    from every record's 5' end in the first copy and from its 3' end in the
+    second.  Returns (offsets, mate, from5, from3): record i holds nodes
+    offsets[i]:offsets[i + 1], mate is each node's 0-based mate within its
+    record or -1, and from5 and from3 are the distances.
     """
-    if s.crossing:
-        raise CrossingStructure("first_stem requires a nested structure")
-    first = None
-    for i1, j in enumerate(s.partner, start=1):
-        if j > i1:
-            first = (i1, j)
-            break
-    if first is None:
-        return None
-    stm = 1
-    helices = 1
-    i, j = first
-    while True:
-        children = []
-        k = i + 1
-        while k < j:
-            mate = s.partner[k - 1]
-            if mate > k:
-                children.append((k, mate))
-                k = mate + 1
-            else:
-                k += 1
-            if len(children) > 1:
-                break
-        if len(children) != 1:
-            return stm, helices
-        (ci, cj) = children[0]
-        stm += 1
-        if (ci, cj) != (i + 1, j - 1):
-            helices += 1
-        i, j = ci, cj
+    lengths = block.starts[rows + 1] - block.starts[rows]
+    offsets = _offsets(lengths)
+    size = int(offsets[-1])
+    first = np.repeat(offsets[:-1], lengths)
+    node = np.arange(size)
+    start = np.repeat(block.starts[rows], lengths)  # block position of each record's first node
+    mate = block.partner[node - first + start].astype(np.int64)
+    mate = np.where(mate >= 0, mate - start, -1)
+    # each node's neighbours in both copies: 5' side, 3' side, mate; a
+    # missing one is -1, the last entry of dist, which counts as visited
+    left, right = node - 1, node + 1
+    left[offsets[:-1]] = -1
+    right[offsets[1:] - 1] = -1
+    one = np.stack([left, right, np.where(mate >= 0, first + mate, -1)])
+    neighbours = np.concatenate([one, np.where(one >= 0, one + size, -1)], axis=1)
+    frontier = np.concatenate([offsets[:-1], offsets[1:] - 1 + size])
+    dist = np.full(2 * size + 1, -1, dtype=np.int32)
+    dist[frontier] = 0
+    dist[-1] = 0
+    slot = np.empty(2 * size, dtype=np.int64)  # where a node last appears in reach
+    level = 0
+    while frontier.size:
+        level += 1
+        reach = neighbours[:, frontier].ravel()
+        reach = reach[dist[reach] < 0]
+        index = np.arange(len(reach))
+        slot[reach] = index
+        frontier = reach[slot[reach] == index]
+        dist[frontier] = level
+    return offsets, mate, dist[:size], dist[size:-1]
 
 
-def exterior_stats(s: SecondaryStructure, m: EteModel = DEFAULT_ETE) -> ExteriorStats:
-    """All end-proximity statistics of a nested structure.
-
-    Raises CrossingStructure for pseudoknotted input; those go through
-    shortest_path_stats instead.
-    """
-    if s.crossing:
-        raise CrossingStructure("exterior_stats requires a nested structure")
-    top_pairs, unp = _exterior_walk(s)
-    deg = len(top_pairs)
-    chn = max(0, deg + unp - 1)
-    stem = first_stem(s)
-    return ExteriorStats(
-        deg=deg,
-        unp=unp,
-        chn=chn,
-        len_ext=2 * deg + unp,
-        ete_nm=ete_distance(deg, chn, m),
-        rms_nm=rms_distance(s.length, m),
-        hel=first_helix_length(s),
-        stm=stem[0] if stem else None,
-        stem_helices=stem[1] if stem else None,
-    )
+def _path_counts(block: _Block, rows: np.ndarray, ete: Callable[[int, int], float]) -> tuple[list[int], list[int], list[int]]:
+    """(pair steps, unpaired nodes, backbone steps) of the selected shortest
+    5'-3' path of each of the block's records `rows`."""
+    offsets, mate, from5, from3 = _distances(block, rows)
+    lengths = offsets[1:] - offsets[:-1]
+    rec = np.repeat(np.arange(len(rows)), lengths)
+    # the nodes on some shortest path, by record, farthest from the 5' end first
+    on = (from5 + from3 == np.repeat(from5[offsets[1:] - 1], lengths)).nonzero()[0]
+    on = on[np.lexsort((-from5[on], rec[on]))]
+    cut = rec[on].searchsorted(np.arange(len(rows) + 1)).tolist()
+    deg, unp, chn = [], [], []
+    for i, (a, b) in enumerate(zip(offsets[:-1].tolist(), offsets[1:].tolist())):
+        mates = mate[a:b].tolist()
+        order = (on[cut[i] : cut[i + 1]] - a).tolist()
+        d, c, seq = _min_ete_path(mates, from5[a:b].tolist(), from3[a:b].tolist(), order, ete)
+        deg.append(d)
+        chn.append(c)
+        unp.append(sum(1 for v in seq if mates[v] < 0))
+    return deg, unp, chn
 
 
-def shortest_path_stats(s: SecondaryStructure, m: EteModel = DEFAULT_ETE) -> ExteriorStats:
-    """End-proximity statistics via the 5'-3' shortest path; crossing allowed.
+def _min_ete_path(
+    mate: list[int], dist1: list[int], distn: list[int], order: list[int], ete: Callable[[int, int], float]
+) -> tuple[int, int, list[int]]:
+    """(pair steps, backbone steps, node sequence) of the selected path of
+    one structure.  Nodes are 0-based positions, mate[u] is u's partner or
+    -1, dist1 and distn are the distances from the two ends, and order
+    lists the nodes on a shortest path, farthest from the 5' end first."""
+    n = len(mate)
+    last = n - 1
+    total = dist1[last]
 
-    Nodes are positions, edges are backbone links (i, i+1) and pairs (i, j).
-    Among minimum-edge-count node sequences the one minimizing the distance
-    estimate is chosen, remaining ties broken by lexicographically smallest
-    node sequence.  A step between adjacent paired positions counts as a pair
-    step, which makes the result coincide with exterior_stats on every nested
-    structure.  Unpaired nodes anywhere on the path (endpoints included)
-    count toward unp.  Stem statistics are omitted for crossing structures.
-    """
-    n = s.length
-    if n == 0:
-        raise EmptyStructure("cannot take a path through an empty structure")
-
-    if n == 1:
-        deg, chn, seq = 0, 0, [1]
-    else:
-        deg, chn, seq = _min_ete_path(s, m)
-
-    unp = sum(1 for v in seq if not s.is_paired(v))
-    stem = None
-    if not s.crossing:
-        stem = first_stem(s)
-    return ExteriorStats(
-        deg=deg,
-        unp=unp,
-        chn=chn,
-        len_ext=2 * deg + unp,
-        ete_nm=ete_distance(deg, chn, m),
-        rms_nm=rms_distance(s.length, m),
-        hel=first_helix_length(s),
-        stm=stem[0] if stem else None,
-        stem_helices=stem[1] if stem else None,
-    )
-
-
-def _neighbors(s: SecondaryStructure, u: int) -> Iterator[tuple[int, int]]:
-    # (node, step type); type 1 when a pair exists, even for adjacent mates
-    mate = s.partner[u - 1]
-    for v in (u - 1, u + 1):
-        if 1 <= v <= s.length and v != mate:
-            yield v, 0
-    if mate:
-        yield mate, 1
-
-
-def _bfs(s: SecondaryStructure, source: int) -> list[int]:
-    dist = [-1] * (s.length + 1)
-    dist[source] = 0
-    frontier = [source]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v, _ in _neighbors(s, u):
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    return dist
-
-
-def _min_ete_path(s: SecondaryStructure, m: EteModel) -> tuple[int, int, list[int]]:
-    """(pair steps, backbone steps, node sequence) of the selected path."""
-    n = s.length
-    dist1 = _bfs(s, 1)
-    distn = _bfs(s, n)
-    total = dist1[n]
+    def neighbors(u: int) -> list[tuple[int, int]]:
+        # (node, step type); type 1 when a pair exists, even for adjacent mates
+        w = mate[u]
+        out = [(v, 0) for v in (u - 1, u + 1) if 0 <= v < n and v != w]
+        if w >= 0:
+            out.append((w, 1))
+        return out
 
     # feasible pair-step counts per node, as bitmasks over the DAG of
     # shortest-path edges
-    order = sorted(
-        (v for v in range(1, n + 1) if dist1[v] + distn[v] == total),
-        key=lambda v: dist1[v],
-        reverse=True,
-    )
-    feasible = [0] * (n + 1)
-    feasible[n] = 1
+    feasible = [0] * n
+    feasible[last] = 1
     for u in order:
-        if u == n:
+        if u == last:
             continue
         mask = 0
-        for v, t in _neighbors(s, u):
+        for v, t in neighbors(u):
             if dist1[u] + 1 + distn[v] == total and dist1[v] + distn[v] == total:
                 mask |= feasible[v] << t
         feasible[u] = mask
 
-    options = [d for d in range(total + 1) if feasible[1] >> d & 1]
-    best = min(ete_distance(d, total - d, m) for d in options)
+    options = [d for d in range(total + 1) if feasible[0] >> d & 1]
+    best = min(ete(d, total - d) for d in options)
     target = 0
     for d in options:
-        if ete_distance(d, total - d, m) == best:
+        if ete(d, total - d) == best:
             target |= 1 << d
 
     # lexicographically smallest node sequence among paths hitting a target
     # pair count
-    seq = [1]
-    u, mask, deg = 1, target, 0
-    while u != n:
+    seq = [0]
+    u, mask, deg = 0, target, 0
+    while u != last:
         step = None
-        for v, t in sorted(_neighbors(s, u)):
+        for v, t in sorted(neighbors(u)):
             if dist1[u] + 1 + distn[v] != total:
                 continue
             sub = (mask >> t) & feasible[v]
@@ -468,14 +636,116 @@ def _min_ete_path(s: SecondaryStructure, m: EteModel) -> tuple[int, int, list[in
     return deg, total - deg, seq
 
 
-@dataclass
-class ParsedRecord:
-    """One record of a structure file; either a structure or a parse error."""
+def _stats_of(s: SecondaryStructure, path: bool, m: EteModel) -> ExteriorStats:
+    columns = _columns(_Block.of([s]), np.zeros(1, dtype=np.int64), np.array([path]), m)
+    return ExteriorStats(*(column[0] for column in columns))
 
-    id: str
-    group: Optional[str] = None
-    structure: Optional[SecondaryStructure] = None
-    error: Optional[str] = None
+
+def first_helix_length(s: SecondaryStructure) -> Optional[int]:
+    """Length of the run of directly nested pairs starting at the pair with
+    smallest opening position; None if the structure has no pair.
+
+    Defined for crossing structures too (the run definition does not need
+    nestedness), since pipelines report it for pseudoknotted records.
+    """
+    return _stats_of(s, False, DEFAULT_ETE).hel
+
+
+def first_stem(s: SecondaryStructure) -> Optional[tuple[int, int]]:
+    """(stem pair count, helix count within the stem) for the stem that the
+    first pair opens; None if no pair exists.
+
+    The stem follows the unique chain of pairs below the first pair and stops
+    at a hairpin or at a multiloop (two or more child pairs).
+    """
+    if s.crossing:
+        raise CrossingStructure("first_stem requires a nested structure")
+    st = _stats_of(s, False, DEFAULT_ETE)
+    return None if st.stm is None else (st.stm, st.stem_helices)
+
+
+def exterior_stats(s: SecondaryStructure, m: EteModel = DEFAULT_ETE) -> ExteriorStats:
+    """All end-proximity statistics of a nested structure.
+
+    Raises CrossingStructure for pseudoknotted input; those go through
+    shortest_path_stats instead.
+    """
+    if s.crossing:
+        raise CrossingStructure("exterior_stats requires a nested structure")
+    return _stats_of(s, False, m)
+
+
+def shortest_path_stats(s: SecondaryStructure, m: EteModel = DEFAULT_ETE) -> ExteriorStats:
+    """End-proximity statistics via the 5'-3' shortest path; crossing allowed.
+
+    Nodes are positions, edges are backbone links (i, i+1) and pairs (i, j).
+    Among minimum-edge-count node sequences the one minimizing the distance
+    estimate is chosen, remaining ties broken by lexicographically smallest
+    node sequence.  A step between adjacent paired positions counts as a pair
+    step, which makes the result coincide with exterior_stats on every nested
+    structure.  Unpaired nodes anywhere on the path (endpoints included)
+    count toward unp.  Stem statistics are omitted for crossing structures.
+    """
+    if s.length == 0:
+        raise EmptyStructure("cannot take a path through an empty structure")
+    return _stats_of(s, True, m)
+
+
+# ---------------------------------------------------------------------------
+# structure files
+
+
+class ParsedRecord:
+    """One record of a structure file; either a structure or a parse error.
+
+    A record read from dot-bracket text refers to its row of the scanned
+    block, and builds its SecondaryStructure only when `structure` is read.
+    """
+
+    def __init__(
+        self,
+        id: str,
+        group: Optional[str] = None,
+        structure: Optional[SecondaryStructure] = None,
+        error: Optional[str] = None,
+    ):
+        self.id = id
+        self.group = group
+        self.error = error
+        self._structure = structure
+        self._row: Optional[tuple[_Block, int, Optional[str]]] = None  # block, record, sequence
+
+    @property
+    def structure(self) -> Optional[SecondaryStructure]:
+        if self._structure is None and self._row is not None:
+            self._structure = self._row[0].structure(*self._row[1:])
+        return self._structure
+
+    @structure.setter
+    def structure(self, s: Optional[SecondaryStructure]) -> None:
+        self._structure = s
+        self._row = None
+
+    @property
+    def has_structure(self) -> bool:
+        """Whether the record holds a structure, without building it."""
+        return self._structure is not None or self._row is not None
+
+    def __repr__(self) -> str:
+        return f"ParsedRecord(id={self.id!r}, group={self.group!r}, error={self.error!r})"
+
+
+def _attach(pending: list[tuple[ParsedRecord, str, Optional[str]]]) -> None:
+    """Scan the (record, structure line, sequence) triples as one block;
+    point each record at its row, or give it its error."""
+    block = _scan([line for _, line, _ in pending])
+    for r, (rec, line, sequence) in enumerate(pending):
+        if r in block.errors:
+            rec.error = str(block.errors[r])
+        elif sequence is not None and len(sequence) != len(line):
+            rec.error = f"sequence length {len(sequence)} differs from structure length {len(line)}"
+        else:
+            rec._row = (block, r, sequence)
 
 
 def read_dot_bracket_records(text: str, default_group: Optional[str] = None) -> list[ParsedRecord]:
@@ -485,9 +755,11 @@ def read_dot_bracket_records(text: str, default_group: Optional[str] = None) -> 
     A letters-only line right after a header is that record's sequence (the
     three-line header, sequence, structure layout); a record whose sequence
     and structure differ in length gets an error, and so does a header
-    followed by another header or by the end of the input.
+    followed by another header or by the end of the input.  Structure lines
+    are parsed one block of at most _BLOCK_CHARS characters at a time.
     """
     records: list[ParsedRecord] = []
+    pending: list[tuple[ParsedRecord, str, Optional[str]]] = []
     header: Optional[tuple[str, Optional[str]]] = None
     sequence: Optional[str] = None
     orphan = "header with no structure line"
@@ -513,21 +785,13 @@ def read_dot_bracket_records(text: str, default_group: Optional[str] = None) -> 
         rec_id, group = header if header else (f"rec{len(records) + 1}", default_group)
         header = None
         rec = ParsedRecord(id=rec_id, group=group)
-        try:
-            s = parse_dot_bracket(line)
-            if sequence is not None:
-                if len(sequence) != s.length:
-                    raise StructureError(
-                        f"sequence length {len(sequence)} differs from structure length {s.length}"
-                    )
-                s = replace(s, sequence=sequence)
-            rec.structure = s
-        except StructureError as exc:
-            rec.error = str(exc)
-        sequence = None
         records.append(rec)
+        pending.append((rec, line, sequence))
+        sequence = None
     if header:
         records.append(ParsedRecord(*header, error=orphan))
+    for block in _blocks(pending, lambda item: len(item[1])):
+        _attach(block)
     return records
 
 
@@ -539,3 +803,42 @@ def read_bpseq_records(text: str, rec_id: str, group: Optional[str] = None) -> l
     except StructureError as exc:
         rec.error = str(exc)
     return [rec]
+
+
+def stats_columns(records: Sequence[ParsedRecord], m: EteModel = DEFAULT_ETE) -> dict[str, list]:
+    """`length`, `crossing` and every ExteriorStats field, one list each in
+    record order, of records that all hold a structure.
+
+    Records read from one block are measured together, and the others
+    (bpseq records, or records built around a SecondaryStructure) as one
+    more block.  Crossing records are measured along the shortest path,
+    nested ones by the exterior walk, as `shortest_path_stats` and
+    `exterior_stats` do.
+    """
+    batches: dict[_Block, tuple[list[int], list[int]]] = {}  # block -> (records, rows)
+    loose: list[int] = []
+    for k, rec in enumerate(records):
+        if rec._row is None:
+            loose.append(k)
+        else:
+            where, rows = batches.setdefault(rec._row[0], ([], []))
+            where.append(k)
+            rows.append(rec._row[1])
+    if loose:
+        batches[_Block.of([records[k].structure for k in loose])] = (loose, list(range(len(loose))))
+
+    names = ["length", "crossing", *_STAT_FIELDS]
+    out: dict[str, list] = {name: [] for name in names}
+    taken: list[int] = []
+    for block, (where, rows) in batches.items():
+        rows = np.asarray(rows, dtype=np.int64)
+        crossing = block.crossing[rows]
+        lengths = block.starts[rows + 1] - block.starts[rows]
+        columns = [lengths.tolist(), crossing.tolist(), *_columns(block, rows, crossing, m)]
+        for name, column in zip(names, columns):
+            out[name] += column
+        taken += where
+    if taken != list(range(len(records))):  # back to record order
+        order = np.argsort(taken).tolist()
+        out = {name: [column[k] for k in order] for name, column in out.items()}
+    return out

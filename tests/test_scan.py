@@ -1,0 +1,301 @@
+"""The block scan and the column statistics against the scalar structure
+layer they replaced (structure_oracle): partner tables, crossing flags,
+errors, ExteriorStats, breadth-first distances, and whole CLI runs byte for
+byte, with records on both sides of block boundaries."""
+
+import contextlib
+import io
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import structure_oracle as oracle
+from endprox import cli, pipeline, structure
+from endprox.structure import (
+    CLOSERS,
+    OPENERS,
+    EteModel,
+    exterior_stats,
+    first_helix_length,
+    first_stem,
+    parse_dot_bracket,
+    read_dot_bracket_records,
+    shortest_path_stats,
+)
+
+# letters, a space and non-ASCII characters, one of them outside the BMP
+NOISE = ["a", "Z", " ", "é", " ", "\U0001d11e"]
+
+
+@st.composite
+def family_balanced(draw, max_items=50):
+    """Dot-bracket text in which each bracket family is balanced on its own,
+    so families may cross one another; mostly the first family."""
+    depth = [0] * len(OPENERS)
+    chars = []
+    items = draw(st.lists(st.tuples(st.sampled_from([0, 0, 0, 1, 2, 3, 4, 4]), st.booleans()), max_size=max_items))
+    for fam, close in items:
+        if fam == len(OPENERS):
+            chars.append(".")
+        elif close and depth[fam]:
+            chars.append(CLOSERS[fam])
+            depth[fam] -= 1
+        else:
+            chars.append(OPENERS[fam])
+            depth[fam] += 1
+    for fam in draw(st.permutations(range(len(OPENERS)))):
+        chars.append(CLOSERS[fam] * depth[fam])
+    return "".join(chars)
+
+
+@st.composite
+def damaged(draw):
+    """Balanced text with a few characters replaced, dropped or inserted."""
+    chars = list(draw(family_balanced()))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(chars)))
+        what = draw(st.sampled_from(list(OPENERS + CLOSERS + ".") + NOISE))
+        action = draw(st.integers(0, 2))
+        if action == 0 and at < len(chars):
+            chars[at] = what
+        elif action == 1 and at < len(chars):
+            del chars[at]
+        else:
+            chars.insert(at, what)
+    return "".join(chars)
+
+
+dot_bracket_texts = st.one_of(
+    family_balanced(),
+    damaged(),
+    st.text(alphabet=st.sampled_from(list(OPENERS + CLOSERS + ".") + NOISE), max_size=40),
+    st.text(max_size=20),
+)
+
+
+def _outcome(parse, text):
+    try:
+        s = parse(text)
+    except structure.StructureError as exc:
+        return type(exc), str(exc)
+    return s.partner, s.crossing, s.length
+
+
+def _stats_outcome(fn, s):
+    try:
+        return fn(s)
+    except structure.StructureError as exc:
+        return type(exc), str(exc)
+
+
+class TestScanAgainstScalarParser:
+    @given(dot_bracket_texts)
+    @settings(max_examples=400)
+    def test_same_partners_crossing_and_errors(self, text):
+        assert _outcome(parse_dot_bracket, text) == _outcome(oracle.parse_dot_bracket, text)
+
+    @given(st.lists(dot_bracket_texts, max_size=12))
+    @settings(max_examples=120)
+    def test_many_lines_in_one_block(self, texts):
+        # one scan over many records gives each record what a scan of it alone gives
+        lines = [t.strip() for t in texts]
+        block = structure._scan(lines)
+        for r, line in enumerate(lines):
+            expected = _outcome(oracle.parse_dot_bracket, line)
+            if r in block.errors:
+                got = type(block.errors[r]), str(block.errors[r])
+            else:
+                s = block.structure(r)
+                got = s.partner, s.crossing, s.length
+            assert got == expected
+
+    @given(family_balanced())
+    @settings(max_examples=200)
+    def test_crossing_of_a_partner_table(self, text):
+        s = oracle.parse_dot_bracket(text)
+        assert structure._crosses(s.partner) == oracle.has_crossing(s.partner) == s.crossing
+
+
+class TestColumnsAgainstScalarStats:
+    @given(family_balanced(max_items=70))
+    @settings(max_examples=400)
+    def test_exterior_helix_stem_and_path(self, text):
+        s = parse_dot_bracket(text)
+        assert first_helix_length(s) == oracle.first_helix_length(s)
+        assert _stats_outcome(first_stem, s) == _stats_outcome(oracle.first_stem, s)
+        assert _stats_outcome(exterior_stats, s) == _stats_outcome(oracle.exterior_stats, s)
+        assert _stats_outcome(shortest_path_stats, s) == _stats_outcome(oracle.shortest_path_stats, s)
+
+    @given(family_balanced(max_items=40))
+    @settings(max_examples=100)
+    def test_other_distance_model(self, text):
+        m = EteModel(b_nm=2.0, c_nm=0.4, exponent=1.7, a_nm=1.1)
+        s = parse_dot_bracket(text)
+        if not s.crossing:
+            assert exterior_stats(s, m) == oracle.exterior_stats(s, m)
+        if s.length:
+            assert shortest_path_stats(s, m) == oracle.shortest_path_stats(s, m)
+
+    @given(st.lists(family_balanced(max_items=60).filter(bool), min_size=1, max_size=8))
+    @settings(max_examples=120)
+    def test_batched_breadth_first_search(self, texts):
+        block = structure._scan(texts)
+        rows = np.arange(len(texts))
+        offsets, mate, from5, from3 = structure._distances(block, rows)
+        for r, text in enumerate(texts):
+            s = oracle.parse_dot_bracket(text)
+            a, b = offsets[r], offsets[r + 1]
+            assert from5[a:b].tolist() == oracle.bfs(s, 1)[1:]
+            assert from3[a:b].tolist() == oracle.bfs(s, s.length)[1:]
+            assert mate[a:b].tolist() == [j - 1 for j in s.partner]
+
+    def test_single_node_and_adjacent_pair(self):
+        for text in [".", "()", ".().", "[(])"]:
+            s = parse_dot_bracket(text)
+            assert shortest_path_stats(s) == oracle.shortest_path_stats(s)
+
+
+# ---------------------------------------------------------------------------
+# whole files: block boundaries, and the CLI byte for byte
+
+
+def _records_text(texts, seed):
+    """Headers, optional sequence lines and bare lines around the texts."""
+    rnd = random.Random(seed)
+    out = []
+    for i, text in enumerate(texts):
+        kind = rnd.randrange(4)
+        if kind == 0:
+            out.append(text)
+        elif kind == 1:
+            out += [f">r{i} group=g{i % 3}", text]
+        elif kind == 2:
+            out += [f">r{i}", "".join(rnd.choice("ACGU") for _ in text) or "A", text]
+        else:
+            out += [f">r{i} x=1", text, f">orphan{i}"]
+    return "\n".join(out) + "\n"
+
+
+def _compare_records(text):
+    got = read_dot_bracket_records(text, "file")
+    want = oracle.read_dot_bracket_records(text, "file")
+    assert [(r.id, r.group, r.error, r.has_structure) for r in got] == [
+        (r.id, r.group, r.error, r.structure is not None) for r in want
+    ]
+    assert [r.structure for r in got] == [r.structure for r in want]
+    if any(r.structure is not None for r in want):
+        assert pipeline.run_stats(got) == oracle.run_stats(want)
+
+
+class TestReaderBlocks:
+    @given(st.lists(dot_bracket_texts, max_size=15), st.integers(1, 40), st.integers(0, 3))
+    @settings(max_examples=150)
+    def test_records_and_rows_at_any_block_cap(self, texts, cap, seed):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(structure, "_BLOCK_CHARS", cap)
+            _compare_records(_records_text(texts, seed))
+
+    def test_structure_is_built_when_first_read(self):
+        recs = read_dot_bracket_records("(.)\n((\n")
+        assert recs[0].has_structure and not recs[1].has_structure
+        assert recs[0]._structure is None  # built only when read
+        assert recs[0].structure.partner == (3, 0, 1)
+
+
+def _nested(rnd, n):
+    """A random nested dot-bracket string of length n."""
+    out = []
+    while n > 0:
+        if n >= 5 and rnd.random() < 0.15:
+            inner = rnd.randrange(3, n - 1)
+            out.append("(" + _nested(rnd, inner) + ")")
+            n -= inner + 2
+        else:
+            out.append(".")
+            n -= 1
+    return "".join(out)
+
+
+def _crossed(rnd, text):
+    """text with one [ ] pair on two dots, crossing whatever lies between."""
+    dots = [i for i, ch in enumerate(text) if ch == "."]
+    a, b = sorted(rnd.sample(dots, 2))
+    return text[:a] + "[" + text[a + 1 : b] + "]" + text[b + 1 :]
+
+
+def _mixed_file(rnd, records):
+    lines = []
+    for i in range(records):
+        text = _nested(rnd, rnd.choice([60, 250, 400]))
+        kind = i % 10
+        if kind == 3:
+            text = _crossed(rnd, text)
+        elif kind == 5:
+            text = text[:-1] + ")"  # mostly an unmatched closer
+        elif kind == 7:
+            text = text[:9] + "x" + text[10:]
+        if kind == 8:
+            lines += [f">s{i} group=three", "".join(rnd.choice("ACGU") for _ in text), text]
+        else:
+            lines += [f">s{i} group=g{i % 2}", text]
+    lines += [">dots", "." * 30, ">one", ".", ">tail"]
+    return "\n".join(lines) + "\n"
+
+
+COMMANDS = [
+    ["stats"],
+    ["--format", "json", "stats"],
+    ["stats", "--summary"],
+    ["--format", "json", "stats", "--summary"],
+    ["compare", "--model", "pfold", "--stat", "deg"],
+    ["heatmap"],
+]
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_cli_matches_oracle(files):
+    for command in COMMANDS:
+        argv = command + [str(f) for f in files]
+        got = _run(argv)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(structure, "read_dot_bracket_records", oracle.read_dot_bracket_records)
+            mp.setattr(pipeline, "run_stats", oracle.run_stats)
+            want = _run(argv)
+        assert got == want, command
+        assert "skipped" in got[2]
+
+
+class TestCliByteIdentity:
+    @pytest.fixture
+    def files(self, tmp_path):
+        def make(records, seed):
+            path = tmp_path / f"mixed{seed}.dbn"
+            path.write_text(_mixed_file(random.Random(seed), records))
+            bpseq = tmp_path / "knot.bpseq"
+            bpseq.write_text("1 G 4\n2 C 6\n3 A 0\n4 C 1\n5 U 0\n6 G 2\n7 A 0\n")
+            return path, bpseq
+
+        return make
+
+    def test_mixed_file_and_bpseq(self, files):
+        _assert_cli_matches_oracle(files(60, 1))
+
+    def test_small_block_cap(self, files, monkeypatch):
+        monkeypatch.setattr(structure, "_BLOCK_CHARS", 700)
+        _assert_cli_matches_oracle(files(60, 2))
+
+    def test_records_straddle_the_block_cap(self, files):
+        path, bpseq = files(1600, 3)
+        text = path.read_text()
+        structure_chars = sum(len(line) for line in text.splitlines() if not line.startswith(">"))
+        assert structure_chars > 1.2 * structure._BLOCK_CHARS
+        _assert_cli_matches_oracle([path, bpseq])

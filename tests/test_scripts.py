@@ -59,3 +59,9 @@ def test_tracer_finds_its_spans(tmp_path):
     summary = json.loads(spans.read_text())
     assert {"exact.dyck_deg_counts", "exact.CountTable.write_csv"} <= set(summary["seconds"])
     assert summary["counts"]["exact.table_rows"] == 20
+    records = tmp_path / "three.dbn"
+    records.write_text(">a\n((..))..\n>bad\n((.)\n>c\n.([..)].\n")
+    run_script("bench/tracer.py", str(spans), "cli", "stats", str(records))
+    summary = json.loads(spans.read_text())
+    assert {"structure.read_dot_bracket_records", "pipeline.run_stats"} <= set(summary["seconds"])
+    assert summary["counts"]["pipeline.records_skipped"] == 1
