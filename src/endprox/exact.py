@@ -128,19 +128,6 @@ class CountTable:
     weights: np.ndarray
     absent: Union[int, float] = 0
 
-    @classmethod
-    def from_entries(cls, model: Model, size: int, axes: tuple[str, ...], entries: dict) -> "CountTable":
-        """The table of a {key: weight} dict keyed like entries; integer
-        weights stay exact."""
-        cells = {key: w for key, w in entries.items() if key is not None}
-        points = [key if isinstance(key, tuple) else (key,) for key in cells]
-        shape = tuple(max(c) + 1 for c in zip(*points)) if points else (0,) * len(axes)
-        exact = all(isinstance(w, int) for w in entries.values())
-        weights = np.zeros(shape, dtype=object if exact else float)
-        for key, w in cells.items():
-            weights[key] = w
-        return cls(model, size, tuple(axes), weights, entries.get(None, 0))
-
     def _cells(self) -> Iterator[tuple[list, list]]:
         """(keys, weights) of the nonzero cells, in blocks of about
         _CSV_CHUNK grid cells, in ascending key order."""
@@ -408,31 +395,6 @@ def motzkin_joint_counts(n: int) -> CountTable:
     for l, w in _exterior_weights(_uniform_exterior(Model.MOTZKIN, n, exact=True)):
         grid[l, : len(w)] = w
     return CountTable(Model.MOTZKIN, n, ("deg", "unp"), grid)
-
-
-@lru_cache(maxsize=None)
-def _motzkin_deg_rows(n: int) -> tuple[dict, ...]:
-    # single-variable DP, kept independent of the joint table on purpose
-    rows: list[dict] = [{0: 1}]
-    for m in range(1, n + 1):
-        row = dict(rows[m - 1])
-        for j in range(m - 1):
-            c = motzkin_number(j)
-            for l, w in rows[m - 2 - j].items():
-                row[l + 1] = row.get(l + 1, 0) + c * w
-        rows.append(row)
-    return tuple(rows)
-
-
-def motzkin_deg_counts(n: int) -> CountTable:
-    """Deg marginal at length n via a DP that never tracks unp.
-
-    Cubic in n, so the CLI takes the marginal of `motzkin_joint_counts`
-    instead; this DP stays as an independent oracle for the tests.
-    """
-    if n < 0:
-        raise ValueError("length must be nonnegative")
-    return CountTable.from_entries(Model.MOTZKIN, n, ("deg",), _motzkin_deg_rows(n)[n])
 
 
 # ---------------------------------------------------------------------------

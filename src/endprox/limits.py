@@ -173,12 +173,6 @@ def singularity_polynomial_coeffs(p: PfoldParams) -> tuple[float, float, float, 
     )
 
 
-def singularity_polynomial_factored(p: PfoldParams, z: float) -> float:
-    """Direct factored-form evaluation; guards the expansion above."""
-    alpha = p.p1 * p.q2
-    return (1 - alpha * z) ** 2 * (1 - p.p3 * z**2) - 4 * p.p2 * p.q1 * p.q2 * p.q3 * z**3
-
-
 def pfold_rho_delta(p: PfoldParams = DEFAULT_PFOLD, tol: float = 1e-12) -> PfoldDerived:
     """Locate the smallest positive root by a scan-bracketed bisection, then
     polish with Newton steps on the expanded quartic."""

@@ -237,19 +237,15 @@ def compare(
 # serialization
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
 def write_rows_csv(rows: Sequence[StatsRow], stream: IO[str]) -> None:
+    """Absent statistics are empty fields; pseudoknotted is true or false."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(ROW_FIELDS)
+    flag = ROW_FIELDS.index("pseudoknotted")
     for row in rows:
-        writer.writerow([_csv_cell(getattr(row, f)) for f in ROW_FIELDS])
+        cells = [getattr(row, f) for f in ROW_FIELDS]
+        cells[flag] = "true" if cells[flag] else "false"
+        writer.writerow(cells)
 
 
 def rows_to_json(rows: Sequence[StatsRow]) -> list[dict]:

@@ -2,10 +2,10 @@
 
 Every sampler returns step rows: an int8 array of shape (count, length) whose
 entries are +1 (opens a pair), -1 (closes the innermost open pair) and 0 (an
-unpaired position), at count 0 and length 0 too.  `SecondaryStructure`
-objects are built only at the single-structure calls (`sample_dyck`,
-`sample_motzkin`, `sample_pfold`), and `step_rows_text` renders rows
-straight to dot-bracket lines.
+unpaired position), at count 0 and length 0 too.  Rows pair through the level
+sort of the dot-bracket scan (`structure._Block.from_steps`), which gives the
+single-structure calls (`sample_dyck`, `sample_motzkin`, `sample_pfold`) their
+structure; `step_rows_text` renders rows straight to dot-bracket lines.
 
 Randomness comes from the Philox 4x64 counter-based generator, so identical
 seeds reproduce identical sample streams on every platform.
@@ -36,7 +36,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .exact import DEFAULT_PFOLD, PfoldParams, _pfold_mass, pfold_inside
-from .structure import SecondaryStructure
+from .structure import SecondaryStructure, _Block
 
 
 @dataclass
@@ -73,20 +73,6 @@ def _in_blocks(count: int, length: int, draw) -> np.ndarray:
         rows = steps[start : start + block]
         rows[:] = draw(len(rows))
     return steps
-
-
-def _steps_to_structure(steps) -> SecondaryStructure:
-    """Steps +1 (open), -1 (close), 0 (dot) to a nested structure."""
-    partner = [0] * len(steps)
-    stack: list[int] = []
-    for pos0, s in enumerate(np.asarray(steps).tolist()):  # Python ints iterate faster
-        if s > 0:
-            stack.append(pos0)
-        elif s < 0:
-            i = stack.pop()
-            partner[i] = pos0 + 1
-            partner[pos0] = i + 1
-    return SecondaryStructure(len(partner), tuple(partner), False)
 
 
 _DOT_BRACKET = np.frombuffer(b").(", dtype=np.uint8)  # indexed by step + 1
@@ -138,7 +124,7 @@ def sample_dyck_steps(n: int, count: int, rng: RngHandle) -> np.ndarray:
 
 def sample_dyck(n: int, rng: RngHandle) -> SecondaryStructure:
     """One exact-uniform Dyck structure of semilength n (all positions paired)."""
-    return _steps_to_structure(sample_dyck_steps(n, 1, rng)[0])
+    return _Block.from_steps(sample_dyck_steps(n, 1, rng)).structure(0)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +187,7 @@ def sample_motzkin_steps(n: int, count: int, rng: RngHandle) -> np.ndarray:
 
 def sample_motzkin(n: int, rng: RngHandle) -> SecondaryStructure:
     """One exact-uniform dot-bracket structure of length n."""
-    return _steps_to_structure(sample_motzkin_steps(n, 1, rng)[0])
+    return _Block.from_steps(sample_motzkin_steps(n, 1, rng)).structure(0)
 
 
 # ---------------------------------------------------------------------------
@@ -318,4 +304,4 @@ def sample_pfold(
     n: int, p: PfoldParams = DEFAULT_PFOLD, rng: Optional[RngHandle] = None
 ) -> SecondaryStructure:
     """One structure drawn from the grammar conditioned on output length n."""
-    return _steps_to_structure(sample_pfold_many(n, 1, p, rng)[0])
+    return _Block.from_steps(sample_pfold_many(n, 1, p, rng)).structure(0)

@@ -7,12 +7,12 @@ pair count (deg), unpaired count (unp), covalent-bond count (chn), nucleotide
 count (len_ext), a two-scale physical distance estimate (ete), the first-helix
 length (hel) and the first-stem pair count (stm).
 
-Dot-bracket records are read in blocks of whole lines, each at most
-_BLOCK_CHARS characters unless one line is longer, so the memory a scan takes
-is bounded by the block cap whatever the file size.  One scan per block maps
-the characters through a lookup table and pairs every bracket of the block at
-once: in a stable sort by nesting level each opener lands right before its
-mate.  The statistics are columns over a block's partner and depth arrays,
+A block of records comes from dot-bracket text, from partner tables or from
+the samplers' step rows; text and step rows pair through one sort, in which
+by nesting level each opener lands right before its mate.  Text is read in
+blocks of whole lines of at most _BLOCK_CHARS characters unless one line is
+longer, so a scan's memory is bounded by the block cap whatever the file
+size.  The statistics are columns over a block's partner and depth arrays,
 with one level-synchronous breadth-first search for all of its crossing
 records.  The single-structure functions (`parse_dot_bracket`,
 `exterior_stats`, `shortest_path_stats`, `first_helix_length`, `first_stem`)
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
@@ -244,11 +245,27 @@ class _Block:
         partner[paired] += np.repeat(starts[:-1], starts[1:] - starts[:-1])[paired]
         return cls(starts, partner, np.array([s.crossing for s in structures], dtype=bool), {})
 
+    @classmethod
+    def from_steps(cls, rows: Sequence[np.ndarray]) -> "_Block":
+        """Step rows of any lengths as records; a 2-D array is a sequence of rows."""
+        starts = _offsets([len(row) for row in rows])
+        steps = np.concatenate([*rows, np.zeros(0, dtype=np.int8)])
+        at = steps.nonzero()[0]
+        order = _level_order(at, steps[at] > 0, np.cumsum(steps[at], dtype=np.int32))
+        partner = np.full(starts[-1], -1, dtype=np.int64)
+        partner[order[0::2]] = order[1::2]
+        partner[order[1::2]] = order[0::2]
+        return cls(starts, partner, np.zeros(len(starts) - 1, dtype=bool), {})
+
+    @cached_property
+    def _mates(self) -> list[int]:
+        """Every position's 1-based mate within its record, or 0."""
+        first = np.repeat(self.starts[:-1], self.starts[1:] - self.starts[:-1])
+        return np.where(self.partner >= 0, self.partner - (first - 1), 0).tolist()
+
     def structure(self, r: int, sequence: Optional[str] = None) -> SecondaryStructure:
         a, b = int(self.starts[r]), int(self.starts[r + 1])
-        mate = self.partner[a:b]
-        partner = np.where(mate >= 0, mate - (a - 1), 0)
-        return SecondaryStructure(b - a, tuple(partner.tolist()), bool(self.crossing[r]), sequence)
+        return SecondaryStructure(b - a, tuple(self._mates[a:b]), bool(self.crossing[r]), sequence)
 
 
 def _classes(text: str) -> np.ndarray:

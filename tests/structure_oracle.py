@@ -4,13 +4,16 @@ These are character-by-character and record-by-record versions of the dot-
 bracket parser, the crossing check, the exterior walk, the helix and stem
 walks, the breadth-first searches of the shortest-path statistics and the
 per-record `run_stats` rows.  They return the package's own types, so their
-results compare with the package's by equality.
+results compare with the package's by equality.  `unp_deg_of_steps` reads the
+exterior (unp, deg) straight off sampler step rows, without the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from endprox import pipeline
 from endprox.structure import (
@@ -67,6 +70,15 @@ def parse_dot_bracket(text: str) -> SecondaryStructure:
                 f"unmatched '{op}' at position {stack[-1]} (end of string reached)"
             )
     return SecondaryStructure(len(line), tuple(partner), has_crossing(partner))
+
+
+def unp_deg_of_steps(steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exterior (unp, deg) of every step row: the dots and the up steps met
+    at height zero.  Heights are int16, enough for rows shorter than 2**16."""
+    before = np.cumsum(steps, axis=1, dtype=np.int16)
+    before -= steps
+    top = before == 0
+    return (top & (steps == 0)).sum(axis=1), (top & (steps == 1)).sum(axis=1)
 
 
 def exterior_walk(s: SecondaryStructure) -> tuple[list[tuple[int, int]], int]:

@@ -33,7 +33,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from endprox import exact, limits, sampling, shuffling
+from endprox import shuffling
 from endprox.exact import (
     DEFAULT_PFOLD,
     Model,
@@ -51,20 +51,21 @@ from endprox.exact import (
     pfold_string_probability,
 )
 from endprox.limits import dyck_ete_truncations, ete_limit_moments, limit_of, moments, pfold_rho_delta
-from endprox.sampling import (
-    RngHandle,
-    _steps_to_structure,
-    sample_dyck_steps,
-    sample_motzkin_steps,
-    sample_pfold_many,
-    step_rows_text,
-)
-from endprox.structure import DEFAULT_ETE, exterior_stats, parse_dot_bracket, shortest_path_stats, to_dot_bracket
+from endprox.sampling import RngHandle, sample_dyck_steps, sample_motzkin_steps, sample_pfold_many, step_rows_text
+from endprox.structure import _STAT_FIELDS, DEFAULT_ETE, _Block, _columns, exterior_stats, parse_dot_bracket, to_dot_bracket
+from structure_oracle import unp_deg_of_steps
 
 
 def _report(criterion: str, ok: bool, detail: str = "") -> None:
     print(f"ACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} {detail}")
     assert ok, f"criterion {criterion}: {detail}"
+
+
+def _measured(block: _Block, path: bool) -> dict[str, list]:
+    """Every ExteriorStats column of all the block's records, from one call:
+    along the shortest 5'-3' path, or by the exterior walk."""
+    rows = np.arange(len(block.starts) - 1)
+    return dict(zip(_STAT_FIELDS, _columns(block, rows, np.full(len(rows), path), DEFAULT_ETE)))
 
 
 def _tv_against_law(arr: np.ndarray, law) -> float:
@@ -150,30 +151,16 @@ def test_criterion_04_figure_regression():
 def test_criterion_05_oracle_equivalence():
     t0 = time.perf_counter()
     ok = True
+    # every structure of a size measured by the exterior walk in one batch
     for n in range(0, 13):
-        joint = Counter()
-        hel = Counter()
-        stm = Counter()
-        sh = Counter()
-        for s in enumerate_all(Model.MOTZKIN, n):
-            stats = exterior_stats(s)
-            joint[(stats.deg, stats.unp)] += 1
-            hel[stats.hel] += 1
-            stm[stats.stm] += 1
-            sh[stats.stem_helices] += 1
-        ok = ok and dict(joint) == motzkin_joint_counts(n).entries
-        ok = ok and dict(hel) == hel_stm_counts(Model.MOTZKIN, n, Stat.HEL).entries
-        ok = ok and dict(stm) == hel_stm_counts(Model.MOTZKIN, n, Stat.STM).entries
-        ok = ok and dict(sh) == hel_stm_counts(Model.MOTZKIN, n, Stat.STEM_HELICES).entries
+        stats = _measured(_Block.of(list(enumerate_all(Model.MOTZKIN, n))), False)
+        ok = ok and dict(Counter(zip(stats["deg"], stats["unp"]))) == motzkin_joint_counts(n).entries
+        for stat in (Stat.HEL, Stat.STM, Stat.STEM_HELICES):
+            ok = ok and dict(Counter(stats[stat.value])) == hel_stm_counts(Model.MOTZKIN, n, stat).entries
     for n in range(0, 11):
-        deg = Counter()
-        hel = Counter()
-        for s in enumerate_all(Model.DYCK, n):
-            stats = exterior_stats(s)
-            deg[stats.deg] += 1
-            hel[stats.hel] += 1
-        ok = ok and dict(deg) == dyck_deg_counts(n).entries
-        ok = ok and dict(hel) == hel_stm_counts(Model.DYCK, n, Stat.HEL).entries
+        stats = _measured(_Block.of(list(enumerate_all(Model.DYCK, n))), False)
+        ok = ok and dict(Counter(stats["deg"])) == dyck_deg_counts(n).entries
+        ok = ok and dict(Counter(stats["hel"])) == hel_stm_counts(Model.DYCK, n, Stat.HEL).entries
     elapsed = time.perf_counter() - t0
     _report("5", ok and elapsed < 30.0, f"motzkin n<=12, dyck n<=10, {elapsed:.1f} s")
 
@@ -247,31 +234,6 @@ def test_criterion_08a_sampler_exactness_small():
 _JOINT_CHUNK = 100_000
 
 
-def _unp_deg_of_steps(steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exterior (unp, deg) of every step row: the dots and the up steps met
-    at height zero.  Heights are int16, enough for rows shorter than 2**16."""
-    before = np.cumsum(steps, axis=1, dtype=np.int16)
-    before -= steps
-    top = before == 0
-    return (top & (steps == 0)).sum(axis=1), (top & (steps == 1)).sum(axis=1)
-
-
-def _unp_deg_walk(partner: tuple[int, ...]) -> tuple[int, int]:
-    """Exterior (unp, deg) by walking the partner table item by item."""
-    deg = 0
-    unp = 0
-    i = 1
-    while i <= len(partner):
-        j = partner[i - 1]
-        if j == 0:
-            unp += 1
-            i += 1
-        else:
-            deg += 1
-            i = j + 1
-    return unp, deg
-
-
 def _pfold_joint_hist(n: int, count: int, seed: int) -> Counter:
     """(unp, deg) histogram of ``count`` grammar draws from one seeded stream.
 
@@ -282,7 +244,7 @@ def _pfold_joint_hist(n: int, count: int, seed: int) -> Counter:
     rng = RngHandle(seed)
     hist: Counter = Counter()
     for start in range(0, count, _JOINT_CHUNK):
-        unp, deg = _unp_deg_of_steps(sample_pfold_many(n, min(_JOINT_CHUNK, count - start), rng=rng))
+        unp, deg = unp_deg_of_steps(sample_pfold_many(n, min(_JOINT_CHUNK, count - start), rng=rng))
         hist.update(zip(unp.tolist(), deg.tolist()))
     return hist
 
@@ -290,8 +252,9 @@ def _pfold_joint_hist(n: int, count: int, seed: int) -> Counter:
 @given(st.sampled_from(["dyck", "motzkin", "pfold"]), st.integers(1, 120), st.integers(0, 2**31))
 @settings(max_examples=60, deadline=None)
 def test_unp_deg_reading_matches_partner_walk(model, n, seed):
-    """Not a criterion: the vectorized reading that criterion 8b histograms
-    agrees with the partner walk on rows from every sampler."""
+    """Not a criterion: the step-row reading that criterion 8b histograms
+    agrees with the exterior walk over the rows' partner tables, on rows
+    from every sampler."""
     rng = RngHandle(seed)
     if model == "dyck":
         steps = sample_dyck_steps(n, 20, rng)
@@ -299,9 +262,9 @@ def test_unp_deg_reading_matches_partner_walk(model, n, seed):
         steps = sample_motzkin_steps(n, 20, rng)
     else:
         steps = sample_pfold_many(n, 20, rng=rng)
-    unp, deg = _unp_deg_of_steps(steps)
-    walked = [_unp_deg_walk(_steps_to_structure(row).partner) for row in steps]
-    assert list(zip(unp.tolist(), deg.tolist())) == walked
+    unp, deg = unp_deg_of_steps(steps)
+    walked = _measured(_Block.from_steps(steps), False)
+    assert (unp.tolist(), deg.tolist()) == (walked["unp"], walked["deg"])
 
 
 def _joint_tv(hist: Counter, probs: dict, count: int) -> float:
@@ -383,15 +346,11 @@ def test_criterion_09_shuffle():
 
 def test_criterion_10_path_agreement():
     t0 = time.perf_counter()
+    # the draws of sample_motzkin, measured as one block both ways
     rng = RngHandle(9)
-    mismatches = 0
-    for i in range(10_000):
-        n = 1 + (i % 120)
-        s = sampling.sample_motzkin(n, rng)
-        a = exterior_stats(s)
-        b = shortest_path_stats(s)
-        if (a.deg, a.unp, a.chn, a.ete_nm) != (b.deg, b.unp, b.chn, b.ete_nm):
-            mismatches += 1
+    block = _Block.from_steps([sample_motzkin_steps(1 + (i % 120), 1, rng)[0] for i in range(10_000)])
+    walk, path = _measured(block, False), _measured(block, True)
+    mismatches = sum(any(walk[k][r] != path[k][r] for k in ("deg", "unp", "chn", "ete_nm")) for r in range(10_000))
     elapsed = time.perf_counter() - t0
     _report("10", mismatches == 0, f"{mismatches} mismatches over 1e4 structures, {elapsed:.0f} s")
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from endprox.cli import main
-from endprox.exact import motzkin_deg_counts
+from exact_oracle import motzkin_deg_counts
 
 
 @pytest.fixture

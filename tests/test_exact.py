@@ -26,7 +26,6 @@ from endprox.exact import (
     dyck_deg_counts,
     enumerate_all,
     hel_stm_counts,
-    motzkin_deg_counts,
     motzkin_joint_counts,
     motzkin_number,
     pfold_exterior_totals,
@@ -36,6 +35,7 @@ from endprox.exact import (
     pfold_string_probability,
 )
 from endprox.structure import exterior_stats
+from exact_oracle import motzkin_deg_counts, table_from_entries
 
 
 def exterior_of(s):
@@ -601,7 +601,7 @@ class TestFirstArchEngine:
         assert main(["exact", "--model", "motzkin", "--n", "150", "--stat", "stm"]) == 0
         expected = io.StringIO()
         entries = _oracle_entries(_motzkin_stem_rows_oracle(150, False)[150])
-        exact.CountTable.from_entries(Model.MOTZKIN, 150, ("stm",), entries).write_csv(expected)
+        table_from_entries(Model.MOTZKIN, 150, ("stm",), entries).write_csv(expected)
         assert capsys.readouterr().out == expected.getvalue()
 
     @pytest.mark.parametrize("model", [Model.DYCK, Model.MOTZKIN], ids=lambda m: m.value)

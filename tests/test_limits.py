@@ -18,9 +18,9 @@ from endprox.limits import (
     pfold_rho_delta,
     pmf_expand,
     singularity_polynomial_coeffs,
-    singularity_polynomial_factored,
 )
 from endprox.structure import DEFAULT_ETE
+from exact_oracle import singularity_polynomial_factored
 
 
 class TestRoot:

@@ -148,21 +148,19 @@ class TestCompare:
 
     def test_sampled_deg_tv_at_2000(self):
         # 1e5 uniform draws at length 2000: the empirical deg histogram sits
-        # within TV 0.03 of the limit law (deg read off the step matrix in
+        # within TV 0.03 of the limit law (deg read off the step rows in
         # chunks; building 1e5 full structure objects would be pure overhead)
-        import numpy as np
+        from collections import Counter
 
         from endprox.sampling import RngHandle, sample_motzkin_steps
-        from collections import Counter
+        from structure_oracle import unp_deg_of_steps
 
         n, count = 2000, 100_000
         law = limit_of(Model.MOTZKIN, Stat.DEG)
         rng = RngHandle(51)
         hist: Counter = Counter()
         for _ in range(10):
-            steps = sample_motzkin_steps(n, count // 10, rng)
-            heights = np.cumsum(steps, axis=1, dtype=np.int32)
-            degs = ((steps == 1) & (heights - steps == 0)).sum(axis=1)
+            _, degs = unp_deg_of_steps(sample_motzkin_steps(n, count // 10, rng))
             hist.update(degs.tolist())
         cap = law_quantile_cap(law)
         tv = total_variation(hist, law, cap)
@@ -179,6 +177,22 @@ class TestWriters:
         buf2 = io.StringIO()
         write_summary_csv(blocks, buf2)
         assert buf2.getvalue().splitlines()[0] == "group,n_structures,stat,mean,variance"
+
+    def test_rows_csv_cells(self):
+        # absent statistics are empty cells, the crossing flag is true or
+        # false, an id with a comma is quoted, and a bad record has no row
+        text = ">nested\n.(...)..(...).\n>pk group=b\n((..[[..))..]]\n>dots\n.....\n>bad\n((.\n>a,b\n(())\n"
+        rows, _, errors = run_stats(records_from(text))
+        buf = io.StringIO()
+        write_rows_csv(rows, buf)
+        assert [e[0] for e in errors] == ["bad"]
+        assert buf.getvalue() == (
+            "id,length,deg,unp,chn,len_ext,ete_nm,rms_nm,hel,stm,stem_helices,pseudoknotted,group\n"
+            "nested,14,2,4,5,8,2.796602046558486,2.7041634565979917,1,1,1,false,g\n"
+            "pk,14,1,2,4,4,2.06854426193988,2.7041634565979917,2,,,true,b\n"
+            "dots,5,0,5,4,5,1.4243859601963234,1.5,,,,false,g\n"
+            '"a,b",4,1,0,0,2,1.5,1.299038105676658,2,2,1,false,g\n'
+        )
 
     def test_heatmap_csv(self):
         rows, _, _ = run_stats(records_from("(...)\n"))

@@ -4,9 +4,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import structure_oracle as oracle
 from endprox.exact import (
     DEFAULT_PFOLD,
     Model,
@@ -23,7 +24,6 @@ from endprox.sampling import (
     RngHandle,
     _pair_count_cumweights,
     _pair_counts,
-    _steps_to_structure,
     sample_dyck,
     sample_dyck_steps,
     sample_motzkin,
@@ -32,18 +32,12 @@ from endprox.sampling import (
     sample_pfold_many,
     step_rows_text,
 )
-from endprox.structure import to_dot_bracket
+from endprox.structure import _Block, to_dot_bracket
 
 
 def _structures(steps: np.ndarray) -> list:
-    return [_steps_to_structure(row) for row in steps]
-
-
-def _deg_of_steps(steps: np.ndarray) -> np.ndarray:
-    """Top-level pair count per row: up steps taken at height zero."""
-    heights = np.cumsum(steps, axis=1, dtype=np.int32)
-    before = heights - steps
-    return ((steps == 1) & (before == 0)).sum(axis=1)
+    block = _Block.from_steps(steps)
+    return [block.structure(r) for r in range(len(steps))]
 
 
 class TestRng:
@@ -140,8 +134,7 @@ class TestMotzkin:
         law = conditional_law(Model.MOTZKIN, Stat.DEG, n)
         exact_mean = float(np.dot(np.arange(len(law)), law))
         exact_var = float(np.dot(np.arange(len(law)) ** 2, law)) - exact_mean**2
-        steps = sample_motzkin_steps(n, count, RngHandle(13))
-        degs = _deg_of_steps(steps)
+        _, degs = oracle.unp_deg_of_steps(sample_motzkin_steps(n, count, RngHandle(13)))
         se = math.sqrt(exact_var / count)
         assert abs(np.mean(degs) - exact_mean) < 4 * se
 
@@ -187,8 +180,7 @@ class TestMotzkin:
         law = conditional_law(Model.MOTZKIN, Stat.DEG, n)
         exact_mean = float(np.dot(np.arange(len(law)), law))
         exact_var = float(np.dot(np.arange(len(law)) ** 2, law)) - exact_mean**2
-        steps = sample_motzkin_steps(n, count, RngHandle(14))
-        degs = _deg_of_steps(steps)
+        _, degs = oracle.unp_deg_of_steps(sample_motzkin_steps(n, count, RngHandle(14)))
         se = math.sqrt(exact_var / count)
         assert abs(np.mean(degs) - exact_mean) < 4 * se
 
@@ -252,20 +244,8 @@ class TestPfold:
         # distribution-level agreement with the exact conditional law
         n, count = 80, 30_000
         probs = pfold_joint_probs(n)
-        hist = Counter()
-        for s in _structures(sample_pfold_many(n, count, rng=RngHandle(19))):
-            deg = 0
-            unp = 0
-            i = 1
-            while i <= n:
-                j = s.partner[i - 1]
-                if j == 0:
-                    unp += 1
-                    i += 1
-                else:
-                    deg += 1
-                    i = j + 1
-            hist[(unp, deg)] += 1
+        unp, deg = oracle.unp_deg_of_steps(sample_pfold_many(n, count, rng=RngHandle(19)))
+        hist = Counter(zip(unp.tolist(), deg.tolist()))
         tv = 0.5 * sum(
             abs(hist.get(k, 0) / count - probs.get(k, 0.0)) for k in set(hist) | set(probs)
         )
@@ -299,12 +279,28 @@ class TestStepRows:
         with pytest.raises(ValueError, match="count must be nonnegative"):
             _draw(model, 5, -1, 3)
 
-    @given(st.sampled_from(["dyck", "motzkin", "pfold"]), st.integers(1, 80), st.integers(0, 6), st.integers(0, 2**31))
+    @given(
+        st.sampled_from(["dyck", "motzkin", "pfold"]),
+        st.integers(0, 80),
+        st.integers(0, 80),
+        st.integers(0, 6),
+        st.integers(0, 2**31),
+    )
     @settings(max_examples=60, deadline=None)
-    def test_rendering_matches_structures(self, model, n, count, seed):
-        steps = _draw(model, n, count, seed)
-        expected = "".join(to_dot_bracket(_steps_to_structure(row)) + "\n" for row in steps)
-        assert step_rows_text(steps) == expected
+    def test_rendering_matches_structures(self, model, n, m, count, seed):
+        # the rendered lines parse to the structures that the block pairs;
+        # rows of lengths n and m share one block, as a 2-D array does one
+        assume(model != "pfold" or min(n, m) > 0)  # the grammar has no length-0 output
+        batches = [_draw(model, n, count, seed), _draw(model, m, count, seed + 1)]
+        lines = [line for steps in batches for line in step_rows_text(steps).splitlines()]
+        ragged = _Block.from_steps([row for steps in batches for row in steps])
+        square = _Block.from_steps(batches[0])
+        assert len(lines) == 2 * count
+        for r, line in enumerate(lines):
+            s = ragged.structure(r)
+            assert s == oracle.parse_dot_bracket(line) and not s.crossing
+            if r < count:
+                assert square.structure(r) == s
 
 
 def _serial_traceback(n: int, p: PfoldParams, u: np.ndarray) -> list[int]:
