@@ -51,6 +51,7 @@ from .pipeline import (
     compare,
     heatmap,
     run_stats,
+    stat_values,
     summarize,
     total_variation,
 )

@@ -9,11 +9,13 @@ parameters, seed and output format.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from dataclasses import asdict
+from itertools import chain
 from pathlib import Path
-from typing import Optional
+from typing import IO, Iterable, Iterator, Optional
 
 from . import exact, limits, pipeline, sampling, shuffling, structure
 from .exact import Model, PfoldParams, Stat, UnsupportedCombination
@@ -122,31 +124,98 @@ def _pfold_params(args) -> PfoldParams:
     return PfoldParams(*values)
 
 
-def _read_structure_files(paths: list[str]) -> list[structure.ParsedRecord]:
-    records: list[structure.ParsedRecord] = []
-    if not paths:
-        records.extend(structure.read_dot_bracket_records(sys.stdin.read(), "stdin"))
-        return records
-    for path in paths:
-        text = Path(path).read_text()
+def _read_structure_files(paths: list[str]) -> Iterator[list[structure.ParsedRecord]]:
+    """The records of the structure files, or of stdin if there are none,
+    one list per block.  Every input is opened and decoded once before this
+    returns, so one that cannot be read fails before anything is written."""
+    inputs = [(path, _decoded(open(path))) for path in paths] or [(None, _decoded(_stdin()))]
+    return chain.from_iterable(_file_records(path, fh) for path, fh in inputs)
+
+
+def _stdin() -> IO[str]:
+    """stdin as a text stream that can be read twice: bytes are first copied
+    to a temporary file."""
+    if not hasattr(sys.stdin, "buffer"):
+        return sys.stdin
+    import shutil
+    import tempfile
+
+    spool = tempfile.TemporaryFile()
+    shutil.copyfileobj(sys.stdin.buffer, spool)
+    spool.seek(0)
+    return io.TextIOWrapper(spool, encoding=sys.stdin.encoding, errors=sys.stdin.errors, newline="\n")
+
+
+def _decoded(fh: IO[str]) -> IO[str]:
+    """fh rewound, after one pass that decodes all of it; a decoding error is
+    raised as a whole read raises it."""
+    try:
+        while fh.read(1 << 13):
+            pass
+    except UnicodeDecodeError:
+        fh.seek(0)
+        fh.read()
+        raise
+    fh.seek(0)
+    return fh
+
+
+def _lines(fh: IO[str]) -> Iterator[str]:
+    """The lines of fh as str.splitlines() cuts its whole text."""
+    for line in fh:
+        yield from line.splitlines()
+
+
+def _file_records(path: Optional[str], fh: IO[str]) -> Iterator[list[structure.ParsedRecord]]:
+    with fh:
+        if path is None:
+            yield from structure.read_dot_bracket_blocks(_lines(fh), "stdin")
+            return
         stem = Path(path).stem
-        if _looks_like_bpseq(path, text):
-            records.extend(structure.read_bpseq_records(text, rec_id=stem, group=stem))
+        bpseq = _looks_like_bpseq(path, _lines(fh))
+        fh.seek(0)
+        if bpseq:
+            yield structure.read_bpseq_records(fh.read(), rec_id=stem, group=stem)
         else:
-            records.extend(structure.read_dot_bracket_records(text, default_group=stem))
-    return records
+            yield from structure.read_dot_bracket_blocks(_lines(fh), stem)
 
 
-def _looks_like_bpseq(path: str, text: str) -> bool:
+def _looks_like_bpseq(path: str, lines: Iterable[str]) -> bool:
     if path.endswith(".bpseq"):
         return True
-    for raw in text.splitlines():
+    for raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         fields = line.split()
         return len(fields) == 3 and fields[0].isdigit() and fields[2].lstrip("-").isdigit()
     return False
+
+
+def _rows(args) -> Iterator[list[pipeline.StatsRow]]:
+    """The stats rows of the input, one list per block that has any.
+
+    A block's skipped records go to stderr as it is measured, except that
+    those before the first row are held back with their records: input in
+    which nothing parses fails with its error alone, as run_stats raises it.
+    """
+    blocks = _read_structure_files(args.files)
+    m = _ete_model(args)
+    held: Optional[list[structure.ParsedRecord]] = []
+    for records in blocks:
+        good = any(rec.has_structure for rec in records)
+        if held is not None:
+            held += records
+            if not good:
+                continue
+            records, held = held, None
+        rows, _, errors = pipeline.run_stats(records, m) if good else ([], None, pipeline.skipped(records))
+        for rec_id, message in errors:
+            sys.stderr.write(f"skipped {rec_id}: {message}\n")
+        if rows:
+            yield rows
+    if held is not None:
+        pipeline.run_stats(held, m)  # raises NoRecords
 
 
 def _emit(args, csv_writer, json_payload) -> None:
@@ -158,14 +227,32 @@ def _emit(args, csv_writer, json_payload) -> None:
         csv_writer(sys.stdout)
 
 
+class _Stream(list):
+    """A list, to json.dump, whose items come from an iterator read once."""
+
+    def __init__(self, items: Iterable):
+        super().__init__()
+        self.items = items
+
+    def __iter__(self):
+        return iter(self.items)
+
+    def __bool__(self) -> bool:
+        return True
+
+
 def _cmd_stats(args) -> int:
-    rows, blocks, errors = pipeline.run_stats(_read_structure_files(args.files), _ete_model(args))
-    for rec_id, message in errors:
-        sys.stderr.write(f"skipped {rec_id}: {message}\n")
+    blocks = _rows(args)
     if args.summary:
-        _emit(args, lambda out: pipeline.write_summary_csv(blocks, out), lambda: pipeline.summary_to_json(blocks))
-    else:
-        _emit(args, lambda out: pipeline.write_rows_csv(rows, out), lambda: pipeline.rows_to_json(rows))
+        summary = pipeline.summarize(chain.from_iterable(blocks))
+        _emit(args, lambda out: pipeline.write_summary_csv(summary, out), lambda: pipeline.summary_to_json(summary))
+        return 0
+    blocks = chain([next(blocks)], blocks)  # the first rows, before any output
+    _emit(
+        args,
+        lambda out: pipeline.write_rows_csv(chain.from_iterable(blocks), out),
+        lambda: _Stream(chain.from_iterable(map(pipeline.rows_to_json, blocks))),
+    )
     return 0
 
 
@@ -285,19 +372,15 @@ def _cmd_shuffle(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    rows, _, errors = pipeline.run_stats(_read_structure_files(args.files), _ete_model(args))
-    for rec_id, message in errors:
-        sys.stderr.write(f"skipped {rec_id}: {message}\n")
-    report = pipeline.compare(rows, Model(args.model), _STAT_CHOICES[args.stat], _pfold_params(args))
+    stat = _STAT_CHOICES[args.stat]
+    values = pipeline.stat_values(chain.from_iterable(_rows(args)), stat)
+    report = pipeline.compare(values, Model(args.model), stat, _pfold_params(args))
     _emit(args, lambda out: pipeline.write_compare_csv(report, out), lambda: asdict(report))
     return 0
 
 
 def _cmd_heatmap(args) -> int:
-    rows, _, errors = pipeline.run_stats(_read_structure_files(args.files), _ete_model(args))
-    for rec_id, message in errors:
-        sys.stderr.write(f"skipped {rec_id}: {message}\n")
-    cells = pipeline.heatmap(rows, _ete_model(args))
+    cells = pipeline.heatmap(chain.from_iterable(_rows(args)), _ete_model(args))
     _emit(args, lambda out: pipeline.write_heatmap_csv(cells, out), lambda: [asdict(c) for c in cells])
     return 0
 

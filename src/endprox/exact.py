@@ -444,11 +444,14 @@ def pfold_inside(p: PfoldParams, n: int) -> PfoldInside:
 
 
 def _pfold_mass(p: PfoldParams, n: int) -> float:
-    """S[n], the probability of a length-n output; positive at every n >= 1."""
+    """S[n], the probability of a length-n output; positive at every n >= 1.
+
+    A subnormal S[n] counts as underflowed: the tables built from it have
+    lost most of their bits."""
     if n < 1:
         raise ZeroMassLength("grammar output has length at least 1")
     mass = pfold_inside(p, n).S[n]
-    if not mass > 0.0:
+    if not mass >= np.finfo(float).tiny:
         raise ZeroMassLength(f"the inside weight S[{n}] underflowed to {mass} at {p}")
     return mass
 

@@ -4,9 +4,11 @@ comparisons of empirical histograms against the limit laws."""
 from __future__ import annotations
 
 import csv
+from array import array
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
-from typing import IO, Mapping, Optional, Sequence
+from operator import attrgetter
+from typing import IO, Iterable, Mapping, Optional, Sequence
 
 from .exact import Model, PfoldParams, Stat
 from .limits import LenDist, LimitDist, NegBinomial, limit_of, moments
@@ -60,7 +62,6 @@ def run_stats(
     if not records:
         raise NoRecords("no records in input")
     good = [rec for rec in records if rec.has_structure]
-    errors = [(rec.id, rec.error or "parse error") for rec in records if not rec.has_structure]
     if not good:
         raise NoRecords("every record failed to parse")
     columns = stats_columns(good, m)
@@ -68,28 +69,62 @@ def run_stats(
     columns["group"] = [rec.group or "default" for rec in good]
     columns["pseudoknotted"] = columns.pop("crossing")
     rows = [StatsRow(*values) for values in zip(*(columns[name] for name in ROW_FIELDS))]
-    return rows, summarize(rows), errors
+    return rows, summarize(rows), skipped(records)
 
 
-def summarize(rows: Sequence[StatsRow]) -> list[SummaryBlock]:
+def skipped(records: Iterable[ParsedRecord]) -> list[tuple[str, str]]:
+    """(id, message) of each record that holds no structure."""
+    return [(rec.id, rec.error or "parse error") for rec in records if not rec.has_structure]
+
+
+def summarize(rows: Iterable[StatsRow]) -> list[SummaryBlock]:
     """Population mean/variance per group; optional statistics average over
-    the rows where they are present."""
-    by_group: dict[str, list[StatsRow]] = {}
+    the rows where they are present.
+
+    rows are read once, so they may be a stream.  A group keeps one compact
+    array per statistic, 2 bytes a value for values below 2**16 (a distance
+    is stored as its index in the group's table of distinct distances), and
+    both passes sum its values in input order."""
+    values = attrgetter(*_SUMMARY_STATS)
+    groups: dict[str, list] = {}  # group -> [row count, {distance: index}, pending rows' values, one array per statistic]
     for row in rows:
-        by_group.setdefault(row.group, []).append(row)
+        group = groups.get(row.group)
+        if group is None:
+            group = groups[row.group] = [0, {}, [], *(array("H") for _ in _SUMMARY_STATS)]
+        group[2].append(values(row))
+        if len(group[2]) == 64:
+            _store(group)
     blocks = []
-    for group, members in by_group.items():
+    for label, group in groups.items():
+        _store(group)
+        count, distances, _, *columns = group
+        table = list(distances)
         means: dict[str, float] = {}
         variances: dict[str, float] = {}
-        for name in _SUMMARY_STATS:
-            values = [getattr(r, name) for r in members if getattr(r, name) is not None]
-            if not values:
+        for name, column in zip(_SUMMARY_STATS, columns):
+            if not column:
                 continue
-            mu = sum(values) / len(values)
+            if name.endswith("_nm"):
+                column = [table[i] for i in column]
+            mu = sum(column) / len(column)
             means[name] = mu
-            variances[name] = sum((v - mu) ** 2 for v in values) / len(values)
-        blocks.append(SummaryBlock(group, len(members), means, variances))
+            variances[name] = sum((v - mu) ** 2 for v in column) / len(column)
+        blocks.append(SummaryBlock(label, count, means, variances))
     return blocks
+
+
+def _store(group: list) -> None:
+    """Move a summary group's pending values into its arrays."""
+    distances, pending = group[1], group[2]
+    group[0] += len(pending)
+    for k, name, column in zip(range(3, len(group)), _SUMMARY_STATS, zip(*pending)):
+        kept = [v for v in column if v is not None]
+        if name.endswith("_nm"):
+            kept = [distances.setdefault(v, len(distances)) for v in kept]
+        if kept and group[k].typecode == "H" and not 0 <= min(kept) <= max(kept) < 1 << 16:
+            group[k] = array("q", group[k])
+        group[k].extend(kept)
+    pending.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -115,13 +150,13 @@ class HeatmapCell:
     band: str
 
 
-def heatmap(rows: Sequence[StatsRow], m: EteModel = DEFAULT_ETE) -> list[HeatmapCell]:
+def heatmap(rows: Iterable[StatsRow], m: EteModel = DEFAULT_ETE) -> list[HeatmapCell]:
     """Percentage of structures per (deg, unp) cell, with the distance band
-    of the cell's coordinates."""
-    if not rows:
-        raise NoRecords("heatmap needs at least one row")
+    of the cell's coordinates.  rows are read once and only counted."""
     counts = Counter((row.deg, row.unp) for row in rows)
-    total = len(rows)
+    total = sum(counts.values())
+    if not total:
+        raise NoRecords("heatmap needs at least one row")
     cells = []
     for (deg, unp), cnt in sorted(counts.items()):
         dist = ete_distance(deg, max(0, deg + unp - 1), m)
@@ -189,23 +224,29 @@ class CompareReport:
     bins: list[tuple[int, float, float]]  # value, empirical prob, law pmf
 
 
+def stat_values(rows: Iterable[StatsRow], stat: Stat) -> list[Optional[int]]:
+    """What compare reads of each row: the statistic, or None where the row
+    lacks it or compare does not support the statistic.  rows are read
+    once."""
+    attr = _STAT_ATTR.get(stat)
+    return [None if attr is None else getattr(row, attr) for row in rows]
+
+
 def compare(
-    rows: Sequence[StatsRow],
+    values: Sequence[Optional[int]],
     model: Model,
     stat: Stat,
     p: Optional[PfoldParams] = None,
 ) -> CompareReport:
     """Empirical distribution of one statistic against its limit law.
 
-    Rows lacking the statistic (e.g. unpaired structures for hel) are
-    skipped and counted."""
-    attr = _STAT_ATTR.get(stat)
-    if attr is None:
+    values holds the statistic of each row (`stat_values`); rows lacking it
+    (None, e.g. unpaired structures for hel) are skipped and counted."""
+    if stat not in _STAT_ATTR:
         from .exact import UnsupportedCombination
 
         raise UnsupportedCombination(f"compare does not support {stat.value}")
     law = limit_of(model, stat, p)
-    values = [getattr(row, attr) for row in rows]
     kept = [v for v in values if v is not None]
     if not kept:
         raise EmptyHistogram("no rows carry this statistic")

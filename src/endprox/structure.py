@@ -10,9 +10,9 @@ length (hel) and the first-stem pair count (stm).
 A block of records comes from dot-bracket text, from partner tables or from
 the samplers' step rows; text and step rows pair through one sort, in which
 by nesting level each opener lands right before its mate.  Text is read in
-blocks of whole lines of at most _BLOCK_CHARS characters unless one line is
-longer, so a scan's memory is bounded by the block cap whatever the file
-size.  The statistics are columns over a block's partner and depth arrays,
+blocks of whole records of at most _BLOCK_CHARS structure characters unless
+one line is longer, so a scan's memory is bounded by the block cap whatever
+the file size, and a stream of lines is read one block at a time.  The statistics are columns over a block's partner and depth arrays,
 with one level-synchronous breadth-first search for all of its crossing
 records.  The single-structure functions (`parse_dot_bracket`,
 `exterior_stats`, `shortest_path_stats`, `first_helix_length`, `first_stem`)
@@ -33,8 +33,9 @@ OPENERS = "([{<"
 CLOSERS = ")]}>"
 
 # a block of records holds at most this many characters (one longer line
-# makes a block of its own); the scan's temporaries are arrays of that size
-_BLOCK_CHARS = 1 << 18
+# makes a block of its own); the scan's temporaries are arrays of that size,
+# about 25 bytes a character at their peak
+_BLOCK_CHARS = 1 << 16
 
 # character classes of the scan: 0 a dot, 1-4 the openers and 5-8 the
 # closers of the bracket families in OPENERS order, 9 anything else
@@ -765,22 +766,26 @@ def _attach(pending: list[tuple[ParsedRecord, str, Optional[str]]]) -> None:
             rec._row = (block, r, sequence)
 
 
-def read_dot_bracket_records(text: str, default_group: Optional[str] = None) -> list[ParsedRecord]:
+def read_dot_bracket_records(
+    text: str | Iterable[str], default_group: Optional[str] = None, first: int = 1
+) -> list[ParsedRecord]:
     """Read dot-bracket records: an optional ">id key=value ..." header line
     followed by one structure line; bare structure lines are allowed.
 
-    A letters-only line right after a header is that record's sequence (the
-    three-line header, sequence, structure layout); a record whose sequence
-    and structure differ in length gets an error, and so does a header
-    followed by another header or by the end of the input.  Structure lines
-    are parsed one block of at most _BLOCK_CHARS characters at a time.
+    text is the file's text or its lines.  A letters-only line right after a
+    header is that record's sequence (the three-line header, sequence,
+    structure layout); a record whose sequence and structure differ in
+    length gets an error, and so does a header followed by another header
+    or by the end of the input.  A record without an id is numbered from
+    `first`.  Structure lines are parsed one block of at most _BLOCK_CHARS
+    characters at a time.
     """
     records: list[ParsedRecord] = []
     pending: list[tuple[ParsedRecord, str, Optional[str]]] = []
     header: Optional[tuple[str, Optional[str]]] = None
     sequence: Optional[str] = None
     orphan = "header with no structure line"
-    for raw in text.splitlines():
+    for raw in text.splitlines() if isinstance(text, str) else text:
         line = raw.strip()
         if not line:
             continue
@@ -788,7 +793,7 @@ def read_dot_bracket_records(text: str, default_group: Optional[str] = None) -> 
             if header:
                 records.append(ParsedRecord(*header, error=orphan))
             tokens = line[1:].split()
-            rec_id = tokens[0] if tokens else f"rec{len(records) + 1}"
+            rec_id = tokens[0] if tokens else f"rec{first + len(records)}"
             group = default_group
             for tok in tokens[1:]:
                 if tok.startswith("group="):
@@ -799,7 +804,7 @@ def read_dot_bracket_records(text: str, default_group: Optional[str] = None) -> 
         if header and sequence is None and line.isalpha():
             sequence = line
             continue
-        rec_id, group = header if header else (f"rec{len(records) + 1}", default_group)
+        rec_id, group = header if header else (f"rec{first + len(records)}", default_group)
         header = None
         rec = ParsedRecord(id=rec_id, group=group)
         records.append(rec)
@@ -810,6 +815,34 @@ def read_dot_bracket_records(text: str, default_group: Optional[str] = None) -> 
     for block in _blocks(pending, lambda item: len(item[1])):
         _attach(block)
     return records
+
+
+def read_dot_bracket_blocks(lines: Iterable[str], default_group: Optional[str] = None) -> Iterator[list[ParsedRecord]]:
+    """read_dot_bracket_records over a stream of lines, one list of records
+    per block: whole records are taken until their structure lines would
+    pass _BLOCK_CHARS characters, so only one block is held at a time."""
+    chunk: list[str] = []
+    record: list[str] = []  # the lines of the record being read
+    size, first = 0, 1
+    for raw in lines:
+        line = raw.strip()
+        if not line:
+            continue
+        # a record ends at a line that is neither a header nor the sequence right after one
+        ends = line[0] != ">" and not (record and record[-1][0] == ">" and line.isalpha())
+        record.append(line)
+        if not ends:
+            continue
+        if chunk and size + len(line) > _BLOCK_CHARS:
+            records = read_dot_bracket_records(chunk, default_group, first)
+            first += len(records)
+            yield records
+            chunk, size = [], 0
+        chunk += record
+        size += len(line)
+        record = []
+    if chunk or record:
+        yield read_dot_bracket_records(chunk + record, default_group, first)
 
 
 def read_bpseq_records(text: str, rec_id: str, group: Optional[str] = None) -> list[ParsedRecord]:

@@ -3,14 +3,18 @@
 These are character-by-character and record-by-record versions of the dot-
 bracket parser, the crossing check, the exterior walk, the helix and stem
 walks, the breadth-first searches of the shortest-path statistics and the
-per-record `run_stats` rows.  They return the package's own types, so their
-results compare with the package's by equality.  `unp_deg_of_steps` reads the
+per-record `run_stats` rows, with the CLI's whole-file reader and the
+list-based `summarize` that the streamed commands replaced.  They return the
+package's own types, so their results compare with the package's by
+equality.  `unp_deg_of_steps` reads the
 exterior (unp, deg) straight off sampler step rows, without the package.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import replace
+from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -30,6 +34,7 @@ from endprox.structure import (
     StructureError,
     UnbalancedBracket,
     ete_distance,
+    read_bpseq_records,
     rms_distance,
 )
 
@@ -332,4 +337,50 @@ def run_stats(records: Sequence[ParsedRecord], m: EteModel = DEFAULT_ETE):
     if not good:
         raise pipeline.NoRecords("every record failed to parse")
     rows = [row_from_record(rec, m) for rec in good]
-    return rows, pipeline.summarize(rows), errors
+    return rows, summarize(rows), errors
+
+
+def summarize(rows):
+    by_group: dict[str, list] = {}
+    for row in rows:
+        by_group.setdefault(row.group, []).append(row)
+    blocks = []
+    for group, members in by_group.items():
+        means: dict[str, float] = {}
+        variances: dict[str, float] = {}
+        for name in pipeline._SUMMARY_STATS:
+            values = [getattr(r, name) for r in members if getattr(r, name) is not None]
+            if not values:
+                continue
+            mu = sum(values) / len(values)
+            means[name] = mu
+            variances[name] = sum((v - mu) ** 2 for v in values) / len(values)
+        blocks.append(pipeline.SummaryBlock(group, len(members), means, variances))
+    return blocks
+
+
+def looks_like_bpseq(path: str, text: str) -> bool:
+    if path.endswith(".bpseq"):
+        return True
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        return len(fields) == 3 and fields[0].isdigit() and fields[2].lstrip("-").isdigit()
+    return False
+
+
+def read_structure_files(paths: list[str]) -> list[list[ParsedRecord]]:
+    """Every input read whole, all of its records as one block."""
+    if not paths:
+        return [read_dot_bracket_records(sys.stdin.read(), "stdin")]
+    records: list[ParsedRecord] = []
+    for path in paths:
+        text = Path(path).read_text()
+        stem = Path(path).stem
+        if looks_like_bpseq(path, text):
+            records.extend(read_bpseq_records(text, rec_id=stem, group=stem))
+        else:
+            records.extend(read_dot_bracket_records(text, default_group=stem))
+    return [records]

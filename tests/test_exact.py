@@ -34,6 +34,7 @@ from endprox.exact import (
     pfold_joint_table,
     pfold_string_probability,
 )
+from endprox.sampling import RngHandle, sample_pfold_many
 from endprox.structure import exterior_stats
 from exact_oracle import motzkin_deg_counts, table_from_entries
 
@@ -188,20 +189,25 @@ class TestPfoldInside:
     def test_underflowed_mass_raises(self):
         """At this high-rho point S[2500] underflows to 0.0 although every
         length has positive probability; no table or law may come back empty
-        or NaN."""
+        or NaN.  A subnormal S[n] (n = 582..611 at the first point below,
+        2212..2321 at the second) has lost most of its bits and raises too."""
         p = PfoldParams(0.2, 0.9, 0.2)
         assert pfold_inside(p, 2500).S[2500] == 0.0
-        calls = [
-            lambda: pfold_joint_table(2500, p),
-            lambda: pfold_joint_probs(2500, p),
-            lambda: hel_stm_counts(Model.PFOLD, 2500, Stat.HEL, p),
-            lambda: conditional_law(Model.PFOLD, Stat.DEG, 2500, p),
-            lambda: conditional_law(Model.PFOLD, Stat.UNP, 2500, p),
-            lambda: conditional_law(Model.PFOLD, Stat.HEL, 2500, p),
-        ]
-        for call in calls:
-            with pytest.raises(ZeroMassLength, match="underflowed"):
-                call()
+        cases = [(p, 2500), (p, 2300)] + [(PfoldParams(0.95, 0.95, 0.05), n) for n in (582, 600, 611)]
+        for q, n in cases:
+            assert pfold_inside(q, n).S[n] < np.finfo(float).tiny
+            calls = [
+                lambda: pfold_joint_table(n, q),
+                lambda: pfold_joint_probs(n, q),
+                lambda: hel_stm_counts(Model.PFOLD, n, Stat.HEL, q),
+                lambda: conditional_law(Model.PFOLD, Stat.DEG, n, q),
+                lambda: conditional_law(Model.PFOLD, Stat.UNP, n, q),
+                lambda: conditional_law(Model.PFOLD, Stat.HEL, n, q),
+                lambda: sample_pfold_many(n, 2, q, RngHandle(0)),
+            ]
+            for call in calls:
+                with pytest.raises(ZeroMassLength, match="underflowed"):
+                    call()
 
     def test_conservation_small_scale(self):
         p = DEFAULT_PFOLD

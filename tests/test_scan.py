@@ -1,11 +1,15 @@
 """The block scan and the column statistics against the scalar structure
 layer they replaced (structure_oracle): partner tables, crossing flags,
 errors, ExteriorStats, breadth-first distances, and whole CLI runs byte for
-byte, with records on both sides of block boundaries."""
+byte against the whole-file reader, with records on both sides of block
+boundaries; and the streamed commands' memory against the file size."""
 
 import contextlib
 import io
+import os
 import random
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,23 +259,27 @@ COMMANDS = [
 ]
 
 
-def _run(argv):
+def _run(argv, stdin=""):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        mp.setattr(sys, "stdin", io.StringIO(stdin))
         code = cli.main(argv)
     return code, out.getvalue(), err.getvalue()
 
 
-def _assert_cli_matches_oracle(files):
+def _assert_cli_matches_oracle(files, stdin="", skipped=True):
+    """Each command gives the same exit code, stdout and stderr as with every
+    input read whole the old way and measured record by record."""
     for command in COMMANDS:
         argv = command + [str(f) for f in files]
-        got = _run(argv)
+        got = _run(argv, stdin)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(structure, "read_dot_bracket_records", oracle.read_dot_bracket_records)
+            mp.setattr(cli, "_read_structure_files", oracle.read_structure_files)
             mp.setattr(pipeline, "run_stats", oracle.run_stats)
-            want = _run(argv)
+            mp.setattr(pipeline, "summarize", oracle.summarize)
+            want = _run(argv, stdin)
         assert got == want, command
-        assert "skipped" in got[2]
+        assert ("skipped" in got[2]) == skipped
 
 
 class TestCliByteIdentity:
@@ -299,3 +307,108 @@ class TestCliByteIdentity:
         structure_chars = sum(len(line) for line in text.splitlines() if not line.startswith(">"))
         assert structure_chars > 1.2 * structure._BLOCK_CHARS
         _assert_cli_matches_oracle([path, bpseq])
+
+
+class TestCliEdgeCases:
+    """Streamed input against the whole-file reader where streaming could
+    go wrong: stdin, several files, blocks of bad records, failing inputs,
+    unusual line breaks and records across block boundaries."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(structure, "_BLOCK_CHARS", 700)
+
+    def test_stdin(self):
+        _assert_cli_matches_oracle([], stdin=_mixed_file(random.Random(4), 40))
+
+    def test_several_files(self, tmp_path):
+        paths = [tmp_path / "a.dbn", tmp_path / "b.txt", tmp_path / "c.bpseq", tmp_path / "d.dat"]
+        paths[0].write_text(_mixed_file(random.Random(5), 30))
+        paths[1].write_text(_mixed_file(random.Random(6), 20))
+        paths[2].write_text("1 G 4\n2 C 6\n3 A 0\n4 C 1\n5 U 0\n6 G 2\n")
+        paths[3].write_text("# sniffed as bpseq\n\n1 A 2\n2 U 1\n")
+        _assert_cli_matches_oracle(paths)
+
+    def test_first_blocks_only_bad(self, tmp_path):
+        path = tmp_path / "late.dbn"
+        bad = "".join(f">bad{i} group=g{i % 2}\n{'(' * 90}\n" for i in range(25))
+        path.write_text(bad + _mixed_file(random.Random(7), 20) + bad)
+        _assert_cli_matches_oracle([path])
+
+    def test_all_records_bad(self, tmp_path):
+        path = tmp_path / "bad.dbn"
+        path.write_text("".join(f">bad{i}\n((x{'.' * 80}\n" for i in range(40)) + ">orphan\n")
+        _assert_cli_matches_oracle([path], skipped=False)
+        assert _run(["stats", str(path)]) == (1, "", "error: every record failed to parse\n")
+        empty = tmp_path / "empty.dbn"
+        empty.write_text("\n\n")
+        assert _run(["heatmap", str(empty)]) == (1, "", "error: no records in input\n")
+
+    def test_missing_second_path(self, tmp_path):
+        path = tmp_path / "good.dbn"
+        path.write_text(_mixed_file(random.Random(8), 30))
+        missing = tmp_path / "missing.dbn"
+        _assert_cli_matches_oracle([path, missing], skipped=False)
+        code, out, err = _run(["stats", str(path), str(missing)])
+        assert (code, out) == (1, "") and err.startswith("error: [Errno 2]") and err.count("\n") == 1
+
+    def test_invalid_utf8_in_a_late_block(self, tmp_path):
+        path = tmp_path / "late.dbn"
+        text = _mixed_file(random.Random(9), 60).encode()
+        cut = text.index(b"\n", len(text) * 3 // 4) + 1
+        path.write_bytes(text[:cut] + b">x\n(.\xff.)\n" + text[cut:])
+        _assert_cli_matches_oracle([path], skipped=False)
+        code, out, err = _run(["stats", str(path)])
+        assert (code, out) == (1, "") and "can't decode byte 0xff in position" in err
+
+    def test_line_breaks(self, tmp_path):
+        text = (
+            ">a group=crlf\r\n((..))..\r\n>b\r\nACGUA\r\n(...)\r\n"
+            ">c\x0c.(.).\x0c>d group=fs\x1c((...))\u2028>e\u2029..\x85>f\x0b(\x1d)\x1e"
+            "..(((...)))\r...\n>tail\r\n"
+        ) * 20
+        path = tmp_path / "breaks.dbn"
+        path.write_bytes(text.encode())
+        _assert_cli_matches_oracle([path])
+        _assert_cli_matches_oracle([], stdin=text)
+
+    def test_records_across_block_boundaries(self, tmp_path):
+        rnd = random.Random(10)
+        lines = []
+        for i in range(30):
+            text = _nested(rnd, rnd.choice([150, 340, 360, 900]))  # some longer than a block
+            lines += [f">r{i}", "".join(rnd.choice("ACGU") for _ in text), text] if i % 3 else [text]
+        path = tmp_path / "across.dbn"
+        path.write_text("\n".join(lines) + "\n((\n")
+        _assert_cli_matches_oracle([path])
+
+
+class TestMemoryBound:
+    def test_peak_does_not_grow_with_the_file(self, tmp_path, monkeypatch):
+        # traced peak of each streamed command on a file and on the same
+        # file eight times over, after a warm-up run fills the caches.  The
+        # records all have one length, so that every block holds 40 of them
+        # with the same mix of nested, crossing and bad ones, and both files
+        # have the same worst block: what grows is what is kept per record.
+        monkeypatch.setattr(structure, "_BLOCK_CHARS", 8192)
+        rnd = random.Random(11)
+        lines = []
+        for i in range(120):
+            text = _nested(rnd, 200)
+            if i % 10 == 3:
+                text = _crossed(rnd, text)
+            elif i % 10 == 7:
+                text = text[:9] + "x" + text[10:]
+            lines += [f">s{i} group=g{i % 3}", text]
+        one, eight = tmp_path / "one.dbn", tmp_path / "eight.dbn"
+        one.write_text("\n".join(lines) + "\n")
+        eight.write_text(("\n".join(lines) + "\n") * 8)
+        for command in COMMANDS[::2] + [COMMANDS[-1]]:
+            peaks = []
+            for path in (one, one, eight):
+                with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                    tracemalloc.start()
+                    assert cli.main(command + [str(path)]) == 0
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                    tracemalloc.stop()
+            assert peaks[2] <= 1.25 * peaks[1], (command, peaks)

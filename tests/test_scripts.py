@@ -61,7 +61,8 @@ def test_tracer_finds_its_spans(tmp_path):
     assert summary["counts"]["exact.table_rows"] == 20
     records = tmp_path / "three.dbn"
     records.write_text(">a\n((..))..\n>bad\n((.)\n>c\n.([..)].\n")
-    run_script("bench/tracer.py", str(spans), "cli", "stats", str(records))
-    summary = json.loads(spans.read_text())
-    assert {"structure.read_dot_bracket_records", "pipeline.run_stats"} <= set(summary["seconds"])
-    assert summary["counts"]["pipeline.records_skipped"] == 1
+    for command in (["stats"], ["stats", "--summary"], ["compare", "--model", "pfold", "--stat", "deg"], ["heatmap"]):
+        run_script("bench/tracer.py", str(spans), "cli", *command, str(records))
+        summary = json.loads(spans.read_text())
+        assert {"structure.read_dot_bracket_records", "pipeline.run_stats"} <= set(summary["seconds"]), command
+        assert summary["counts"]["pipeline.records_skipped"] == 1, command
