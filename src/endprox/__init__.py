@@ -51,7 +51,6 @@ from .pipeline import (
     compare,
     heatmap,
     run_stats,
-    stat_values,
     summarize,
     total_variation,
 )

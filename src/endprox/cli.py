@@ -126,10 +126,16 @@ def _pfold_params(args) -> PfoldParams:
 
 def _read_structure_files(paths: list[str]) -> Iterator[list[structure.ParsedRecord]]:
     """The records of the structure files, or of stdin if there are none,
-    one list per block.  Every input is opened and decoded once before this
-    returns, so one that cannot be read fails before anything is written."""
-    inputs = [(path, _decoded(open(path))) for path in paths] or [(None, _decoded(_stdin()))]
-    return chain.from_iterable(_file_records(path, fh) for path, fh in inputs)
+    one list per block.  Every input is opened and decoded once, one at a
+    time, before this returns, so one that cannot be read fails before
+    anything is written; the files are then reopened one at a time as their
+    records are read."""
+    if not paths:
+        return _file_records(None, _decoded(_stdin()))
+    for path in paths:
+        with open(path) as fh:
+            _decoded(fh)
+    return chain.from_iterable(_file_records(path, open(path)) for path in paths)
 
 
 def _stdin() -> IO[str]:
@@ -195,9 +201,10 @@ def _looks_like_bpseq(path: str, lines: Iterable[str]) -> bool:
 def _rows(args) -> Iterator[list[pipeline.StatsRow]]:
     """The stats rows of the input, one list per block that has any.
 
-    A block's skipped records go to stderr as it is measured, except that
-    those before the first row are held back with their records: input in
-    which nothing parses fails with its error alone, as run_stats raises it.
+    A block's skipped records go to stderr as it is measured, after the rows
+    already written to stdout are flushed, except that those before the
+    first row are held back with their records: input in which nothing
+    parses fails with its error alone, as run_stats raises it.
     """
     blocks = _read_structure_files(args.files)
     m = _ete_model(args)
@@ -209,7 +216,9 @@ def _rows(args) -> Iterator[list[pipeline.StatsRow]]:
             if not good:
                 continue
             records, held = held, None
-        rows, _, errors = pipeline.run_stats(records, m) if good else ([], None, pipeline.skipped(records))
+        rows, _, errors = pipeline.run_stats(records, m, summary=False) if good else ([], None, pipeline.skipped(records))
+        if errors:
+            sys.stdout.flush()  # rows of earlier blocks first, when both streams go to one file
         for rec_id, message in errors:
             sys.stderr.write(f"skipped {rec_id}: {message}\n")
         if rows:
@@ -373,7 +382,7 @@ def _cmd_shuffle(args) -> int:
 
 def _cmd_compare(args) -> int:
     stat = _STAT_CHOICES[args.stat]
-    values = pipeline.stat_values(chain.from_iterable(_rows(args)), stat)
+    values = pipeline._stat_values(chain.from_iterable(_rows(args)), stat)
     report = pipeline.compare(values, Model(args.model), stat, _pfold_params(args))
     _emit(args, lambda out: pipeline.write_compare_csv(report, out), lambda: asdict(report))
     return 0

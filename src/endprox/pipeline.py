@@ -54,11 +54,13 @@ _SUMMARY_STATS = ["deg", "unp", "chn", "len_ext", "ete_nm", "rms_nm", "hel", "st
 
 
 def run_stats(
-    records: Sequence[ParsedRecord], m: EteModel = DEFAULT_ETE
+    records: Sequence[ParsedRecord], m: EteModel = DEFAULT_ETE, *, summary: bool = True
 ) -> tuple[list[StatsRow], list[SummaryBlock], list[tuple[str, str]]]:
-    """Rows in input order, per-group summaries, and (id, message) parse
-    failures.  Nested records go through the exterior walk; crossing records
-    through the shortest path.  Raises NoRecords when nothing parses."""
+    """Rows in input order, per-group summaries (an empty list when summary
+    is False, for a caller that summarizes a stream of blocks itself), and
+    (id, message) parse failures.  Nested records go through the exterior
+    walk; crossing records through the shortest path.  Raises NoRecords
+    when nothing parses."""
     if not records:
         raise NoRecords("no records in input")
     good = [rec for rec in records if rec.has_structure]
@@ -69,7 +71,7 @@ def run_stats(
     columns["group"] = [rec.group or "default" for rec in good]
     columns["pseudoknotted"] = columns.pop("crossing")
     rows = [StatsRow(*values) for values in zip(*(columns[name] for name in ROW_FIELDS))]
-    return rows, summarize(rows), skipped(records)
+    return rows, summarize(rows) if summary else [], skipped(records)
 
 
 def skipped(records: Iterable[ParsedRecord]) -> list[tuple[str, str]]:
@@ -81,50 +83,31 @@ def summarize(rows: Iterable[StatsRow]) -> list[SummaryBlock]:
     """Population mean/variance per group; optional statistics average over
     the rows where they are present.
 
-    rows are read once, so they may be a stream.  A group keeps one compact
-    array per statistic, 2 bytes a value for values below 2**16 (a distance
-    is stored as its index in the group's table of distinct distances), and
-    both passes sum its values in input order."""
+    rows are read once, so they may be a stream.  A group keeps its row
+    count and one array per statistic, 4 bytes an integer value and 8 a
+    distance, and both passes sum its values in input order."""
     values = attrgetter(*_SUMMARY_STATS)
-    groups: dict[str, list] = {}  # group -> [row count, {distance: index}, pending rows' values, one array per statistic]
+    groups: dict[str, list] = {}  # group -> [row count, one array per statistic]
     for row in rows:
         group = groups.get(row.group)
         if group is None:
-            group = groups[row.group] = [0, {}, [], *(array("H") for _ in _SUMMARY_STATS)]
-        group[2].append(values(row))
-        if len(group[2]) == 64:
-            _store(group)
+            group = groups[row.group] = [0, *(array("d" if n.endswith("_nm") else "I") for n in _SUMMARY_STATS)]
+        group[0] += 1
+        for column, v in zip(group[1:], values(row)):
+            if v is not None:
+                column.append(v)
     blocks = []
-    for label, group in groups.items():
-        _store(group)
-        count, distances, _, *columns = group
-        table = list(distances)
+    for label, (count, *columns) in groups.items():
         means: dict[str, float] = {}
         variances: dict[str, float] = {}
         for name, column in zip(_SUMMARY_STATS, columns):
             if not column:
                 continue
-            if name.endswith("_nm"):
-                column = [table[i] for i in column]
             mu = sum(column) / len(column)
             means[name] = mu
             variances[name] = sum((v - mu) ** 2 for v in column) / len(column)
         blocks.append(SummaryBlock(label, count, means, variances))
     return blocks
-
-
-def _store(group: list) -> None:
-    """Move a summary group's pending values into its arrays."""
-    distances, pending = group[1], group[2]
-    group[0] += len(pending)
-    for k, name, column in zip(range(3, len(group)), _SUMMARY_STATS, zip(*pending)):
-        kept = [v for v in column if v is not None]
-        if name.endswith("_nm"):
-            kept = [distances.setdefault(v, len(distances)) for v in kept]
-        if kept and group[k].typecode == "H" and not 0 <= min(kept) <= max(kept) < 1 << 16:
-            group[k] = array("q", group[k])
-        group[k].extend(kept)
-    pending.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +207,7 @@ class CompareReport:
     bins: list[tuple[int, float, float]]  # value, empirical prob, law pmf
 
 
-def stat_values(rows: Iterable[StatsRow], stat: Stat) -> list[Optional[int]]:
+def _stat_values(rows: Iterable[StatsRow], stat: Stat) -> list[Optional[int]]:
     """What compare reads of each row: the statistic, or None where the row
     lacks it or compare does not support the statistic.  rows are read
     once."""
@@ -240,8 +223,8 @@ def compare(
 ) -> CompareReport:
     """Empirical distribution of one statistic against its limit law.
 
-    values holds the statistic of each row (`stat_values`); rows lacking it
-    (None, e.g. unpaired structures for hel) are skipped and counted."""
+    values holds the statistic of each row, None where the row lacks it
+    (e.g. unpaired structures for hel); those rows are skipped and counted."""
     if stat not in _STAT_ATTR:
         from .exact import UnsupportedCombination
 

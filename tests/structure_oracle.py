@@ -329,7 +329,7 @@ def row_from_record(rec: ParsedRecord, m: EteModel) -> pipeline.StatsRow:
     )
 
 
-def run_stats(records: Sequence[ParsedRecord], m: EteModel = DEFAULT_ETE):
+def run_stats(records: Sequence[ParsedRecord], m: EteModel = DEFAULT_ETE, *, summary: bool = True):
     if not records:
         raise pipeline.NoRecords("no records in input")
     good = [rec for rec in records if rec.structure is not None]
@@ -337,7 +337,7 @@ def run_stats(records: Sequence[ParsedRecord], m: EteModel = DEFAULT_ETE):
     if not good:
         raise pipeline.NoRecords("every record failed to parse")
     rows = [row_from_record(rec, m) for rec in good]
-    return rows, summarize(rows), errors
+    return rows, summarize(rows) if summary else [], errors
 
 
 def summarize(rows):

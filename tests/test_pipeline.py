@@ -12,7 +12,6 @@ from endprox.pipeline import (
     heatmap,
     law_quantile_cap,
     run_stats,
-    stat_values,
     summarize,
     total_variation,
     write_compare_csv,
@@ -67,6 +66,7 @@ class TestRunStats:
         rows, blocks, _ = run_stats(records_from(text))
         manual = summarize(rows)
         assert manual == blocks
+        assert run_stats(records_from(text), summary=False) == (rows, [], [])
         degs = [r.deg for r in rows]
         mu = sum(degs) / len(degs)
         assert blocks[0].means["deg"] == pytest.approx(mu, abs=1e-9)
@@ -131,7 +131,7 @@ class TestCompare:
         # instead feed the law's own pmf into total_variation via compare's
         # internals by checking a concentrated dataset end to end
         rows, _, _ = run_stats(records_from("(...)\n(...)\n"))
-        report = compare(stat_values(rows, Stat.DEG), Model.MOTZKIN, Stat.DEG)
+        report = compare([row.deg for row in rows], Model.MOTZKIN, Stat.DEG)
         assert report.n_values == 2
         assert report.empirical_mean == 1.0
         assert report.law_mean == 3.0
@@ -139,13 +139,13 @@ class TestCompare:
 
     def test_absent_rows_skipped(self):
         rows, _, _ = run_stats(records_from("...\n(...)\n"))
-        report = compare(stat_values(rows, Stat.HEL), Model.MOTZKIN, Stat.HEL)
+        report = compare([row.hel for row in rows], Model.MOTZKIN, Stat.HEL)
         assert report.n_skipped == 1 and report.n_values == 1
 
     def test_unsupported(self):
         rows, _, _ = run_stats(records_from("(...)\n"))
         with pytest.raises(UnsupportedCombination):
-            compare(stat_values(rows, Stat.UNP), Model.DYCK, Stat.UNP)
+            compare([row.unp for row in rows], Model.DYCK, Stat.UNP)
 
     def test_sampled_deg_tv_at_2000(self):
         # 1e5 uniform draws at length 2000: the empirical deg histogram sits
@@ -203,7 +203,7 @@ class TestWriters:
 
     def test_compare_csv(self):
         rows, _, _ = run_stats(records_from("(...)\n(...)\n"))
-        report = compare(stat_values(rows, Stat.DEG), Model.MOTZKIN, Stat.DEG)
+        report = compare([row.deg for row in rows], Model.MOTZKIN, Stat.DEG)
         buf = io.StringIO()
         write_compare_csv(report, buf)
         text = buf.getvalue()

@@ -8,6 +8,7 @@ import contextlib
 import io
 import os
 import random
+import subprocess
 import sys
 import tracemalloc
 
@@ -328,6 +329,42 @@ class TestCliEdgeCases:
         paths[2].write_text("1 G 4\n2 C 6\n3 A 0\n4 C 1\n5 U 0\n6 G 2\n")
         paths[3].write_text("# sniffed as bpseq\n\n1 A 2\n2 U 1\n")
         _assert_cli_matches_oracle(paths)
+
+    def test_many_files_one_open_at_a_time(self, tmp_path, monkeypatch):
+        # more one-record bpseq files than a budget of one open handle at a
+        # time allows at once: each input is checked and closed, then
+        # reopened when its records are read
+        paths = [tmp_path / f"r{i:03d}.bpseq" for i in range(300)]
+        for i, path in enumerate(paths):
+            mate = {1: 3 + i % 4, 3 + i % 4: 1} if i % 7 != 3 else {1: 2}  # one-sided: skipped
+            path.write_text("".join(f"{k} A {mate.get(k, 0)}\n" for k in range(1, 7)))
+        handles = []
+
+        def budgeted_open(path, *args, **kwargs):
+            if handles and not handles[-1].closed:
+                raise OSError(24, "Too many open files")
+            handles.append(open(path, *args, **kwargs))
+            return handles[-1]
+
+        monkeypatch.setattr(cli, "open", budgeted_open, raising=False)
+        _assert_cli_matches_oracle(paths)
+        assert len(handles) == 2 * len(paths) * len(COMMANDS)
+
+    def test_merged_streams_follow_block_order(self, tmp_path):
+        # stdout to a pipe is block-buffered; the rows of the first block
+        # still reach the merged stream before the second block's skipped
+        # line (at the default cap two of these records fill a block)
+        path = tmp_path / "two_blocks.dbn"
+        path.write_text("".join(f">ok{i}\n(({'.' * 29996}))\n" for i in range(3)) + ">bad\n((\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        env.pop("PYTHONUNBUFFERED", None)
+        done = subprocess.run(
+            [sys.executable, "-m", "endprox.cli", "stats", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env, timeout=60,
+        )
+        lines = [line.split(",")[0] for line in done.stdout.splitlines()]
+        assert lines[:3] + lines[4:] == ["id", "ok0", "ok1", "ok2"], done.stdout
+        assert lines[3].startswith("skipped bad:")
 
     def test_first_blocks_only_bad(self, tmp_path):
         path = tmp_path / "late.dbn"
