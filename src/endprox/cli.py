@@ -117,7 +117,11 @@ def _pfold_params(args) -> PfoldParams:
     stripped = text.strip()
     if stripped.startswith("{"):
         data = json.loads(stripped)
-        return PfoldParams(p1=float(data["p1"]), p2=float(data["p2"]), p3=float(data["p3"]))
+        try:
+            values = [float(data[name]) for name in ("p1", "p2", "p3")]
+        except (KeyError, TypeError):
+            raise StructureError("pfold params JSON must give p1, p2 and p3 as numbers") from None
+        return PfoldParams(*values)
     values = [float(tok) for tok in stripped.split()]
     if len(values) != 3:
         raise StructureError("pfold params file must hold exactly p1 p2 p3")

@@ -10,13 +10,15 @@ length (hel) and the first-stem pair count (stm).
 A block of records comes from dot-bracket text, from partner tables or from
 the samplers' step rows; text and step rows pair through one sort, in which
 by nesting level each opener lands right before its mate.  Text is read in
-blocks of whole records of at most _BLOCK_CHARS structure characters unless
-one line is longer, so a scan's memory is bounded by the block cap whatever
-the file size, and a stream of lines is read one block at a time.  The statistics are columns over a block's partner and depth arrays,
-with one level-synchronous breadth-first search for all of its crossing
-records.  The single-structure functions (`parse_dot_bracket`,
-`exterior_stats`, `shortest_path_stats`, `first_helix_length`, `first_stem`)
-are blocks of one record.
+blocks of whole records.  A record weighs its structure characters plus a
+fixed charge for its Python objects, and a block weighs at most
+_BLOCK_CHARS unless one record alone is heavier, so the memory of a block,
+its arrays and its records, is bounded by the cap whatever the file size;
+a stream of lines is read one block at a time.  The statistics are columns
+over a block's partner and depth arrays, with one level-synchronous
+breadth-first search for all of its crossing records.  The single-structure
+functions (`parse_dot_bracket`, `exterior_stats`, `shortest_path_stats`,
+`first_helix_length`, `first_stem`) are blocks of one record.
 """
 
 from __future__ import annotations
@@ -32,10 +34,14 @@ import numpy as np
 OPENERS = "([{<"
 CLOSERS = ")]}>"
 
-# a block of records holds at most this many characters (one longer line
-# makes a block of its own); the scan's temporaries are arrays of that size,
-# about 25 bytes a character at their peak
+# a block of records weighs at most _BLOCK_CHARS, a record weighing the
+# characters of its structure line plus _RECORD_CHARS (one heavier record
+# makes a block of its own).  The scan's temporaries peak at about 25 bytes
+# a structure character, and the Python objects of one record (its
+# ParsedRecord, StatsRow and id) weigh about as much as 30 characters do
+# through `stats`, so the cap bounds both
 _BLOCK_CHARS = 1 << 16
+_RECORD_CHARS = 48
 
 # character classes of the scan: 0 a dot, 1-4 the openers and 5-8 the
 # closers of the bracket families in OPENERS order, 9 anything else
@@ -162,12 +168,13 @@ _T = TypeVar("_T")
 
 
 def _blocks(items: Iterable[_T], size: Callable[[_T], int]) -> Iterator[list[_T]]:
-    """Consecutive items in lists of at most _BLOCK_CHARS total size; an
-    item larger than that makes a list of its own."""
+    """Consecutive records in lists of at most _BLOCK_CHARS total weight, a
+    record weighing its size plus _RECORD_CHARS; a record heavier than
+    that makes a list of its own."""
     block: list[_T] = []
     total = 0
     for item in items:
-        n = size(item)
+        n = size(item) + _RECORD_CHARS
         if block and total + n > _BLOCK_CHARS:
             yield block
             block, total = [], 0
@@ -461,18 +468,6 @@ def _optional(values: np.ndarray, present: np.ndarray) -> list[Optional[int]]:
     return [v if ok else None for v, ok in zip(values.tolist(), present.tolist())]
 
 
-def _cached(fn: Callable, m: EteModel) -> Callable:
-    """fn(*args, m), computed once per distinct args."""
-    cache: dict = {}
-
-    def get(*args):
-        if args not in cache:
-            cache[args] = fn(*args, m)
-        return cache[args]
-
-    return get
-
-
 def _columns(block: _Block, rows: np.ndarray, path: np.ndarray, m: EteModel) -> list[list]:
     """The ExteriorStats fields of the block's records `rows`, one list per
     field.  Records flagged in `path` are measured along the shortest 5'-3'
@@ -513,18 +508,16 @@ def _columns(block: _Block, rows: np.ndarray, path: np.ndarray, m: EteModel) -> 
     helices[has] = 1 + breaks[k + stm[has] - 1] - breaks[k]
     stem = has & ~block.crossing[rows]
 
-    ete = _cached(ete_distance, m)
     if path.any():
-        deg[path], unp[path], chn[path] = _path_counts(block, rows[path], ete)
-    rms = _cached(rms_distance, m)
+        deg[path], unp[path], chn[path] = _path_counts(block, rows[path], m)
     deg_list, chn_list = deg.tolist(), chn.tolist()
     return [
         deg_list,
         unp.tolist(),
         chn_list,
         (2 * deg + unp).tolist(),
-        [ete(d, c) for d, c in zip(deg_list, chn_list)],
-        [rms(n) for n in (starts[rows + 1] - starts[rows]).tolist()],
+        [ete_distance(d, c, m) for d, c in zip(deg_list, chn_list)],
+        [rms_distance(n, m) for n in (starts[rows + 1] - starts[rows]).tolist()],
         _optional(hel, has),
         _optional(stm, stem),
         _optional(helices, stem),
@@ -573,7 +566,7 @@ def _distances(block: _Block, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return offsets, mate, dist[:size], dist[size:-1]
 
 
-def _path_counts(block: _Block, rows: np.ndarray, ete: Callable[[int, int], float]) -> tuple[list[int], list[int], list[int]]:
+def _path_counts(block: _Block, rows: np.ndarray, m: EteModel) -> tuple[list[int], list[int], list[int]]:
     """(pair steps, unpaired nodes, backbone steps) of the selected shortest
     5'-3' path of each of the block's records `rows`."""
     offsets, mate, from5, from3 = _distances(block, rows)
@@ -587,7 +580,7 @@ def _path_counts(block: _Block, rows: np.ndarray, ete: Callable[[int, int], floa
     for i, (a, b) in enumerate(zip(offsets[:-1].tolist(), offsets[1:].tolist())):
         mates = mate[a:b].tolist()
         order = (on[cut[i] : cut[i + 1]] - a).tolist()
-        d, c, seq = _min_ete_path(mates, from5[a:b].tolist(), from3[a:b].tolist(), order, ete)
+        d, c, seq = _min_ete_path(mates, from5[a:b].tolist(), from3[a:b].tolist(), order, m)
         deg.append(d)
         chn.append(c)
         unp.append(sum(1 for v in seq if mates[v] < 0))
@@ -595,7 +588,7 @@ def _path_counts(block: _Block, rows: np.ndarray, ete: Callable[[int, int], floa
 
 
 def _min_ete_path(
-    mate: list[int], dist1: list[int], distn: list[int], order: list[int], ete: Callable[[int, int], float]
+    mate: list[int], dist1: list[int], distn: list[int], order: list[int], m: EteModel
 ) -> tuple[int, int, list[int]]:
     """(pair steps, backbone steps, node sequence) of the selected path of
     one structure.  Nodes are 0-based positions, mate[u] is u's partner or
@@ -627,10 +620,10 @@ def _min_ete_path(
         feasible[u] = mask
 
     options = [d for d in range(total + 1) if feasible[0] >> d & 1]
-    best = min(ete(d, total - d) for d in options)
+    best = min(ete_distance(d, total - d, m) for d in options)
     target = 0
     for d in options:
-        if ete(d, total - d) == best:
+        if ete_distance(d, total - d, m) == best:
             target |= 1 << d
 
     # lexicographically smallest node sequence among paths hitting a target
@@ -753,17 +746,33 @@ class ParsedRecord:
         return f"ParsedRecord(id={self.id!r}, group={self.group!r}, error={self.error!r})"
 
 
-def _attach(pending: list[tuple[ParsedRecord, str, Optional[str]]]) -> None:
-    """Scan the (record, structure line, sequence) triples as one block;
-    point each record at its row, or give it its error."""
-    block = _scan([line for _, line, _ in pending])
-    for r, (rec, line, sequence) in enumerate(pending):
-        if r in block.errors:
-            rec.error = str(block.errors[r])
-        elif sequence is not None and len(sequence) != len(line):
-            rec.error = f"sequence length {len(sequence)} differs from structure length {len(line)}"
+def _record_lines(lines: Iterable[str]) -> Iterator[tuple[Optional[str], Optional[str], Optional[str]]]:
+    """The (header, sequence, structure) lines of each dot-bracket record,
+    stripped, with blank lines dropped.  A record is an optional header
+    line, then, after a header only, an optional letters-only sequence
+    line, then one structure line; a header is None for a bare structure
+    line, and a structure is None for a header that the next header or the
+    end of the lines follows."""
+    header = sequence = None
+    for raw in lines:
+        line = raw.strip()
+        if not line:
+            continue
+        if line[0] == ">":
+            if header is not None:
+                yield header, sequence, None
+            header, sequence = line, None
+        elif header is not None and sequence is None and line.isalpha():
+            sequence = line
         else:
-            rec._row = (block, r, sequence)
+            yield header, sequence, line
+            header = sequence = None
+    if header is not None:
+        yield header, sequence, None
+
+
+def _structure_size(record: tuple[Optional[str], Optional[str], Optional[str]]) -> int:
+    return len(record[2] or "")
 
 
 def read_dot_bracket_records(
@@ -777,72 +786,46 @@ def read_dot_bracket_records(
     structure layout); a record whose sequence and structure differ in
     length gets an error, and so does a header followed by another header
     or by the end of the input.  A record without an id is numbered from
-    `first`.  Structure lines are parsed one block of at most _BLOCK_CHARS
-    characters at a time.
+    `first`.  Structure lines are parsed one block of whole records at a
+    time, cut as read_dot_bracket_blocks cuts them.
     """
     records: list[ParsedRecord] = []
-    pending: list[tuple[ParsedRecord, str, Optional[str]]] = []
-    header: Optional[tuple[str, Optional[str]]] = None
-    sequence: Optional[str] = None
-    orphan = "header with no structure line"
-    for raw in text.splitlines() if isinstance(text, str) else text:
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith(">"):
-            if header:
-                records.append(ParsedRecord(*header, error=orphan))
-            tokens = line[1:].split()
-            rec_id = tokens[0] if tokens else f"rec{first + len(records)}"
-            group = default_group
+    lines = text.splitlines() if isinstance(text, str) else text
+    for block in _blocks(_record_lines(lines), _structure_size):
+        pending: list[tuple[ParsedRecord, str, Optional[str]]] = []
+        for header, sequence, line in block:
+            tokens = header[1:].split() if header else []
+            rec = ParsedRecord(tokens[0] if tokens else f"rec{first + len(records)}", default_group)
             for tok in tokens[1:]:
                 if tok.startswith("group="):
-                    group = tok[len("group="):]
-            header = (rec_id, group)
-            sequence = None
-            continue
-        if header and sequence is None and line.isalpha():
-            sequence = line
-            continue
-        rec_id, group = header if header else (f"rec{first + len(records)}", default_group)
-        header = None
-        rec = ParsedRecord(id=rec_id, group=group)
-        records.append(rec)
-        pending.append((rec, line, sequence))
-        sequence = None
-    if header:
-        records.append(ParsedRecord(*header, error=orphan))
-    for block in _blocks(pending, lambda item: len(item[1])):
-        _attach(block)
+                    rec.group = tok[len("group="):]
+            records.append(rec)
+            if line is None:
+                rec.error = "header with no structure line"
+            else:
+                pending.append((rec, line, sequence))
+        scanned = _scan([line for _, line, _ in pending])
+        for r, (rec, line, sequence) in enumerate(pending):
+            if r in scanned.errors:
+                rec.error = str(scanned.errors[r])
+            elif sequence is not None and len(sequence) != len(line):
+                rec.error = f"sequence length {len(sequence)} differs from structure length {len(line)}"
+            else:
+                rec._row = (scanned, r, sequence)
     return records
 
 
 def read_dot_bracket_blocks(lines: Iterable[str], default_group: Optional[str] = None) -> Iterator[list[ParsedRecord]]:
     """read_dot_bracket_records over a stream of lines, one list of records
-    per block: whole records are taken until their structure lines would
-    pass _BLOCK_CHARS characters, so only one block is held at a time."""
-    chunk: list[str] = []
-    record: list[str] = []  # the lines of the record being read
-    size, first = 0, 1
-    for raw in lines:
-        line = raw.strip()
-        if not line:
-            continue
-        # a record ends at a line that is neither a header nor the sequence right after one
-        ends = line[0] != ">" and not (record and record[-1][0] == ">" and line.isalpha())
-        record.append(line)
-        if not ends:
-            continue
-        if chunk and size + len(line) > _BLOCK_CHARS:
-            records = read_dot_bracket_records(chunk, default_group, first)
-            first += len(records)
-            yield records
-            chunk, size = [], 0
-        chunk += record
-        size += len(line)
-        record = []
-    if chunk or record:
-        yield read_dot_bracket_records(chunk + record, default_group, first)
+    per block, so only one block is held at a time.  A block takes whole
+    records while their weight stays within _BLOCK_CHARS, a record weighing
+    the characters of its structure line plus _RECORD_CHARS; one heavier
+    record makes a block of its own."""
+    first = 1
+    for block in _blocks(_record_lines(lines), _structure_size):
+        records = read_dot_bracket_records([line for record in block for line in record if line], default_group, first)
+        first += len(records)
+        yield records
 
 
 def read_bpseq_records(text: str, rec_id: str, group: Optional[str] = None) -> list[ParsedRecord]:

@@ -115,6 +115,16 @@ class TestLimits:
         payload = json.loads(out)
         assert payload["mean"] == pytest.approx(4.715, abs=0.005)
 
+    @pytest.mark.parametrize("text", ['{"p1": 0.5, "p2": 0.5}', '{"p1": null, "p2": 0.5, "p3": 0.5}'])
+    def test_pfold_params_json_missing_or_null(self, run, tmp_path, text):
+        path = tmp_path / "params.json"
+        path.write_text(text)
+        code, out, err = run(
+            ["--pfold-params", str(path), "limits", "--model", "pfold", "--stat", "deg"]
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: pfold params JSON must give p1, p2 and p3 as numbers\n"
+
     def test_joint_law_payload(self, run):
         code, out, _ = run(["limits", "--model", "motzkin", "--stat", "joint"])
         assert code == 0

@@ -2,7 +2,8 @@
 layer they replaced (structure_oracle): partner tables, crossing flags,
 errors, ExteriorStats, breadth-first distances, and whole CLI runs byte for
 byte against the whole-file reader, with records on both sides of block
-boundaries; and the streamed commands' memory against the file size."""
+boundaries; and the streamed commands' memory against the file size and
+the length of the records."""
 
 import contextlib
 import io
@@ -168,20 +169,40 @@ class TestColumnsAgainstScalarStats:
 
 
 def _records_text(texts, seed):
-    """Headers, optional sequence lines and bare lines around the texts."""
+    """Headers, optional sequence lines and bare lines around the texts, with
+    bare and repeated-group headers, orphan headers with and without a
+    sequence, sequences of the wrong length, bare letter lines and blank
+    lines inside records."""
     rnd = random.Random(seed)
     out = []
     for i, text in enumerate(texts):
-        kind = rnd.randrange(4)
+        sequence = "".join(rnd.choice("ACGU") for _ in text) or "A"
+        kind = rnd.randrange(10)
         if kind == 0:
             out.append(text)
         elif kind == 1:
             out += [f">r{i} group=g{i % 3}", text]
         elif kind == 2:
-            out += [f">r{i}", "".join(rnd.choice("ACGU") for _ in text) or "A", text]
-        else:
+            out += [f">r{i}", sequence, text]
+        elif kind == 3:
             out += [f">r{i} x=1", text, f">orphan{i}"]
+        elif kind == 4:
+            out += [">", text]
+        elif kind == 5:
+            out += [f">r{i} group=g", sequence, f">s{i}", text]
+        elif kind == 6:
+            out += [f">r{i}", sequence + "A", text]
+        elif kind == 7:
+            out += [sequence, text]
+        elif kind == 8:
+            out += [f">r{i} group=a group=b{i % 2}", text]
+        else:
+            out += [f">r{i} group=g{i % 2}", "", "   ", sequence, " ", text]
     return "\n".join(out) + "\n"
+
+
+def _fields(records):
+    return [(r.id, r.group, r.error, r.structure) for r in records]
 
 
 def _compare_records(text):
@@ -193,14 +214,19 @@ def _compare_records(text):
     assert [r.structure for r in got] == [r.structure for r in want]
     if any(r.structure is not None for r in want):
         assert pipeline.run_stats(got) == oracle.run_stats(want)
+    # the streamed reader's blocks, concatenated, number ids across blocks
+    blocks = structure.read_dot_bracket_blocks(text.splitlines(), "file")
+    assert _fields(rec for block in blocks for rec in block) == _fields(got)
 
 
 class TestReaderBlocks:
-    @given(st.lists(dot_bracket_texts, max_size=15), st.integers(1, 40), st.integers(0, 3))
+    @given(st.lists(dot_bracket_texts, max_size=15), st.integers(1, 40), st.integers(0, 8), st.integers(0, 9))
     @settings(max_examples=150)
-    def test_records_and_rows_at_any_block_cap(self, texts, cap, seed):
+    def test_records_and_rows_at_any_block_cap(self, texts, cap, charge, seed):
+        # a small per-record charge, so that small caps still hold several records
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(structure, "_BLOCK_CHARS", cap)
+            mp.setattr(structure, "_RECORD_CHARS", charge)
             _compare_records(_records_text(texts, seed))
 
     def test_structure_is_built_when_first_read(self):
@@ -420,13 +446,25 @@ class TestCliEdgeCases:
         _assert_cli_matches_oracle([path])
 
 
+def _traced_peak(argv):
+    """The tracemalloc peak of one CLI run, output dropped."""
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
 class TestMemoryBound:
     def test_peak_does_not_grow_with_the_file(self, tmp_path, monkeypatch):
         # traced peak of each streamed command on a file and on the same
         # file eight times over, after a warm-up run fills the caches.  The
-        # records all have one length, so that every block holds 40 of them
-        # with the same mix of nested, crossing and bad ones, and both files
-        # have the same worst block: what grows is what is kept per record.
+        # records all have one length, so that every block holds 33 of them
+        # (each weighs its 200 characters and the 48 charged per record) and
+        # both files have blocks of the same size: what grows is what is
+        # kept per record.
         monkeypatch.setattr(structure, "_BLOCK_CHARS", 8192)
         rnd = random.Random(11)
         lines = []
@@ -441,11 +479,18 @@ class TestMemoryBound:
         one.write_text("\n".join(lines) + "\n")
         eight.write_text(("\n".join(lines) + "\n") * 8)
         for command in COMMANDS[::2] + [COMMANDS[-1]]:
-            peaks = []
-            for path in (one, one, eight):
-                with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-                    tracemalloc.start()
-                    assert cli.main(command + [str(path)]) == 0
-                    peaks.append(tracemalloc.get_traced_memory()[1])
-                    tracemalloc.stop()
+            peaks = [_traced_peak(command + [str(path)]) for path in (one, one, eight)]
             assert peaks[2] <= 1.25 * peaks[1], (command, peaks)
+
+    def test_short_records_do_not_crowd_a_block(self, tmp_path, monkeypatch):
+        # a block of one-character records holds far more records than a
+        # block of long ones; each record's charge keeps their objects
+        # within the block's bound.  Peaks after a warm-up run, as above.
+        monkeypatch.setattr(structure, "_BLOCK_CHARS", 8192)
+        rnd = random.Random(12)
+        short, long = tmp_path / "short.dbn", tmp_path / "long.dbn"
+        short.write_text("".join(f">s{i} group=g{i % 3}\n.\n" for i in range(1 << 13)))
+        long.write_text("".join(f">s{i} group=g{i % 3}\n{_nested(rnd, 200)}\n" for i in range(160)))
+        for command in (["stats"], ["heatmap"]):
+            peaks = [_traced_peak(command + [str(path)]) for path in (long, long, short)]
+            assert peaks[2] <= 2 * peaks[1], (command, peaks)
