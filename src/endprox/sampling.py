@@ -18,7 +18,9 @@ seeds reproduce identical sample streams on every platform.
   on length, run level by level over a batch of samples.  Each sample reads
   its own block of 2n uniforms (a production slot and a split slot per
   position), so a run of draws gives the same rows however its calls are
-  chunked.
+  chunked.  The split tables keep every 8th prefix sum of each split row,
+  about n**2 / 16 floats, and a split point rebuilds the few sums it needs
+  in the row's own order, so it is the one the whole row would give.
 
 The seeded Dyck stream is the one earlier versions drew.  The seeded grammar
 stream changed when the batched traceback replaced the per-sample one, and
@@ -194,14 +196,26 @@ def sample_motzkin(n: int, rng: RngHandle) -> SecondaryStructure:
 # grammar traceback
 
 
+# A rebuild between two marks costs the same few numpy passes at any
+# spacing; 16 measured no faster than 8, which keeps an eighth of the sums.
+_MARK_SPACING = 8
+
+
 class _GrammarTables:
     """Per-(params, capacity) arrays for the batched traceback.
 
     A job is an S (symbol 0) or F (symbol 1) spanning m positions, and its
     row in total/thresh is symbol * (capacity + 1) + m.  The production test
     is u * total < thresh: for S a hit means S -> L S, for F it means
-    F -> ( F ).  Split rows hold cumsum(L[1:m] * S[m-1:0:-1]) for every m
-    from 2 to capacity, back to back, with row m starting at start[m].
+    F -> ( F ).
+
+    The split row of length m is cumsum(L[1:m] * S[m-1:0:-1]), m - 1 prefix
+    sums.  Only its marks are kept: a leading 0 and then every
+    _MARK_SPACING-th prefix sum, back to back for every m from 2 to
+    capacity, row m in marks[start[m] : start[m + 1]]; last[m] is the
+    row's final sum.  About capacity**2 / 16 floats in all, where whole rows
+    take capacity**2 / 2.  lpad and spad are L and S with zeros on the side
+    a rebuild past the row's end reads (spad[k + _MARK_SPACING] = S[k]).
     """
 
     def __init__(self, p: PfoldParams, capacity: int):
@@ -212,14 +226,18 @@ class _GrammarTables:
         self.capacity = capacity
         self.total = np.concatenate([S, F])
         self.thresh = np.concatenate([p.p1 * LS, nest])
-        lengths = np.maximum(np.arange(capacity + 1) - 1, 0)
-        self.start = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-        self.splits = np.empty(int(lengths.sum()) + 1)  # one pad slot for the search
-        for m in range(2, capacity + 1):
-            s = self.start[m]
-            self.splits[s : s + m - 1] = np.cumsum(L[1:m] * S[m - 1 : 0 : -1])
+        pad = np.zeros(_MARK_SPACING)
+        self.lpad = np.concatenate([L, pad])
+        self.spad = np.concatenate([pad, S])
+        counts = 1 + (np.arange(capacity + 1) - 1) // _MARK_SPACING  # none at m = 0
+        self.start = np.concatenate([[0], np.cumsum(counts)])
+        self.marks = np.zeros(self.start[-1])
         self.last = np.zeros(capacity + 1)
-        self.last[2:] = self.splits[self.start[2:] + lengths[2:] - 1]
+        for m in range(2, capacity + 1):
+            row = np.cumsum(L[1:m] * S[m - 1 : 0 : -1])
+            s = self.start[m]
+            self.marks[s + 1 : s + counts[m]] = row[_MARK_SPACING - 1 :: _MARK_SPACING]
+            self.last[m] = row[-1]
 
 
 _SAMPLER_CACHE: dict[PfoldParams, _GrammarTables] = {}
@@ -228,23 +246,39 @@ _SAMPLER_CACHE: dict[PfoldParams, _GrammarTables] = {}
 def _grammar_tables(p: PfoldParams, n: int) -> _GrammarTables:
     cached = _SAMPLER_CACHE.get(p)
     if cached is None or cached.capacity < n:
-        cached = _GrammarTables(p, max(n, 256))
+        cached = _GrammarTables(p, max(n, 256, 0 if cached is None else 2 * cached.capacity))
         _SAMPLER_CACHE[p] = cached
     return cached
 
 
 def _split_points(tables: _GrammarTables, m: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """bisect_right(row m, u * row_m[-1]) + 1 for every job, by a branchless
-    binary search over each job's own split row."""
-    splits = tables.splits
+    """bisect_right(row m, u * row_m[-1]) + 1 for every job, row m being
+    cumsum(L[1:m] * S[m-1:0:-1]), with the floats of that cumsum.
+
+    Most jobs stop at the row's first sum (a first item that is a dot).  The
+    rest search their marks, branchless, for the last mark <= x, and rebuild
+    the sums up to the next mark from it by one cumsum, which adds in the
+    row's own order.  Sums rebuilt past the row's end repeat its last one;
+    the clamp to m - 1 drops them where x reaches that end.
+    """
+    lpad, spad = tables.lpad, tables.spad
     x = u * tables.last[m]
-    base = tables.start[m]
-    size = m - 1
-    for _ in range(int(size.max(initial=1) - 1).bit_length()):  # ceil(log2(longest row))
+    a = np.ones(len(m), dtype=np.int64)
+    rest = np.flatnonzero(lpad[1] * spad[m - 1 + _MARK_SPACING] <= x)
+    m, x = m[rest], x[rest]
+    marks, start = tables.marks, tables.start[m]
+    base = start
+    size = tables.start[m + 1] - start
+    for _ in range(int(size.max(initial=1) - 1).bit_length()):  # ceil(log2(most marks))
         half = size >> 1
-        base = np.where(splits[base + half] <= x, base + half, base)
+        base = np.where(marks[base + half] <= x, base + half, base)
         size = size - half
-    return base - tables.start[m] + (splits[base] <= x) + 1
+    k = (base - start) * _MARK_SPACING + np.arange(_MARK_SPACING + 1)[:, None]
+    terms = lpad[k] * spad[m - k + _MARK_SPACING]
+    terms[0] = marks[base]
+    below = (np.cumsum(terms, axis=0)[1:] <= x).sum(axis=0)
+    a[rest] = np.minimum(k[0] + below, m - 1) + 1
+    return a
 
 
 def _pfold_traceback(tables: _GrammarTables, n: int, u: np.ndarray) -> np.ndarray:
@@ -295,6 +329,8 @@ def sample_pfold_many(
         raise ValueError("an RngHandle is required")
     _check_count(count)
     _pfold_mass(p, n)  # raises for a length without mass, before any split table is built
+    if count == 0:
+        return np.zeros((0, n), dtype=np.int8)
     tables = _grammar_tables(p, n)
     gen = rng.generator
     return _in_blocks(count, n, lambda r: _pfold_traceback(tables, n, gen.random((r, 2 * n))))

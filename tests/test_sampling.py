@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 from bisect import bisect_right
 from collections import Counter
 
@@ -8,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import structure_oracle as oracle
+from endprox import sampling
 from endprox.exact import (
     DEFAULT_PFOLD,
     Model,
@@ -22,8 +25,10 @@ from endprox.exact import (
 )
 from endprox.sampling import (
     RngHandle,
+    _GrammarTables,
     _pair_count_cumweights,
     _pair_counts,
+    _split_points,
     sample_dyck,
     sample_dyck_steps,
     sample_motzkin,
@@ -341,10 +346,22 @@ class TestPfoldBatch:
     def test_matches_serial_traceback(self, p):
         # the batched traceback makes the serial traceback's decisions on
         # the same uniforms: 2n per sample, read from the handle in order
-        for n in (1, 2, 3, 8, 45, 130):
-            u = RngHandle(n).generator.random((30, 2 * n))
+        # the rows at n = 2000 search split rows of up to 250 marks
+        for n, count in ((1, 30), (2, 30), (3, 30), (8, 30), (45, 30), (130, 30), (2000, 3)):
+            u = RngHandle(n).generator.random((count, 2 * n))
             expected = np.array([_serial_traceback(n, p, row) for row in u], dtype=np.int8)
-            assert np.array_equal(sample_pfold_many(n, 30, p, RngHandle(n)), expected)
+            assert np.array_equal(sample_pfold_many(n, count, p, RngHandle(n)), expected)
+
+    @pytest.mark.parametrize(
+        "n, count, digest",
+        [
+            (2000, 100, "702fb0450b0362e7910b8009caa368c55a94a079197c00211d8c0431771b9045"),
+            (200, 2000, "aee3068651d1bf6ae9e22bcc604753614f8ffd9817bb636eddc99b21aefd63c5"),
+        ],
+    )
+    def test_seeded_stream_pinned(self, n, count, digest):
+        rows = sample_pfold_many(n, count, rng=RngHandle(5))
+        assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
 
     @given(st.integers(1, 60), st.lists(st.integers(0, 7), min_size=1, max_size=6), st.integers(0, 2**31))
     @settings(max_examples=40, deadline=None)
@@ -353,3 +370,62 @@ class TestPfoldBatch:
         rng = RngHandle(seed)
         parts = [sample_pfold_many(n, c, rng=rng) for c in chunks]
         assert np.array_equal(np.concatenate(parts), whole)
+
+
+class TestGrammarTables:
+    @pytest.mark.parametrize("capacity", [256, 2000])
+    @pytest.mark.parametrize("p", _PARAM_SETS[:2])
+    def test_split_points_match_bisect(self, p, capacity):
+        # every split row, at the ends of [0, 1), at seeded uniforms, and at
+        # u = row[k] / row[-1] for the first sum and the sums around the
+        # first mark, which put x on those sums (u = 1 on rows that short)
+        inside = pfold_inside(p, capacity)
+        L, S = inside.L, inside.S
+        us = RngHandle(capacity).generator.random((capacity - 1, 11))
+        us[:, :4] = [0.0, 2.0**-53, 0.5, 1 - 2.0**-53]
+        expected = []
+        for size, row_us in zip(range(2, capacity + 1), us):
+            row = np.cumsum(L[1:size] * S[size - 1 : 0 : -1])
+            row_us[8:] = row[np.minimum([0, 7, 8], size - 2)] / row[-1]
+            row = row.tolist()
+            expected += [bisect_right(row, v * row[-1]) + 1 for v in row_us.tolist()]
+        m = np.repeat(np.arange(2, capacity + 1), us.shape[1])
+        got = _split_points(_GrammarTables(p, capacity), m, us.ravel())
+        assert got.tolist() == expected
+
+    def test_tables_are_small(self):
+        # whole split rows took about capacity**2 / 2 floats, 15.3 MB here
+        tables = _GrammarTables(DEFAULT_PFOLD, 2000)
+        size = sum(a.nbytes for a in vars(tables).values() if isinstance(a, np.ndarray))
+        assert size <= 4e6
+
+    def test_cold_draw_peak(self, monkeypatch):
+        monkeypatch.setattr(sampling, "_SAMPLER_CACHE", {})
+        pfold_inside(DEFAULT_PFOLD, 2000)
+        tracemalloc.start()
+        try:
+            sample_pfold_many(2000, 100, rng=RngHandle(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
+
+    def test_count_zero_builds_no_tables(self, monkeypatch):
+        monkeypatch.setattr(sampling, "_SAMPLER_CACHE", {})
+        rows = sample_pfold_many(4000, 0, rng=RngHandle(1))
+        assert rows.shape == (0, 4000) and rows.dtype == np.int8
+        assert sampling._SAMPLER_CACHE == {}
+
+    def test_rising_lengths_rebuild_rarely(self, monkeypatch):
+        monkeypatch.setattr(sampling, "_SAMPLER_CACHE", {})
+        built = []
+
+        class Counted(_GrammarTables):
+            def __init__(self, p, capacity):
+                built.append(capacity)
+                super().__init__(p, capacity)
+
+        monkeypatch.setattr(sampling, "_GrammarTables", Counted)
+        for n in range(300, 341):
+            sample_pfold_many(n, 1, rng=RngHandle(n))
+        assert built == [300, 600]
