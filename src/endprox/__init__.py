@@ -46,7 +46,6 @@ from .pipeline import (
     CompareReport,
     EmptyHistogram,
     NoRecords,
-    StatsRow,
     SummaryBlock,
     compare,
     heatmap,

@@ -202,8 +202,8 @@ def _looks_like_bpseq(path: str, lines: Iterable[str]) -> bool:
     return False
 
 
-def _rows(args) -> Iterator[list[pipeline.StatsRow]]:
-    """The stats rows of the input, one list per block that has any.
+def _rows(args) -> Iterator[dict[str, list]]:
+    """The stats rows of the input as column blocks, one per block that has any.
 
     A block's skipped records go to stderr as it is measured, after the rows
     already written to stdout are flushed, except that those before the
@@ -220,13 +220,13 @@ def _rows(args) -> Iterator[list[pipeline.StatsRow]]:
             if not good:
                 continue
             records, held = held, None
-        rows, _, errors = pipeline.run_stats(records, m, summary=False) if good else ([], None, pipeline.skipped(records))
+        block, _, errors = pipeline.run_stats(records, m, summary=False) if good else (None, None, pipeline.skipped(records))
         if errors:
             sys.stdout.flush()  # rows of earlier blocks first, when both streams go to one file
         for rec_id, message in errors:
             sys.stderr.write(f"skipped {rec_id}: {message}\n")
-        if rows:
-            yield rows
+        if block:
+            yield block
     if held is not None:
         pipeline.run_stats(held, m)  # raises NoRecords
 
@@ -257,14 +257,14 @@ class _Stream(list):
 def _cmd_stats(args) -> int:
     blocks = _rows(args)
     if args.summary:
-        summary = pipeline.summarize(chain.from_iterable(blocks))
+        summary = pipeline.summarize(blocks)
         _emit(args, lambda out: pipeline.write_summary_csv(summary, out), lambda: pipeline.summary_to_json(summary))
         return 0
     blocks = chain([next(blocks)], blocks)  # the first rows, before any output
     _emit(
         args,
-        lambda out: pipeline.write_rows_csv(chain.from_iterable(blocks), out),
-        lambda: _Stream(chain.from_iterable(map(pipeline.rows_to_json, blocks))),
+        lambda out: pipeline.write_rows_csv(blocks, out),
+        lambda: _Stream(chain.from_iterable(pipeline.rows_to_json([block]) for block in blocks)),
     )
     return 0
 
@@ -386,14 +386,15 @@ def _cmd_shuffle(args) -> int:
 
 def _cmd_compare(args) -> int:
     stat = _STAT_CHOICES[args.stat]
-    values = pipeline._stat_values(chain.from_iterable(_rows(args)), stat)
+    column = pipeline._STAT_COLUMN.get(stat)  # None: compare raises before reading
+    values = chain.from_iterable(block[column] for block in _rows(args))
     report = pipeline.compare(values, Model(args.model), stat, _pfold_params(args))
     _emit(args, lambda out: pipeline.write_compare_csv(report, out), lambda: asdict(report))
     return 0
 
 
 def _cmd_heatmap(args) -> int:
-    cells = pipeline.heatmap(chain.from_iterable(_rows(args)), _ete_model(args))
+    cells = pipeline.heatmap(_rows(args), _ete_model(args))
     _emit(args, lambda out: pipeline.write_heatmap_csv(cells, out), lambda: [asdict(c) for c in cells])
     return 0
 

@@ -1,13 +1,15 @@
-"""Dataset pipeline: per-record statistics, summaries, heatmap grids, and
-comparisons of empirical histograms against the limit laws."""
+"""Dataset pipeline: per-record statistics as blocks of columns (dicts of
+lists keyed by ROW_FIELDS), group summaries, heatmap grids, and comparisons
+of empirical histograms against the limit laws.  Summaries and comparisons
+keep histograms, with correctly rounded means and variances."""
 
 from __future__ import annotations
 
 import csv
-from array import array
-from collections import Counter
-from dataclasses import asdict, dataclass, fields
-from operator import attrgetter
+import math
+from collections import Counter, defaultdict
+from dataclasses import asdict, dataclass
+from fractions import Fraction
 from typing import IO, Iterable, Mapping, Optional, Sequence
 
 from .exact import Model, PfoldParams, Stat
@@ -24,23 +26,6 @@ class EmptyHistogram(ValueError):
 
 
 @dataclass(frozen=True)
-class StatsRow:
-    id: str
-    length: int
-    deg: int
-    unp: int
-    chn: int
-    len_ext: int
-    ete_nm: float
-    rms_nm: float
-    hel: Optional[int]
-    stm: Optional[int]
-    stem_helices: Optional[int]
-    pseudoknotted: bool
-    group: str
-
-
-@dataclass(frozen=True)
 class SummaryBlock:
     group: str
     n_structures: int
@@ -48,19 +33,20 @@ class SummaryBlock:
     variances: dict[str, float]
 
 
-ROW_FIELDS = [f.name for f in fields(StatsRow)]
-
 _SUMMARY_STATS = ["deg", "unp", "chn", "len_ext", "ete_nm", "rms_nm", "hel", "stm", "stem_helices"]
+
+# the columns of a block; hel, stm and stem_helices are None where absent
+ROW_FIELDS = ["id", "length", *_SUMMARY_STATS, "pseudoknotted", "group"]
 
 
 def run_stats(
     records: Sequence[ParsedRecord], m: EteModel = DEFAULT_ETE, *, summary: bool = True
-) -> tuple[list[StatsRow], list[SummaryBlock], list[tuple[str, str]]]:
-    """Rows in input order, per-group summaries (an empty list when summary
-    is False, for a caller that summarizes a stream of blocks itself), and
-    (id, message) parse failures.  Nested records go through the exterior
-    walk; crossing records through the shortest path.  Raises NoRecords
-    when nothing parses."""
+) -> tuple[dict[str, list], list[SummaryBlock], list[tuple[str, str]]]:
+    """The block of the records that hold a structure, in input order,
+    per-group summaries (an empty list when summary is False, for a caller
+    that summarizes a stream of blocks itself), and (id, message) parse
+    failures.  Nested records go through the exterior walk; crossing records
+    through the shortest path.  Raises NoRecords when nothing parses."""
     if not records:
         raise NoRecords("no records in input")
     good = [rec for rec in records if rec.has_structure]
@@ -70,8 +56,7 @@ def run_stats(
     columns["id"] = [rec.id for rec in good]
     columns["group"] = [rec.group or "default" for rec in good]
     columns["pseudoknotted"] = columns.pop("crossing")
-    rows = [StatsRow(*values) for values in zip(*(columns[name] for name in ROW_FIELDS))]
-    return rows, summarize(rows) if summary else [], skipped(records)
+    return columns, summarize([columns]) if summary else [], skipped(records)
 
 
 def skipped(records: Iterable[ParsedRecord]) -> list[tuple[str, str]]:
@@ -79,35 +64,45 @@ def skipped(records: Iterable[ParsedRecord]) -> list[tuple[str, str]]:
     return [(rec.id, rec.error or "parse error") for rec in records if not rec.has_structure]
 
 
-def summarize(rows: Iterable[StatsRow]) -> list[SummaryBlock]:
-    """Population mean/variance per group; optional statistics average over
-    the rows where they are present.
+def _moments(hist: Mapping) -> tuple[int, float, float]:
+    """Count, mean and population variance of a histogram {value: count},
+    each correctly rounded from its exact value: the values, as Fractions,
+    go over one common denominator d, so that the sums are exact integers
+    and each moment is one int / int division."""
+    exact = [(Fraction(v), count) for v, count in hist.items()]
+    d = math.lcm(*(x.denominator for x, _ in exact))
+    n = s1 = s2 = 0
+    for x, count in exact:
+        k = x.numerator * (d // x.denominator)
+        n += count
+        s1 += count * k
+        s2 += count * k * k
+    return n, s1 / (n * d), (n * s2 - s1 * s1) / (n * d) ** 2
 
-    rows are read once, so they may be a stream.  A group keeps its row
-    count and one array per statistic, 4 bytes an integer value and 8 a
-    distance, and both passes sum its values in input order."""
-    values = attrgetter(*_SUMMARY_STATS)
-    groups: dict[str, list] = {}  # group -> [row count, one array per statistic]
-    for row in rows:
-        group = groups.get(row.group)
-        if group is None:
-            group = groups[row.group] = [0, *(array("d" if n.endswith("_nm") else "I") for n in _SUMMARY_STATS)]
-        group[0] += 1
-        for column, v in zip(group[1:], values(row)):
-            if v is not None:
-                column.append(v)
-    blocks = []
-    for label, (count, *columns) in groups.items():
+
+def summarize(blocks: Iterable[dict[str, list]]) -> list[SummaryBlock]:
+    """Population mean/variance per group; optional statistics average over
+    the records where they are present.
+
+    blocks are read once, so they may be a stream.  A group keeps its record
+    count and one histogram per statistic."""
+    sizes: Counter = Counter()  # group -> records, in order of first appearance
+    hists: defaultdict = defaultdict(Counter)  # (group, statistic) -> value counts
+    for block in blocks:
+        sizes.update(block["group"])
+        for name in _SUMMARY_STATS:
+            for (label, v), count in Counter(zip(block["group"], block[name])).items():
+                if v is not None:
+                    hists[label, name][v] += count
+    out = []
+    for label, size in sizes.items():
         means: dict[str, float] = {}
         variances: dict[str, float] = {}
-        for name, column in zip(_SUMMARY_STATS, columns):
-            if not column:
-                continue
-            mu = sum(column) / len(column)
-            means[name] = mu
-            variances[name] = sum((v - mu) ** 2 for v in column) / len(column)
-        blocks.append(SummaryBlock(label, count, means, variances))
-    return blocks
+        for name in _SUMMARY_STATS:
+            if (label, name) in hists:
+                _, means[name], variances[name] = _moments(hists[label, name])
+        out.append(SummaryBlock(label, size, means, variances))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -133,10 +128,12 @@ class HeatmapCell:
     band: str
 
 
-def heatmap(rows: Iterable[StatsRow], m: EteModel = DEFAULT_ETE) -> list[HeatmapCell]:
+def heatmap(blocks: Iterable[dict[str, list]], m: EteModel = DEFAULT_ETE) -> list[HeatmapCell]:
     """Percentage of structures per (deg, unp) cell, with the distance band
-    of the cell's coordinates.  rows are read once and only counted."""
-    counts = Counter((row.deg, row.unp) for row in rows)
+    of the cell's coordinates.  blocks are read once and only counted."""
+    counts: Counter = Counter()
+    for block in blocks:
+        counts.update(zip(block["deg"], block["unp"]))
     total = sum(counts.values())
     if not total:
         raise NoRecords("heatmap needs at least one row")
@@ -182,7 +179,7 @@ def total_variation(h: Mapping[int, float], d: LimitDist, cap: int) -> float:
     return 0.5 * body + 0.5 * abs(emp_tail - law_tail)
 
 
-_STAT_ATTR = {
+_STAT_COLUMN = {
     Stat.DEG: "deg",
     Stat.UNP: "unp",
     Stat.CHN: "chn",
@@ -207,16 +204,8 @@ class CompareReport:
     bins: list[tuple[int, float, float]]  # value, empirical prob, law pmf
 
 
-def _stat_values(rows: Iterable[StatsRow], stat: Stat) -> list[Optional[int]]:
-    """What compare reads of each row: the statistic, or None where the row
-    lacks it or compare does not support the statistic.  rows are read
-    once."""
-    attr = _STAT_ATTR.get(stat)
-    return [None if attr is None else getattr(row, attr) for row in rows]
-
-
 def compare(
-    values: Sequence[Optional[int]],
+    values: Iterable[Optional[int]],
     model: Model,
     stat: Stat,
     p: Optional[PfoldParams] = None,
@@ -224,30 +213,28 @@ def compare(
     """Empirical distribution of one statistic against its limit law.
 
     values holds the statistic of each row, None where the row lacks it
-    (e.g. unpaired structures for hel); those rows are skipped and counted."""
-    if stat not in _STAT_ATTR:
+    (e.g. unpaired structures for hel); those rows are skipped and counted.
+    values are read once, into a histogram, and only after the law is
+    found, so an unsupported combination reads none of them."""
+    if stat not in _STAT_COLUMN:
         from .exact import UnsupportedCombination
 
         raise UnsupportedCombination(f"compare does not support {stat.value}")
     law = limit_of(model, stat, p)
-    kept = [v for v in values if v is not None]
-    if not kept:
+    hist = Counter(values)
+    n_skipped = hist.pop(None, 0)
+    if not hist:
         raise EmptyHistogram("no rows carry this statistic")
-    hist = Counter(kept)
+    n, mu, var = _moments(hist)
     cap = law_quantile_cap(law)
-    mu = sum(kept) / len(kept)
-    var = sum((v - mu) ** 2 for v in kept) / len(kept)
     summary = moments(law)
     tv = total_variation(hist, law, cap)
-    bins = [
-        (k, hist.get(k, 0) / len(kept), float(law.pmf(k)))
-        for k in range(0, min(cap, max(hist) if hist else 0) + 1)
-    ]
+    bins = [(k, hist[k] / n, float(law.pmf(k))) for k in range(0, min(cap, max(hist)) + 1)]
     return CompareReport(
         model=model.value,
         stat=stat.value,
-        n_values=len(kept),
-        n_skipped=len(values) - len(kept),
+        n_values=n,
+        n_skipped=n_skipped,
         empirical_mean=mu,
         empirical_variance=var,
         law_mean=float(summary.mean),
@@ -261,19 +248,25 @@ def compare(
 # serialization
 
 
-def write_rows_csv(rows: Sequence[StatsRow], stream: IO[str]) -> None:
-    """Absent statistics are empty fields; pseudoknotted is true or false."""
+def write_rows_csv(blocks: Iterable[dict[str, list]], stream: IO[str]) -> None:
+    """One line per record; absent statistics are empty fields, and
+    pseudoknotted is true or false."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(ROW_FIELDS)
     flag = ROW_FIELDS.index("pseudoknotted")
-    for row in rows:
-        cells = [getattr(row, f) for f in ROW_FIELDS]
-        cells[flag] = "true" if cells[flag] else "false"
-        writer.writerow(cells)
+    for block in blocks:
+        columns = [block[name] for name in ROW_FIELDS]
+        columns[flag] = ["true" if x else "false" for x in columns[flag]]
+        writer.writerows(zip(*columns))
 
 
-def rows_to_json(rows: Sequence[StatsRow]) -> list[dict]:
-    return [asdict(row) for row in rows]
+def rows_to_json(blocks: Iterable[dict[str, list]]) -> list[dict]:
+    """One dict per record, keyed by ROW_FIELDS."""
+    return [
+        dict(zip(ROW_FIELDS, values))
+        for block in blocks
+        for values in zip(*(block[name] for name in ROW_FIELDS))
+    ]
 
 
 def write_summary_csv(blocks: Sequence[SummaryBlock], stream: IO[str]) -> None:

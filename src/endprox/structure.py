@@ -38,8 +38,8 @@ CLOSERS = ")]}>"
 # characters of its structure line plus _RECORD_CHARS (one heavier record
 # makes a block of its own).  The scan's temporaries peak at about 25 bytes
 # a structure character, and the Python objects of one record (its
-# ParsedRecord, StatsRow and id) weigh about as much as 30 characters do
-# through `stats`, so the cap bounds both
+# ParsedRecord, its id and its entries in the statistics columns) weigh
+# about as much as 20 characters do through `stats`, so the cap bounds both
 _BLOCK_CHARS = 1 << 16
 _RECORD_CHARS = 48
 

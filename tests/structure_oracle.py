@@ -3,9 +3,10 @@
 These are character-by-character and record-by-record versions of the dot-
 bracket parser, the crossing check, the exterior walk, the helix and stem
 walks, the breadth-first searches of the shortest-path statistics and the
-per-record `run_stats` rows, with the CLI's whole-file reader and the
-list-based `summarize` that the streamed commands replaced.  They return the
-package's own types, so their results compare with the package's by
+per-record `run_stats` rows, with the CLI's whole-file reader and a
+list-based `summarize` whose means and variances are exact Fractions of each
+group's whole value list, rounded once.  They return the package's own
+types and block shape, so their results compare with the package's by
 equality.  `unp_deg_of_steps` reads the
 exterior (unp, deg) straight off sampler step rows, without the package.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
@@ -309,10 +311,10 @@ def read_dot_bracket_records(text: str, default_group: Optional[str] = None) -> 
     return records
 
 
-def row_from_record(rec: ParsedRecord, m: EteModel) -> pipeline.StatsRow:
+def row_from_record(rec: ParsedRecord, m: EteModel) -> dict:
     s = rec.structure
     ex = shortest_path_stats(s, m) if s.crossing else exterior_stats(s, m)
-    return pipeline.StatsRow(
+    return dict(
         id=rec.id,
         length=s.length,
         deg=ex.deg,
@@ -337,26 +339,31 @@ def run_stats(records: Sequence[ParsedRecord], m: EteModel = DEFAULT_ETE, *, sum
     if not good:
         raise pipeline.NoRecords("every record failed to parse")
     rows = [row_from_record(rec, m) for rec in good]
-    return rows, summarize(rows) if summary else [], errors
+    block = {name: [row[name] for row in rows] for name in pipeline.ROW_FIELDS}
+    return block, summarize([block]) if summary else [], errors
 
 
-def summarize(rows):
+def summarize(blocks, number=Fraction):
+    """Each group's rows gathered whole; the mean and the mean squared
+    deviation from it in `number` arithmetic, exact Fractions unless told
+    otherwise, each rounded to a float once."""
     by_group: dict[str, list] = {}
-    for row in rows:
-        by_group.setdefault(row.group, []).append(row)
-    blocks = []
+    for block in blocks:
+        for k, group in enumerate(block["group"]):
+            by_group.setdefault(group, []).append({name: column[k] for name, column in block.items()})
+    out = []
     for group, members in by_group.items():
         means: dict[str, float] = {}
         variances: dict[str, float] = {}
         for name in pipeline._SUMMARY_STATS:
-            values = [getattr(r, name) for r in members if getattr(r, name) is not None]
+            values = [number(r[name]) for r in members if r[name] is not None]
             if not values:
                 continue
             mu = sum(values) / len(values)
-            means[name] = mu
-            variances[name] = sum((v - mu) ** 2 for v in values) / len(values)
-        blocks.append(pipeline.SummaryBlock(group, len(members), means, variances))
-    return blocks
+            means[name] = float(mu)
+            variances[name] = float(sum((v - mu) ** 2 for v in values) / len(values))
+        out.append(pipeline.SummaryBlock(group, len(members), means, variances))
+    return out
 
 
 def looks_like_bpseq(path: str, text: str) -> bool:

@@ -39,6 +39,9 @@ class TestStats:
         blocks = json.loads(out)
         assert blocks[0]["n_structures"] == 3
         assert blocks[0]["means"]["deg"] == 2.0
+        # three equal records of length 14: every variance is exactly 0 (float
+        # sums in record order leave 2e-31 in rms_nm's)
+        assert set(blocks[0]["variances"].values()) == {0.0}
 
     def test_stdin(self, run):
         code, out, _ = run(["stats"], stdin="(...)\n")
@@ -264,11 +267,24 @@ class TestCompareHeatmap:
         assert payload["n_values"] == 3
         assert 0 <= payload["tv"] <= 1
 
-    def test_compare_unsupported(self, run, tmp_path):
+    def test_compare_unsupported(self, run, tmp_path, monkeypatch, capsys):
         path = tmp_path / "toy.dbn"
         path.write_text("(...)\n")
         code, _, _ = run(["compare", str(path), "--model", "dyck", "--stat", "unp"])
         assert code == 2
+        # the law is looked up before any input is read: stdin is not
+        # touched, and a missing file is never opened
+
+        class Unread:
+            def __getattr__(self, name):
+                raise AssertionError(f"stdin.{name} used")
+
+        monkeypatch.setattr("sys.stdin", Unread())
+        for argv in (["--model", "dyck", "--stat", "unp"], ["--model", "pfold", "--stat", "ete"]):
+            assert main(["compare", *argv]) == 2
+            assert main(["compare", str(tmp_path / "missing.dbn"), *argv]) == 2
+        dyck, ete = "error: no limit law for dyck x unp", "error: compare does not support ete"
+        assert capsys.readouterr().err.splitlines() == [dyck, dyck, ete, ete]
 
     def test_heatmap_csv(self, run, tmp_path):
         path = tmp_path / "toy.dbn"

@@ -1,12 +1,17 @@
 import io
+from fractions import Fraction
+from itertools import chain
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from endprox.exact import Model, Stat, UnsupportedCombination
 from endprox.limits import NegBinomial, limit_of
 from endprox.pipeline import (
     EmptyHistogram,
     NoRecords,
+    SummaryBlock,
     compare,
     ete_band,
     heatmap,
@@ -29,10 +34,9 @@ def records_from(text: str, group="g"):
 class TestRunStats:
     def test_triplicate_example(self):
         text = "\n".join([".(...)..(...)."] * 3)
-        rows, blocks, errors = run_stats(records_from(text))
+        columns, blocks, errors = run_stats(records_from(text))
         assert not errors
-        assert len(rows) == 3
-        assert all(row.deg == 2 for row in rows)
+        assert columns["deg"] == [2, 2, 2]
         block = blocks[0]
         assert block.n_structures == 3
         assert block.means["deg"] == 2.0
@@ -40,14 +44,14 @@ class TestRunStats:
         assert block.means["ete_nm"] == pytest.approx(2.80, abs=0.005)
 
     def test_single_structure_stems(self):
-        rows, _, _ = run_stats(records_from("((...))"))
-        assert rows[0].hel == 2 and rows[0].stm == 2
+        columns, _, _ = run_stats(records_from("((...))"))
+        assert columns["hel"] == [2] and columns["stm"] == [2]
 
     def test_crossing_goes_through_path(self):
-        rows, _, _ = run_stats(records_from("([)]"))
-        assert rows[0].pseudoknotted
-        assert rows[0].stm is None and rows[0].stem_helices is None
-        assert (rows[0].deg, rows[0].chn) == (1, 1)
+        columns, _, _ = run_stats(records_from("([)]"))
+        assert columns["pseudoknotted"] == [True]
+        assert columns["stm"] == [None] and columns["stem_helices"] == [None]
+        assert (columns["deg"], columns["chn"]) == ([1], [1])
 
     def test_empty_input(self):
         with pytest.raises(NoRecords):
@@ -58,16 +62,16 @@ class TestRunStats:
             run_stats(records_from("((((\n"))
 
     def test_partial_failure_reported(self):
-        rows, _, errors = run_stats(records_from("((((\n()\n"))
-        assert len(rows) == 1 and len(errors) == 1
+        columns, _, errors = run_stats(records_from("((((\n()\n"))
+        assert columns["id"] == ["rec2"] and len(errors) == 1
 
     def test_summary_recompute(self):
         text = ".(...)\n((..))\n...\n"
-        rows, blocks, _ = run_stats(records_from(text))
-        manual = summarize(rows)
+        columns, blocks, _ = run_stats(records_from(text))
+        manual = summarize([columns])
         assert manual == blocks
-        assert run_stats(records_from(text), summary=False) == (rows, [], [])
-        degs = [r.deg for r in rows]
+        assert run_stats(records_from(text), summary=False) == (columns, [], [])
+        degs = columns["deg"]
         mu = sum(degs) / len(degs)
         assert blocks[0].means["deg"] == pytest.approx(mu, abs=1e-9)
         assert blocks[0].variances["deg"] == pytest.approx(
@@ -75,10 +79,71 @@ class TestRunStats:
         )
 
 
+_INTEGER_STATS = ["deg", "unp", "chn", "len_ext", "hel", "stm", "stem_helices"]
+_OPTIONAL = {"hel", "stm", "stem_helices"}
+
+
+def _exact(values):
+    """Mean and population variance of values, exact, each rounded once."""
+    values = [Fraction(v) for v in values]
+    mu = sum(values) / len(values)
+    return float(mu), float(sum((v - mu) ** 2 for v in values) / len(values))
+
+
+@st.composite
+def shuffled_blocks(draw):
+    """Records with random groups, integer statistics (some absent) and
+    distances drawn from a small pool, so that values repeat; the records in
+    a random order, cut into blocks at random points."""
+    pool = draw(st.lists(st.floats(0, 1e3, allow_nan=False), min_size=1, max_size=6))
+    integers = st.lists(st.one_of(st.integers(0, 40), st.integers(0, 2000)), min_size=7, max_size=7)
+    distances = st.lists(st.sampled_from(pool), min_size=2, max_size=2)
+    absent = st.sets(st.sampled_from(sorted(_OPTIONAL)))
+    rows = draw(st.lists(st.tuples(st.sampled_from("abc"), integers, distances, absent), min_size=1, max_size=40))
+    records = [
+        {"group": group, **dict(zip(_INTEGER_STATS, ints)), "ete_nm": ete, "rms_nm": rms, **dict.fromkeys(gone)}
+        for group, ints, (ete, rms), gone in rows
+    ]
+    n = len(records)
+    records = [records[k] for k in draw(st.permutations(range(n)))]
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=5)))
+    blocks = [
+        {name: [rec[name] for rec in records[a:b]] for name in records[0]}
+        for a, b in zip([0] + cuts, cuts + [n])
+    ]
+    return records, blocks
+
+
+class TestExactMoments:
+    @given(shuffled_blocks())
+    @settings(max_examples=100, deadline=None)
+    def test_summarize_and_compare_are_correctly_rounded(self, drawn):
+        records, blocks = drawn
+        want = []
+        for label in dict.fromkeys(rec["group"] for rec in records):
+            members = [rec for rec in records if rec["group"] == label]
+            moments = {}
+            for name in ["deg", "unp", "chn", "len_ext", "ete_nm", "rms_nm", "hel", "stm", "stem_helices"]:
+                values = [rec[name] for rec in members if rec[name] is not None]
+                if values:
+                    moments[name] = _exact(values)
+            means = {name: mu for name, (mu, _) in moments.items()}
+            variances = {name: var for name, (_, var) in moments.items()}
+            want.append(SummaryBlock(label, len(members), means, variances))
+        assert summarize(iter(blocks)) == want
+        for name, stat in (("deg", Stat.DEG), ("hel", Stat.HEL)):
+            values = [rec[name] for rec in records if rec[name] is not None]
+            if not values:
+                continue
+            report = compare(chain.from_iterable(block[name] for block in blocks), Model.MOTZKIN, stat)
+            assert (report.empirical_mean, report.empirical_variance) == _exact(values)
+            assert (report.n_values, report.n_skipped) == (len(values), len(records) - len(values))
+
+
 class TestHeatmap:
     def test_single_cell(self):
-        rows, _, _ = run_stats(records_from(".(...)....\n.(...)....\n"))
-        cells = heatmap(rows)
+        columns, _, _ = run_stats(records_from(".(...)....\n.(...)....\n"))
+        cells = heatmap([columns])
         assert len(cells) == 1
         assert cells[0].percent == 100.0
 
@@ -90,8 +155,8 @@ class TestHeatmap:
 
     def test_percent_sums(self):
         text = "\n".join(["." * k + "(...)" for k in range(1, 30)])
-        rows, _, _ = run_stats(records_from(text))
-        cells = heatmap(rows)
+        columns, _, _ = run_stats(records_from(text))
+        cells = heatmap([columns])
         assert sum(c.percent for c in cells) == pytest.approx(100.0, abs=1e-6)
 
 
@@ -130,22 +195,22 @@ class TestCompare:
         # rows whose deg histogram equals the pmf cannot be built exactly;
         # instead feed the law's own pmf into total_variation via compare's
         # internals by checking a concentrated dataset end to end
-        rows, _, _ = run_stats(records_from("(...)\n(...)\n"))
-        report = compare([row.deg for row in rows], Model.MOTZKIN, Stat.DEG)
+        columns, _, _ = run_stats(records_from("(...)\n(...)\n"))
+        report = compare(columns["deg"], Model.MOTZKIN, Stat.DEG)
         assert report.n_values == 2
         assert report.empirical_mean == 1.0
         assert report.law_mean == 3.0
         assert 0.0 < report.tv < 1.0
 
     def test_absent_rows_skipped(self):
-        rows, _, _ = run_stats(records_from("...\n(...)\n"))
-        report = compare([row.hel for row in rows], Model.MOTZKIN, Stat.HEL)
+        columns, _, _ = run_stats(records_from("...\n(...)\n"))
+        report = compare(columns["hel"], Model.MOTZKIN, Stat.HEL)
         assert report.n_skipped == 1 and report.n_values == 1
 
     def test_unsupported(self):
-        rows, _, _ = run_stats(records_from("(...)\n"))
+        columns, _, _ = run_stats(records_from("(...)\n"))
         with pytest.raises(UnsupportedCombination):
-            compare([row.unp for row in rows], Model.DYCK, Stat.UNP)
+            compare(columns["unp"], Model.DYCK, Stat.UNP)
 
     def test_sampled_deg_tv_at_2000(self):
         # 1e5 uniform draws at length 2000: the empirical deg histogram sits
@@ -170,9 +235,9 @@ class TestCompare:
 
 class TestWriters:
     def test_rows_csv_header(self):
-        rows, blocks, _ = run_stats(records_from("(...)\n"))
+        columns, blocks, _ = run_stats(records_from("(...)\n"))
         buf = io.StringIO()
-        write_rows_csv(rows, buf)
+        write_rows_csv([columns], buf)
         header = buf.getvalue().splitlines()[0]
         assert header == "id,length,deg,unp,chn,len_ext,ete_nm,rms_nm,hel,stm,stem_helices,pseudoknotted,group"
         buf2 = io.StringIO()
@@ -183,9 +248,9 @@ class TestWriters:
         # absent statistics are empty cells, the crossing flag is true or
         # false, an id with a comma is quoted, and a bad record has no row
         text = ">nested\n.(...)..(...).\n>pk group=b\n((..[[..))..]]\n>dots\n.....\n>bad\n((.\n>a,b\n(())\n"
-        rows, _, errors = run_stats(records_from(text))
+        columns, _, errors = run_stats(records_from(text))
         buf = io.StringIO()
-        write_rows_csv(rows, buf)
+        write_rows_csv([columns], buf)
         assert [e[0] for e in errors] == ["bad"]
         assert buf.getvalue() == (
             "id,length,deg,unp,chn,len_ext,ete_nm,rms_nm,hel,stm,stem_helices,pseudoknotted,group\n"
@@ -196,14 +261,14 @@ class TestWriters:
         )
 
     def test_heatmap_csv(self):
-        rows, _, _ = run_stats(records_from("(...)\n"))
+        columns, _, _ = run_stats(records_from("(...)\n"))
         buf = io.StringIO()
-        write_heatmap_csv(heatmap(rows), buf)
+        write_heatmap_csv(heatmap([columns]), buf)
         assert buf.getvalue().splitlines()[0] == "deg,unp,percent,ete_band"
 
     def test_compare_csv(self):
-        rows, _, _ = run_stats(records_from("(...)\n(...)\n"))
-        report = compare([row.deg for row in rows], Model.MOTZKIN, Stat.DEG)
+        columns, _, _ = run_stats(records_from("(...)\n(...)\n"))
+        report = compare(columns["deg"], Model.MOTZKIN, Stat.DEG)
         buf = io.StringIO()
         write_compare_csv(report, buf)
         text = buf.getvalue()

@@ -6,6 +6,7 @@ boundaries; and the streamed commands' memory against the file size and
 the length of the records."""
 
 import contextlib
+import functools
 import io
 import os
 import random
@@ -328,6 +329,13 @@ class TestCliByteIdentity:
         monkeypatch.setattr(structure, "_BLOCK_CHARS", 700)
         _assert_cli_matches_oracle(files(60, 2))
 
+    def test_oracle_catches_input_order_sums(self, files, monkeypatch):
+        # the oracle's exact moments have teeth: two passes of float sums in
+        # record order are off in the last digits and fail the comparison
+        monkeypatch.setattr(pipeline, "summarize", functools.partial(oracle.summarize, number=float))
+        with pytest.raises(AssertionError, match="--summary"):
+            _assert_cli_matches_oracle(files(60, 1))
+
     def test_records_straddle_the_block_cap(self, files):
         path, bpseq = files(1600, 3)
         text = path.read_text()
@@ -457,6 +465,21 @@ def _traced_peak(argv):
             tracemalloc.stop()
 
 
+def _length_200_mix() -> str:
+    """120 records of length 200 in three groups; one in ten crossing and one
+    in ten with an illegal character."""
+    rnd = random.Random(11)
+    lines = []
+    for i in range(120):
+        text = _nested(rnd, 200)
+        if i % 10 == 3:
+            text = _crossed(rnd, text)
+        elif i % 10 == 7:
+            text = text[:9] + "x" + text[10:]
+        lines += [f">s{i} group=g{i % 3}", text]
+    return "\n".join(lines) + "\n"
+
+
 class TestMemoryBound:
     def test_peak_does_not_grow_with_the_file(self, tmp_path, monkeypatch):
         # traced peak of each streamed command on a file and on the same
@@ -466,21 +489,30 @@ class TestMemoryBound:
         # both files have blocks of the same size: what grows is what is
         # kept per record.
         monkeypatch.setattr(structure, "_BLOCK_CHARS", 8192)
-        rnd = random.Random(11)
-        lines = []
-        for i in range(120):
-            text = _nested(rnd, 200)
-            if i % 10 == 3:
-                text = _crossed(rnd, text)
-            elif i % 10 == 7:
-                text = text[:9] + "x" + text[10:]
-            lines += [f">s{i} group=g{i % 3}", text]
         one, eight = tmp_path / "one.dbn", tmp_path / "eight.dbn"
-        one.write_text("\n".join(lines) + "\n")
-        eight.write_text(("\n".join(lines) + "\n") * 8)
+        one.write_text(_length_200_mix())
+        eight.write_text(_length_200_mix() * 8)
         for command in COMMANDS[::2] + [COMMANDS[-1]]:
             peaks = [_traced_peak(command + [str(path)]) for path in (one, one, eight)]
             assert peaks[2] <= 1.25 * peaks[1], (command, peaks)
+
+    def test_summaries_keep_only_counts(self, tmp_path, monkeypatch):
+        # stats --summary keeps one histogram per group and statistic, and
+        # compare one histogram, so on the file 32 times over their peaks
+        # stay within a few percent of the larger of the two peaks on the
+        # file once: at most 1.09 and 1.05 times it, where keeping an array
+        # entry per record and statistic, or a list of the values, reaches
+        # 1.5 and 1.15 times
+        monkeypatch.setattr(structure, "_BLOCK_CHARS", 8192)
+        one, many = tmp_path / "one.dbn", tmp_path / "many.dbn"
+        one.write_text(_length_200_mix())
+        many.write_text(_length_200_mix() * 32)
+        for command, bound in (
+            (["stats", "--summary"], 1.25),
+            (["compare", "--model", "pfold", "--stat", "deg"], 1.1),
+        ):
+            peaks = [_traced_peak(command + [str(path)]) for path in (one, one, many)]
+            assert peaks[2] <= bound * max(peaks[:2]), (command, peaks)
 
     def test_short_records_do_not_crowd_a_block(self, tmp_path, monkeypatch):
         # a block of one-character records holds far more records than a

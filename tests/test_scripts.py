@@ -61,8 +61,16 @@ def test_tracer_finds_its_spans(tmp_path):
     assert summary["counts"]["exact.table_rows"] == 20
     records = tmp_path / "three.dbn"
     records.write_text(">a\n((..))..\n>bad\n((.)\n>c\n.([..)].\n")
-    for command in (["stats"], ["stats", "--summary"], ["compare", "--model", "pfold", "--stat", "deg"], ["heatmap"]):
+    # each dataset command also records its own pipeline span, so that its
+    # per-layer metric cannot silently read 0
+    for command, own in (
+        (["stats"], "pipeline.write_rows_csv"),
+        (["--format", "json", "stats"], "pipeline.rows_to_json"),
+        (["stats", "--summary"], "pipeline.summarize"),
+        (["compare", "--model", "pfold", "--stat", "deg"], "pipeline.compare"),
+        (["heatmap"], "pipeline.heatmap"),
+    ):
         run_script("bench/tracer.py", str(spans), "cli", *command, str(records))
         summary = json.loads(spans.read_text())
-        assert {"structure.read_dot_bracket_records", "pipeline.run_stats"} <= set(summary["seconds"]), command
+        assert {"structure.read_dot_bracket_records", "pipeline.run_stats", own} <= set(summary["seconds"]), command
         assert summary["counts"]["pipeline.records_skipped"] == 1, command
