@@ -38,7 +38,6 @@ from .limits import (
     ete_limit_moments,
     limit_of,
     moments,
-    pfold_limit_from_delta,
     pfold_rho_delta,
     pmf_expand,
 )

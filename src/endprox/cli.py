@@ -30,17 +30,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-_STAT_CHOICES = {
-    "deg": Stat.DEG,
-    "unp": Stat.UNP,
-    "chn": Stat.CHN,
-    "len": Stat.LEN,
-    "ete": Stat.ETE,
-    "hel": Stat.HEL,
-    "stm": Stat.STM,
-    "stem-helices": Stat.STEM_HELICES,
-    "joint": Stat.JOINT,
-}
+_STAT_CHOICES = {s.value.replace("_", "-"): s for s in Stat}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,10 +1,14 @@
 """Limiting laws of the end-proximity statistics and their moments.
 
-Every supported (model, statistic) pair converges to either an offset
-negative binomial, the canonical joint law with generating function
-c*v / (1 - a*u - b*v)^2 in (u -> unp, v -> deg), or the u -> (u, u^2)
-substitution of that joint law (the exterior nucleotide count).  The grammar
-model enters only through the root of its singularity polynomial.
+Each model has one limiting law of its exterior loop: the joint (unp, deg)
+law with generating function c*v / (1 - a*u - b*v)^2.  The laws of deg,
+unp, chn and the exterior nucleotide count are its projections, the
+substitutions u -> 1, v -> 1, u = v and u -> (u, u^2) of that generating
+function (Flajolet & Sedgewick, Analytic Combinatorics, ch. IX); Dyck
+structures have no unpaired positions, so only deg is projected there.
+The first-arch statistics (hel, stm, stem helices) converge to offset
+geometric laws.  The grammar model enters only through the root of its
+singularity polynomial.
 
 Rational model constants stay exact Fractions end to end; grammar-derived
 quantities are floats.
@@ -230,55 +234,52 @@ def pfold_rho_delta(p: PfoldParams = DEFAULT_PFOLD, tol: float = 1e-12) -> Pfold
     return PfoldDerived(rho=rho, delta=delta, residual=abs(val(rho)))
 
 
-def pfold_limit_from_delta(stat: Stat, delta: float) -> LimitDist:
-    """Grammar limit laws as functions of the scale parameter alone (HEL is
-    excluded; it needs the root and p3 directly)."""
-    if stat is Stat.DEG:
-        return NegBinomial(1, 2, 1 / (1 + delta))
-    if stat is Stat.UNP:
-        return NegBinomial(0, 2, (1 - delta) / (1 + delta**2))
-    if stat is Stat.CHN:
-        return NegBinomial(0, 2, (1 - delta) / (1 + delta))
-    if stat is Stat.JOINT:
-        return JointNB(delta, delta * (1 - delta) / (1 + delta))
-    if stat is Stat.LEN:
-        return LenDist(JointNB(delta, delta * (1 - delta) / (1 + delta)))
-    raise UnsupportedCombination(f"no delta-parametrized law for {stat.value}")
+def _exterior_law(model: Model, p: PfoldParams) -> JointNB:
+    """The joint (unp, deg) law of a model's exterior loop; the grammar's
+    is parametrized by its scale delta alone."""
+    if model is Model.DYCK:
+        return JointNB(Fraction(0), Fraction(1, 2))
+    if model is Model.MOTZKIN:
+        return JointNB(Fraction(1, 3), Fraction(1, 3))
+    delta = pfold_rho_delta(p).delta
+    return JointNB(delta, delta * (1 - delta) / (1 + delta))
 
 
-_MOTZKIN_JOINT = JointNB(Fraction(1, 3), Fraction(1, 3))
+# the projections of the joint exterior law
+_PROJECTIONS = {
+    Stat.DEG: JointNB.deg_marginal,
+    Stat.UNP: JointNB.unp_marginal,
+    Stat.CHN: JointNB.chn_law,
+    Stat.JOINT: lambda joint: joint,
+    Stat.LEN: LenDist,
+}
 
-_RATIONAL_LAWS: dict[tuple[Model, Stat], LimitDist] = {
-    (Model.DYCK, Stat.DEG): NegBinomial(1, 2, Fraction(1, 2)),
-    (Model.DYCK, Stat.HEL): NegBinomial(1, 1, Fraction(3, 4)),
-    (Model.MOTZKIN, Stat.DEG): NegBinomial(1, 2, Fraction(1, 2)),
-    (Model.MOTZKIN, Stat.UNP): NegBinomial(0, 2, Fraction(1, 2)),
-    (Model.MOTZKIN, Stat.CHN): NegBinomial(0, 2, Fraction(1, 3)),
-    (Model.MOTZKIN, Stat.HEL): NegBinomial(1, 1, Fraction(8, 9)),
-    (Model.MOTZKIN, Stat.STM): NegBinomial(1, 1, Fraction(3, 4)),
-    (Model.MOTZKIN, Stat.STEM_HELICES): NegBinomial(1, 1, Fraction(27, 32)),
-    (Model.MOTZKIN, Stat.JOINT): _MOTZKIN_JOINT,
-    (Model.MOTZKIN, Stat.LEN): LenDist(_MOTZKIN_JOINT),
+# success probabilities of the uniform models' first-arch laws 1 + NB(1, p)
+_FIRST_ARCH: dict[tuple[Model, Stat], Fraction] = {
+    (Model.DYCK, Stat.HEL): Fraction(3, 4),
+    (Model.MOTZKIN, Stat.HEL): Fraction(8, 9),
+    (Model.MOTZKIN, Stat.STM): Fraction(3, 4),
+    (Model.MOTZKIN, Stat.STEM_HELICES): Fraction(27, 32),
 }
 
 
 def limit_of(model: Model, stat: Stat, p: Optional[PfoldParams] = None) -> LimitDist:
     """The limiting law of a statistic under a model.
 
-    Uniform-model laws carry exact rational parameters.  Unpaired positions
-    do not exist in the Dyck model, so only DEG and HEL are defined there.
+    deg, unp, chn, joint and len are projections of the model's one joint
+    exterior law; hel, stm and stem helices have offset geometric laws, the
+    grammar's hel with success probability 1 - rho^2 * p3.  Uniform-model
+    laws carry exact rational parameters.  Unpaired positions do not exist
+    in the Dyck model, so only DEG and HEL are defined there.
     """
-    law = _RATIONAL_LAWS.get((model, stat))
-    if law is not None:
-        return law
-    if model is Model.PFOLD:
-        params = p or DEFAULT_PFOLD
-        derived = pfold_rho_delta(params)
-        if stat is Stat.HEL:
-            return NegBinomial(1, 1, 1 - derived.rho**2 * params.p3)
-        if stat in (Stat.DEG, Stat.UNP, Stat.CHN, Stat.JOINT, Stat.LEN):
-            return pfold_limit_from_delta(stat, derived.delta)
-    raise UnsupportedCombination(f"no limit law for {model.value} x {stat.value}")
+    if (model, stat) in _FIRST_ARCH:
+        return NegBinomial(1, 1, _FIRST_ARCH[model, stat])
+    params = p or DEFAULT_PFOLD
+    if model is Model.PFOLD and stat is Stat.HEL:
+        return NegBinomial(1, 1, 1 - pfold_rho_delta(params).rho ** 2 * params.p3)
+    if stat not in _PROJECTIONS or (model is Model.DYCK and stat is not Stat.DEG):
+        raise UnsupportedCombination(f"no limit law for {model.value} x {stat.value}")
+    return _PROJECTIONS[stat](_exterior_law(model, params))
 
 
 def moments(d: LimitDist) -> MomentSummary:
@@ -411,13 +412,7 @@ def ete_limit_moments(
         _, ks2 = dyck_ete_truncations(m, tol_s)
         mean_fine, second = _dyck_sums(m, km2, ks2)
     else:
-        if model is Model.MOTZKIN:
-            joint = JointNB(1 / 3, 1 / 3)
-        elif model is Model.PFOLD:
-            delta = pfold_rho_delta(p or DEFAULT_PFOLD).delta
-            joint = pfold_limit_from_delta(Stat.JOINT, delta)
-        else:
-            raise UnsupportedCombination(f"no distance law for {model.value}")
+        joint = _exterior_law(model, p or DEFAULT_PFOLD)
         k_mean = _joint_diag_cap(joint, m, tol, 2)
         mean, _ = _joint_sums(joint, m, k_mean, 0)
         rough = mean + tol

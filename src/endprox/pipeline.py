@@ -8,13 +8,13 @@ from __future__ import annotations
 import csv
 import math
 from collections import Counter, defaultdict
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from typing import IO, Iterable, Mapping, Optional, Sequence
 
-from .exact import Model, PfoldParams, Stat
+from .exact import Model, PfoldParams, Stat, UnsupportedCombination
 from .limits import LenDist, LimitDist, NegBinomial, limit_of, moments
-from .structure import DEFAULT_ETE, EteModel, ParsedRecord, ete_distance, stats_columns
+from .structure import _STAT_FIELDS, DEFAULT_ETE, EteModel, ParsedRecord, ete_distance, stats_columns
 
 
 class NoRecords(ValueError):
@@ -33,10 +33,8 @@ class SummaryBlock:
     variances: dict[str, float]
 
 
-_SUMMARY_STATS = ["deg", "unp", "chn", "len_ext", "ete_nm", "rms_nm", "hel", "stm", "stem_helices"]
-
 # the columns of a block; hel, stm and stem_helices are None where absent
-ROW_FIELDS = ["id", "length", *_SUMMARY_STATS, "pseudoknotted", "group"]
+ROW_FIELDS = ["id", "length", *_STAT_FIELDS, "pseudoknotted", "group"]
 
 
 def run_stats(
@@ -90,7 +88,7 @@ def summarize(blocks: Iterable[dict[str, list]]) -> list[SummaryBlock]:
     hists: defaultdict = defaultdict(Counter)  # (group, statistic) -> value counts
     for block in blocks:
         sizes.update(block["group"])
-        for name in _SUMMARY_STATS:
+        for name in _STAT_FIELDS:
             for (label, v), count in Counter(zip(block["group"], block[name])).items():
                 if v is not None:
                     hists[label, name][v] += count
@@ -98,7 +96,7 @@ def summarize(blocks: Iterable[dict[str, list]]) -> list[SummaryBlock]:
     for label, size in sizes.items():
         means: dict[str, float] = {}
         variances: dict[str, float] = {}
-        for name in _SUMMARY_STATS:
+        for name in _STAT_FIELDS:
             if (label, name) in hists:
                 _, means[name], variances[name] = _moments(hists[label, name])
         out.append(SummaryBlock(label, size, means, variances))
@@ -151,7 +149,7 @@ def heatmap(blocks: Iterable[dict[str, list]], m: EteModel = DEFAULT_ETE) -> lis
 def law_quantile_cap(d: LimitDist, tail: float = 1e-6) -> int:
     """Smallest k whose cdf reaches 1 - tail."""
     if not isinstance(d, (NegBinomial, LenDist)):
-        raise EmptyHistogram("quantile cap is defined for scalar laws")
+        raise UnsupportedCombination("quantile cap is defined for scalar laws")
     acc = 0.0
     for k in range(100_000):
         acc += float(d.pmf(k))
@@ -217,8 +215,6 @@ def compare(
     values are read once, into a histogram, and only after the law is
     found, so an unsupported combination reads none of them."""
     if stat not in _STAT_COLUMN:
-        from .exact import UnsupportedCombination
-
         raise UnsupportedCombination(f"compare does not support {stat.value}")
     law = limit_of(model, stat, p)
     hist = Counter(values)
@@ -273,7 +269,7 @@ def write_summary_csv(blocks: Sequence[SummaryBlock], stream: IO[str]) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["group", "n_structures", "stat", "mean", "variance"])
     for block in blocks:
-        for name in _SUMMARY_STATS:
+        for name in _STAT_FIELDS:
             if name in block.means:
                 writer.writerow(
                     [block.group, block.n_structures, name, block.means[name], block.variances[name]]
@@ -293,33 +289,9 @@ def write_heatmap_csv(cells: Sequence[HeatmapCell], stream: IO[str]) -> None:
 
 def write_compare_csv(report: CompareReport, stream: IO[str]) -> None:
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(
-        [
-            "model",
-            "stat",
-            "n_values",
-            "n_skipped",
-            "empirical_mean",
-            "empirical_variance",
-            "law_mean",
-            "law_variance",
-            "tv",
-        ]
-    )
-    writer.writerow(
-        [
-            report.model,
-            report.stat,
-            report.n_values,
-            report.n_skipped,
-            report.empirical_mean,
-            report.empirical_variance,
-            report.law_mean,
-            report.law_variance,
-            report.tv,
-        ]
-    )
+    names = [f.name for f in fields(CompareReport) if f.name != "bins"]
+    writer.writerow(names)
+    writer.writerow([getattr(report, name) for name in names])
     writer.writerow([])
     writer.writerow(["value", "empirical_prob", "law_pmf"])
-    for k, emp, pk in report.bins:
-        writer.writerow([k, emp, pk])
+    writer.writerows(report.bins)

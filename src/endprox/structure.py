@@ -18,7 +18,9 @@ a stream of lines is read one block at a time.  The statistics are columns
 over a block's partner and depth arrays, with one level-synchronous
 breadth-first search for all of its crossing records.  The single-structure
 functions (`parse_dot_bracket`, `exterior_stats`, `shortest_path_stats`,
-`first_helix_length`, `first_stem`) are blocks of one record.
+`first_helix_length`, `first_stem`) are blocks of one record, and so is a
+file record built around a SecondaryStructure (a bpseq record): every
+record that holds a structure holds it as a row of a block.
 """
 
 from __future__ import annotations
@@ -709,8 +711,11 @@ def shortest_path_stats(s: SecondaryStructure, m: EteModel = DEFAULT_ETE) -> Ext
 class ParsedRecord:
     """One record of a structure file; either a structure or a parse error.
 
-    A record read from dot-bracket text refers to its row of the scanned
-    block, and builds its SecondaryStructure only when `structure` is read.
+    A structure is held as a row of a block of records, with the record's
+    sequence: a record read from dot-bracket text refers to its row of the
+    scanned block, and a structure given to the constructor becomes a block
+    of one record.  The SecondaryStructure is built when `structure` is
+    first read.
     """
 
     def __init__(
@@ -723,24 +728,18 @@ class ParsedRecord:
         self.id = id
         self.group = group
         self.error = error
-        self._structure = structure
-        self._row: Optional[tuple[_Block, int, Optional[str]]] = None  # block, record, sequence
+        self._row: Optional[tuple[_Block, int, Optional[str]]] = (  # block, record, sequence
+            None if structure is None else (_Block.of([structure]), 0, structure.sequence)
+        )
 
-    @property
+    @cached_property
     def structure(self) -> Optional[SecondaryStructure]:
-        if self._structure is None and self._row is not None:
-            self._structure = self._row[0].structure(*self._row[1:])
-        return self._structure
-
-    @structure.setter
-    def structure(self, s: Optional[SecondaryStructure]) -> None:
-        self._structure = s
-        self._row = None
+        return None if self._row is None else self._row[0].structure(*self._row[1:])
 
     @property
     def has_structure(self) -> bool:
         """Whether the record holds a structure, without building it."""
-        return self._structure is not None or self._row is not None
+        return self._row is not None
 
     def __repr__(self) -> str:
         return f"ParsedRecord(id={self.id!r}, group={self.group!r}, error={self.error!r})"
@@ -830,35 +829,25 @@ def read_dot_bracket_blocks(lines: Iterable[str], default_group: Optional[str] =
 
 def read_bpseq_records(text: str, rec_id: str, group: Optional[str] = None) -> list[ParsedRecord]:
     """Read a bpseq file as a single record."""
-    rec = ParsedRecord(id=rec_id, group=group)
     try:
-        rec.structure = parse_bpseq(text)
+        return [ParsedRecord(rec_id, group, parse_bpseq(text))]
     except StructureError as exc:
-        rec.error = str(exc)
-    return [rec]
+        return [ParsedRecord(rec_id, group, error=str(exc))]
 
 
 def stats_columns(records: Sequence[ParsedRecord], m: EteModel = DEFAULT_ETE) -> dict[str, list]:
     """`length`, `crossing` and every ExteriorStats field, one list each in
     record order, of records that all hold a structure.
 
-    Records read from one block are measured together, and the others
-    (bpseq records, or records built around a SecondaryStructure) as one
-    more block.  Crossing records are measured along the shortest path,
-    nested ones by the exterior walk, as `shortest_path_stats` and
-    `exterior_stats` do.
+    The records of one block are measured together.  Crossing records are
+    measured along the shortest path, nested ones by the exterior walk, as
+    `shortest_path_stats` and `exterior_stats` do.
     """
     batches: dict[_Block, tuple[list[int], list[int]]] = {}  # block -> (records, rows)
-    loose: list[int] = []
     for k, rec in enumerate(records):
-        if rec._row is None:
-            loose.append(k)
-        else:
-            where, rows = batches.setdefault(rec._row[0], ([], []))
-            where.append(k)
-            rows.append(rec._row[1])
-    if loose:
-        batches[_Block.of([records[k].structure for k in loose])] = (loose, list(range(len(loose))))
+        where, rows = batches.setdefault(rec._row[0], ([], []))
+        where.append(k)
+        rows.append(rec._row[1])
 
     names = ["length", "crossing", *_STAT_FIELDS]
     out: dict[str, list] = {name: [] for name in names}

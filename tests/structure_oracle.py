@@ -23,6 +23,7 @@ import numpy as np
 
 from endprox import pipeline
 from endprox.structure import (
+    _STAT_FIELDS,
     CLOSERS,
     DEFAULT_ETE,
     OPENERS,
@@ -292,7 +293,6 @@ def read_dot_bracket_records(text: str, default_group: Optional[str] = None) -> 
             continue
         rec_id, group = header if header else (f"rec{len(records) + 1}", default_group)
         header = None
-        rec = ParsedRecord(id=rec_id, group=group)
         try:
             s = parse_dot_bracket(line)
             if sequence is not None:
@@ -301,9 +301,9 @@ def read_dot_bracket_records(text: str, default_group: Optional[str] = None) -> 
                         f"sequence length {len(sequence)} differs from structure length {s.length}"
                     )
                 s = replace(s, sequence=sequence)
-            rec.structure = s
+            rec = ParsedRecord(rec_id, group, s)
         except StructureError as exc:
-            rec.error = str(exc)
+            rec = ParsedRecord(rec_id, group, error=str(exc))
         sequence = None
         records.append(rec)
     if header:
@@ -355,7 +355,7 @@ def summarize(blocks, number=Fraction):
     for group, members in by_group.items():
         means: dict[str, float] = {}
         variances: dict[str, float] = {}
-        for name in pipeline._SUMMARY_STATS:
+        for name in _STAT_FIELDS:
             values = [number(r[name]) for r in members if r[name] is not None]
             if not values:
                 continue

@@ -2,19 +2,22 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from endprox import limits
 from endprox.exact import DEFAULT_PFOLD, Model, PfoldParams, Stat, UnsupportedCombination
 from endprox.limits import (
     JointNB,
     LenDist,
     NegBinomial,
     NoRootInRange,
+    PfoldDerived,
     TolNotAchievable,
     dyck_ete_truncations,
     ete_limit_moments,
     limit_of,
     moments,
-    pfold_limit_from_delta,
     pfold_rho_delta,
     pmf_expand,
     singularity_polynomial_coeffs,
@@ -73,6 +76,43 @@ class TestLaws:
             assert summary.mean == mean
             assert summary.variance == var
             assert summary.certified_error == 0
+
+    def test_uniform_laws_are_exact_closed_forms(self):
+        # the uniform models' laws as they were once stated one by one
+        motzkin = JointNB(Fraction(1, 3), Fraction(1, 3))
+        stated = {
+            (Model.DYCK, Stat.DEG): NegBinomial(1, 2, Fraction(1, 2)),
+            (Model.DYCK, Stat.HEL): NegBinomial(1, 1, Fraction(3, 4)),
+            (Model.MOTZKIN, Stat.DEG): NegBinomial(1, 2, Fraction(1, 2)),
+            (Model.MOTZKIN, Stat.UNP): NegBinomial(0, 2, Fraction(1, 2)),
+            (Model.MOTZKIN, Stat.CHN): NegBinomial(0, 2, Fraction(1, 3)),
+            (Model.MOTZKIN, Stat.HEL): NegBinomial(1, 1, Fraction(8, 9)),
+            (Model.MOTZKIN, Stat.STM): NegBinomial(1, 1, Fraction(3, 4)),
+            (Model.MOTZKIN, Stat.STEM_HELICES): NegBinomial(1, 1, Fraction(27, 32)),
+            (Model.MOTZKIN, Stat.JOINT): motzkin,
+            (Model.MOTZKIN, Stat.LEN): LenDist(motzkin),
+        }
+        for (model, stat), law in stated.items():
+            got = limit_of(model, stat)
+            assert got == law, (model, stat)
+            joint = got.joint if isinstance(got, LenDist) else got
+            params = [joint.p] if isinstance(joint, NegBinomial) else [joint.a, joint.b]
+            assert all(type(x) is Fraction for x in params), (model, stat)
+
+    @given(*[st.floats(0.05, 0.95, exclude_min=True, exclude_max=True)] * 3)
+    @settings(max_examples=100, deadline=None)
+    def test_grammar_projections_match_closed_forms(self, p1, p2, p3):
+        # the grammar laws as they were once stated in delta alone
+        params = PfoldParams(p1, p2, p3)
+        try:
+            d = pfold_rho_delta(params).delta
+        except NoRootInRange:
+            assume(False)
+        closed = {Stat.DEG: 1 / (1 + d), Stat.UNP: (1 - d) / (1 + d**2), Stat.CHN: (1 - d) / (1 + d)}
+        for stat, p in closed.items():
+            assert limit_of(Model.PFOLD, stat, params).p == pytest.approx(p, rel=1e-14, abs=0), stat
+        joint = limit_of(Model.PFOLD, Stat.JOINT, params)
+        assert (joint.a, joint.b) == (d, d * (1 - d) / (1 + d))
 
     def test_dyck_deg_pmf_prefix(self):
         law = limit_of(Model.DYCK, Stat.DEG)
@@ -193,8 +233,10 @@ class TestJointConsistency:
             for m in range(0, 81):
                 assert hist.get(m, 0.0) == pytest.approx(float(length.pmf(m)), abs=1e-9)
 
-    def test_pfold_degenerates_to_motzkin(self):
-        chn_half = pfold_limit_from_delta(Stat.CHN, 0.5)
+    def test_pfold_degenerates_to_motzkin(self, monkeypatch):
+        # the grammar's joint law at delta = 1/2 projects to the Motzkin chn law
+        monkeypatch.setattr(limits, "pfold_rho_delta", lambda p: PfoldDerived(rho=1.0, delta=0.5, residual=0.0))
+        chn_half = limit_of(Model.PFOLD, Stat.CHN)
         motzkin = limit_of(Model.MOTZKIN, Stat.CHN)
         assert chn_half.p == pytest.approx(float(motzkin.p), abs=1e-15)
         assert (chn_half.offset, chn_half.r) == (motzkin.offset, motzkin.r)

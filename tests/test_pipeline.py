@@ -57,6 +57,12 @@ class TestRunStats:
         with pytest.raises(NoRecords):
             run_stats([])
 
+    def test_record_built_around_a_structure(self):
+        built = ParsedRecord("x", "g", parse_dot_bracket("(.)"))
+        read = records_from(">x\n(.)\n")
+        assert built.has_structure and built.structure == read[0].structure
+        assert run_stats([built]) == run_stats(read)
+
     def test_all_failed(self):
         with pytest.raises(NoRecords):
             run_stats(records_from("((((\n"))
@@ -187,6 +193,11 @@ class TestTotalVariation:
         cap = law_quantile_cap(limit_of(Model.MOTZKIN, Stat.DEG))
         total = sum(float(limit_of(Model.MOTZKIN, Stat.DEG).pmf(k)) for k in range(cap + 1))
         assert total >= 1 - 1e-6
+
+    def test_quantile_cap_rejects_joint_law(self):
+        # as moments and pmf_expand do
+        with pytest.raises(UnsupportedCombination):
+            law_quantile_cap(limit_of(Model.MOTZKIN, Stat.JOINT))
 
 
 class TestCompare:

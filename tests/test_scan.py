@@ -230,11 +230,31 @@ class TestReaderBlocks:
             mp.setattr(structure, "_RECORD_CHARS", charge)
             _compare_records(_records_text(texts, seed))
 
-    def test_structure_is_built_when_first_read(self):
+    def test_structure_is_built_when_first_read(self, monkeypatch):
+        built = []
+        make = structure._Block.structure
+        monkeypatch.setattr(structure._Block, "structure", lambda block, *row: built.append(row) or make(block, *row))
         recs = read_dot_bracket_records("(.)\n((\n")
         assert recs[0].has_structure and not recs[1].has_structure
-        assert recs[0]._structure is None  # built only when read
+        assert built == []  # built only when read
         assert recs[0].structure.partner == (3, 0, 1)
+        assert recs[0].structure is recs[0].structure and len(built) == 1  # and then kept
+
+    def test_interleaved_blocks_measure_in_input_order(self):
+        # records of two dot-bracket reads and two bpseq files, interleaved,
+        # through one run_stats: four blocks measured one by one, the rows
+        # put back in input order
+        texts = ["(.)\n([)]\n((..))..\n.(\n..\n", ">x group=h\n..((..))\n<.[.>.]\n"]
+        bpseq = ["1 G 4\n2 C 6\n3 A 0\n4 C 1\n5 U 0\n6 G 2\n7 A 0\n", "1 A 3\n2 C 0\n3 U 1\n"]
+
+        def interleaved(read):
+            (a0, a1, *rest), (b0, b1) = [read(text, "g") for text in texts]
+            c0, c1 = [structure.read_bpseq_records(text, f"c{i}", "c")[0] for i, text in enumerate(bpseq)]
+            return [a0, b0, c0, a1, c1, b1, *rest]
+
+        got, want = interleaved(read_dot_bracket_records), interleaved(oracle.read_dot_bracket_records)
+        assert pipeline.run_stats(got) == oracle.run_stats(want)
+        assert pipeline.run_stats(got)[0]["id"] == ["rec1", "x", "c0", "rec2", "c1", "rec2", "rec3", "rec5"]
 
 
 def _nested(rnd, n):

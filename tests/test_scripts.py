@@ -27,14 +27,19 @@ def test_limit_table():
     lines = run_script("scripts/limit_table.py").splitlines()
     assert lines[0].split() == ["model", "stat", "law", "mean", "variance"]
     assert set(lines[1]) == {"-"}
-    stats = defaultdict(set)
+    rows = []
     for line in lines[2:]:
         fields = line.split()
         mean, variance = float(fields[-2]), float(fields[-1])
         assert mean > 0 and variance >= 0
-        stats[fields[0]].add(fields[1])
-    assert set(stats) == {"dyck", "motzkin", "pfold"}
-    assert all({"deg", "ete"} <= found for found in stats.values())
+        rows.append(" ".join(fields[:2]))
+    # every supported pair: one dropped by mistake would vanish from the table
+    assert rows == [
+        "dyck deg", "dyck hel", "dyck ete",
+        "motzkin deg", "motzkin unp", "motzkin chn", "motzkin len", "motzkin hel", "motzkin stm",
+        "motzkin stem_helices", "motzkin ete",
+        "pfold deg", "pfold unp", "pfold chn", "pfold len", "pfold hel", "pfold ete",
+    ]
 
 
 def test_convergence_report():
