@@ -88,7 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare = sub.add_parser("compare", help="empirical histogram against a limit law")
     p_compare.add_argument("files", nargs="*", help="structure files; stdin if none")
     p_compare.add_argument("--model", choices=[m.value for m in Model], required=True)
-    p_compare.add_argument("--stat", choices=list(_STAT_CHOICES), required=True)
+    p_compare.add_argument(
+        "--stat", choices=[k for k, s in _STAT_CHOICES.items() if s in pipeline._STAT_COLUMN], required=True
+    )
 
     p_heatmap = sub.add_parser("heatmap", help="(deg, unp) percentage grid with distance bands")
     p_heatmap.add_argument("files", nargs="*", help="structure files; stdin if none")
@@ -330,17 +332,7 @@ def _cmd_exact(args) -> int:
     else:
         stat = _STAT_CHOICES[args.stat]
         table = exact.hel_stm_counts(model, args.n, stat, params)
-    if args.format == "json":
-        payload = {
-            "model": table.model.value,
-            "n": table.size,
-            "axes": list(table.axes),
-            "entries": {exact._key_str(k): w for k, w in table.entries.items()},
-        }
-        json.dump(payload, sys.stdout, indent=2, default=float)
-        sys.stdout.write("\n")
-    else:
-        table.write_csv(sys.stdout)
+    (table.write_json if args.format == "json" else table.write_csv)(sys.stdout)
     return 0
 
 
@@ -376,8 +368,7 @@ def _cmd_shuffle(args) -> int:
 
 def _cmd_compare(args) -> int:
     stat = _STAT_CHOICES[args.stat]
-    column = pipeline._STAT_COLUMN.get(stat)  # None: compare raises before reading
-    values = chain.from_iterable(block[column] for block in _rows(args))
+    values = chain.from_iterable(block[pipeline._STAT_COLUMN[stat]] for block in _rows(args))
     report = pipeline.compare(values, Model(args.model), stat, _pfold_params(args))
     _emit(args, lambda out: pipeline.write_compare_csv(report, out), lambda: asdict(report))
     return 0

@@ -17,19 +17,21 @@ leading dots, the arch's pair, its contents, the rest of the exterior.  Each
 statistic only supplies the continuation series cont by which the contents
 extend it: a stacked pair for hel, a lone child pair between two dot runs for
 stm, and for stem_helices a run of stacked pairs closed by a child pair with
-a dot beside it.  A table (CountTable) holds its weights as one numpy array
-over its key grid, which the kernel's rows fill directly: arbitrary-precision
-integers (an object array) for the uniform models, doubles for the grammar.
-Its CSV streams the nonzero cells in row-major order, ascending key order,
-and no {key: weight} dict is built unless asked for.  The small-n tables
-double as brute-force oracles for the limit laws.  conditional_law evaluates
-the same decompositions in scaled floating point; its deg and unp laws take
-the same SEQ(dot | arch) parameters but go straight to each marginal by
-power projection, so sizes in the thousands stay cheap.
+a dot beside it.  A table (CountTable) holds the kernel's rows as they come,
+each cut to the stretch from its first nonzero weight to its last:
+arbitrary-precision integers (object arrays) for the uniform models, doubles
+for the grammar.  Its CSV and JSON stream the nonzero cells in ascending key
+order from small dense blocks filled from those runs, and neither a grid over
+the keys nor a {key: weight} dict is built unless asked for.  The small-n
+tables double as brute-force oracles for the limit laws.  conditional_law
+evaluates the same decompositions in scaled floating point; its deg and unp
+laws take the same SEQ(dot | arch) parameters but go straight to each
+marginal by power projection, so sizes in the thousands stay cheap.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -100,89 +102,142 @@ class PfoldParams:
 
 DEFAULT_PFOLD = PfoldParams()
 
-TableKey = Union[int, tuple, None]
-
 
 @dataclass(frozen=True, eq=False)
 class CountTable:
     """Exact distribution of one statistic (or statistic tuple) at one size.
 
-    weights holds the weight of every key on the table's grid, as one numpy
-    array: weights[v] for a one-axis table, weights[a, b] for the key (a, b)
-    of a two-axis table, whose axes name the key components in order, e.g.
-    ("deg", "unp").  A weight is an integer count for the uniform models
-    (Python ints in an object array, so they stay exact) and a nonnegative
-    double for the grammar.  absent weighs the structures that do not carry
-    the statistic (e.g. no pair at all); 0 means the table has no absent
-    bucket.  The table's keys are the cells of nonzero weight, and None for
-    a nonzero absent bucket.
+    runs holds the weights as the kernels build them, in (start, w) pairs:
+    w[j] weighs the key value start + j, and w runs from the first nonzero
+    weight to the last (zeros inside a run are not keys).  A one-axis table
+    has one run.  A two-axis table is keyed by deg and unp,
+    in the order axes names them, e.g. ("deg", "unp"), and runs[l] is its
+    unp run at deg l, one kernel row.  A weight is an integer count for the
+    uniform models (Python ints in an object array, so they stay exact) and
+    a finite nonnegative double for the grammar.  absent weighs the
+    structures that do not carry the statistic (e.g. no pair at all); 0
+    means the table has no absent bucket.  The table's keys are the cells of
+    nonzero weight, and None for a nonzero absent bucket.
 
-    Row-major order over the grid is ascending key order, so write_csv
-    streams the nonzero cells a few thousand at a time and sorts nothing;
-    entries, the {key: weight} dict, is built only when asked for.
+    The table keeps no grid over its keys: _cells, the one traversal in
+    ascending key order, fills a dense block of at most _CSV_CHUNK cells from
+    the runs at a time, so write_csv and write_json stream and sort nothing,
+    and entries, the {key: weight} dict, is built only when asked for.
     """
 
     model: Model
     size: int
     axes: tuple[str, ...]
-    weights: np.ndarray
+    runs: tuple[tuple[int, np.ndarray], ...]
     absent: Union[int, float] = 0
 
-    def _cells(self) -> Iterator[tuple[list, list]]:
-        """(keys, weights) of the nonzero cells, in blocks of about
-        _CSV_CHUNK grid cells, in ascending key order."""
-        grid = self.weights
-        rows = max(1, _CSV_CHUNK // max(1, grid[:1].size))
-        for start in range(0, len(grid), rows):
-            block = grid[start : start + rows]
-            index = np.nonzero(block)
-            first = (index[0] + start).tolist()
-            keys = first if grid.ndim == 1 else list(zip(first, index[1].tolist()))
-            yield keys, block[index].tolist()
+    def _cells(self) -> Iterator[tuple[Optional[int], list, list]]:
+        """(head, tails, weights) of the nonzero cells in ascending key
+        order.  A one-axis table gives head None and its keys as tails, a
+        block of its run at a time; a two-axis table gives one triple per
+        first key component head that has a nonzero cell, with the second
+        components as tails."""
+        if len(self.axes) == 1:
+            ((start, w),) = self.runs
+            for c in range(0, len(w), _CSV_CHUNK):
+                part = w[c : c + _CSV_CHUNK]
+                index = np.flatnonzero(part)
+                if len(index):
+                    yield None, (index + (start + c)).tolist(), part[index].tolist()
+            return
+        # runs[l] is row l of the key-order grid, or, with unp first, column l
+        by_row = self.axes[0] == "deg"
+        width = max(s + len(w) for s, w in self.runs)
+        height, width = (len(self.runs), width) if by_row else (width, len(self.runs))
+        rows = max(1, _CSV_CHUNK // max(1, width))
+        for top in range(0, height, rows):
+            block = np.zeros((min(rows, height - top), width), dtype=self.runs[0][1].dtype)
+            bottom = top + len(block)
+            if by_row:
+                for row, (s, w) in zip(block, self.runs[top:bottom]):
+                    row[s : s + len(w)] = w
+            else:
+                for l, (s, w) in enumerate(self.runs):
+                    lo, hi = max(s, top), min(s + len(w), bottom)
+                    if lo < hi:
+                        block[lo - top : hi - top, l] = w[lo - s : hi - s]
+            for head, row in enumerate(block, top):
+                index = np.flatnonzero(row)
+                if len(index):
+                    yield head, index.tolist(), row[index].tolist()
 
     @cached_property
     def entries(self) -> dict:
         """{key: weight} of every key, in output order: the absent bucket
         first, then ascending."""
         entries = {None: self.absent} if self.absent else {}
-        for keys, weights in self._cells():
-            entries.update(zip(keys, weights))
+        for head, tails, weights in self._cells():
+            entries.update(zip(tails if head is None else [(head, t) for t in tails], weights))
         return entries
 
     def total(self):
-        return self.absent + self.weights.sum()
+        return self.absent + sum(sum(weights) for _, _, weights in self._cells())
 
     def marginal(self, axis: str) -> "CountTable":
         """The table of one axis, summing the weights over the others."""
-        i = self.axes.index(axis)
-        others = tuple(j for j in range(len(self.axes)) if j != i)
-        return CountTable(self.model, self.size, (axis,), self.weights.sum(axis=others), self.absent)
+        self.axes.index(axis)  # ValueError for an axis the table lacks
+        if len(self.axes) == 1:
+            return self
+        dtype = self.runs[0][1].dtype
+        if axis == "deg":  # a run's sum
+            sums = np.array([w.sum() for _, w in self.runs], dtype=dtype)
+        else:  # each run adds into its unp stretch
+            sums = np.zeros(max(s + len(w) for s, w in self.runs), dtype=dtype)
+            for s, w in self.runs:
+                sums[s : s + len(w)] += w
+        return CountTable(self.model, self.size, (axis,), (_run(sums),), self.absent)
 
     def write_csv(self, stream: IO[str]) -> None:
         stream.write("model,n,stat_name,stat_value,weight\n")
         prefix = f"{self.model.value},{self.size},{_csv_field(','.join(self.axes))},"
         if self.absent:
             stream.write(f"{prefix}absent,{self.absent!s}\n")
-        key_field = _csv_field(",".join(["%s"] * len(self.axes)))
-        # one write per block: one string per table would hold every line at once
-        for keys, weights in self._cells():
-            stream.write("".join([f"{prefix}{key_field % key},{w!s}\n" for key, w in zip(keys, weights)]))
+        # one write per row of cells, whose key prefix is formatted once
+        for head, tails, weights in self._cells():
+            row, end = (prefix, ",") if head is None else (f'{prefix}"{head},', '",')
+            stream.write("".join([f"{row}{t}{end}{w!s}\n" for t, w in zip(tails, weights)]))
+
+    def write_json(self, stream: IO[str]) -> None:
+        """The table as json.dump(..., indent=2) writes {"model", "n",
+        "axes", "entries"}, entries keyed by the CSV's stat_value, then a
+        newline.  Weights are finite, so their str is their JSON."""
+        payload = {"model": self.model.value, "n": self.size, "axes": list(self.axes), "entries": {}}
+        opening, closing = json.dumps(payload, indent=2).rsplit("{}", 1)
+        stream.write(opening)
+        sep = "{"  # before the next item: the opening brace, then commas
+        if self.absent:
+            stream.write(f'{sep}\n    "absent": {self.absent!s}')
+            sep = ","
+        for head, tails, weights in self._cells():
+            row = '\n    "' if head is None else f'\n    "{head},'
+            stream.write(sep + ",".join([f'{row}{t}": {w!s}' for t, w in zip(tails, weights)]))
+            sep = ","
+        stream.write(("{}" if sep == "{" else "\n  }") + closing + "\n")
 
 
-_CSV_CHUNK = 4096
+# cells in one dense block of _cells: 64 KB of doubles, which the allocator
+# hands back block after block, and few enough blocks that the per-run
+# slicing of an unp-first table stays cheap
+_CSV_CHUNK = 1 << 13
+
+
+def _run(w: np.ndarray, start: int = 0) -> tuple[int, np.ndarray]:
+    """(first, weights) of w from its first nonzero entry to its last, with
+    first counted from start; an all-zero w gives an empty run."""
+    index = np.flatnonzero(w)
+    if not len(index):
+        return start, w[:0].copy()
+    return start + int(index[0]), w[index[0] : index[-1] + 1].copy()
 
 
 def _csv_field(text: str) -> str:
     # csv's minimal quoting; axis names and keys never hold quotes or newlines
     return f'"{text}"' if "," in text else text
-
-
-def _key_str(key: TableKey) -> str:
-    if key is None:
-        return "absent"
-    if isinstance(key, tuple):
-        return ",".join(map(str, key))
-    return str(key)
 
 
 # ---------------------------------------------------------------------------
@@ -386,15 +441,13 @@ def _uniform_exterior(model: Model, n: int, exact: bool) -> _Exterior:
 def dyck_deg_counts(n: int) -> CountTable:
     """Counts of semilength-n balanced bracketings by top-level pair count."""
     weights = _exterior_weights(_uniform_exterior(Model.DYCK, n, exact=True))
-    return CountTable(Model.DYCK, n, ("deg",), np.array([w[0] for _, w in weights], dtype=object))
+    return CountTable(Model.DYCK, n, ("deg",), (_run(np.array([w[0] for _, w in weights], dtype=object)),))
 
 
 def motzkin_joint_counts(n: int) -> CountTable:
     """Counts of length-n dot-bracket strings keyed by (deg, unp)."""
-    grid = np.zeros((n // 2 + 1, n + 1), dtype=object)
-    for l, w in _exterior_weights(_uniform_exterior(Model.MOTZKIN, n, exact=True)):
-        grid[l, : len(w)] = w
-    return CountTable(Model.MOTZKIN, n, ("deg", "unp"), grid)
+    runs = tuple(_run(w) for _, w in _exterior_weights(_uniform_exterior(Model.MOTZKIN, n, exact=True)))
+    return CountTable(Model.MOTZKIN, n, ("deg", "unp"), runs)
 
 
 # ---------------------------------------------------------------------------
@@ -472,10 +525,8 @@ def pfold_joint_table(n: int, p: PfoldParams = DEFAULT_PFOLD) -> CountTable:
     the l-fold convolution of the arch weights.
     """
     _pfold_mass(p, n)
-    grid = np.zeros((n + 1, n // 4 + 1))
-    for l, w in _exterior_weights(_pfold_exterior(p, n)):
-        grid[: len(w), l] = w
-    return CountTable(Model.PFOLD, n, ("unp", "deg"), grid)
+    runs = tuple(_run(w) for _, w in _exterior_weights(_pfold_exterior(p, n)))
+    return CountTable(Model.PFOLD, n, ("unp", "deg"), runs)
 
 
 def pfold_joint_probs(n: int, p: PfoldParams = DEFAULT_PFOLD) -> dict[tuple[int, int], float]:
@@ -663,8 +714,7 @@ def hel_stm_counts(
     it, pair z^2 (L^2 - 1) / (1 - pair z^2).
     """
     weights, _ = _first_arch_weights(model, stat, n, p, exact=True)
-    absent, weights[0] = weights[0], 0
-    return CountTable(model, n, (stat.value,), weights, absent)
+    return CountTable(model, n, (stat.value,), (_run(weights[1:], 1),), weights[0])
 
 
 # ---------------------------------------------------------------------------

@@ -145,8 +145,48 @@ def _pair_count_cumweights(n: int) -> list[int]:
     return cum
 
 
-def _pair_counts(cum: list[int], count: int, gen: np.random.Generator) -> np.ndarray:
-    """count exact draws of bisect_right(cum, x), x uniform in [0, cum[-1]).
+def _pair_count_table(n: int) -> tuple[int, np.ndarray]:
+    """(nbits, table) for _pair_counts at length n: nbits is the bit length
+    of the path count, and table holds the cumulative counts as equal-width
+    big-endian byte strings, which sort as the integers they encode."""
+    cum = _pair_count_cumweights(n)
+    nbits = cum[-1].bit_length()
+    nbytes = (nbits + 7) // 8
+    table = np.array([c.to_bytes(nbytes, "big") for c in cum], dtype=f"S{nbytes}")
+    table.flags.writeable = False
+    return nbits, table
+
+
+class _PairTables:
+    """Pair-count tables by length, least recently used first, kept while
+    they hold at most limit bytes in all; a single draw would otherwise spend
+    most of its time rebuilding its length's bigint weights and table."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.tables: dict[int, tuple[int, np.ndarray]] = {}
+        self.nbytes = 0
+
+    def get(self, n: int) -> tuple[int, np.ndarray]:
+        entry = self.tables.pop(n, None)
+        if entry is None:
+            entry = _pair_count_table(n)
+            self.nbytes += entry[1].nbytes
+        self.tables[n] = entry
+        while self.nbytes > self.limit:
+            _, old = self.tables.pop(next(iter(self.tables)))
+            self.nbytes -= old.nbytes
+        return entry
+
+
+# 4 MB: the tables of every length up to 500 at once, or of one length up to 6500
+_PAIR_TABLES = _PairTables(limit=1 << 22)
+
+
+def _pair_counts(n: int, count: int, gen: np.random.Generator) -> np.ndarray:
+    """count exact draws of the pair count k of a uniform length-n path:
+    bisect_right(cum, x) over its cumulative weights cum, x uniform in
+    [0, cum[-1]).
 
     x is a big-endian string of nbytes random bytes, its top byte masked to
     the bit length of cum[-1].  Equal-width big-endian strings sort as the
@@ -154,18 +194,16 @@ def _pair_counts(cum: list[int], count: int, gen: np.random.Generator) -> np.nda
     every k; x >= cum[-1] lands past the end and is drawn again, all such x
     of a round in one batch.
     """
-    nbits = cum[-1].bit_length()
-    nbytes = (nbits + 7) // 8
-    width = f"S{nbytes}"
-    table = np.array([c.to_bytes(nbytes, "big") for c in cum], dtype=width)
+    nbits, table = _PAIR_TABLES.get(n)
+    nbytes = table.itemsize
     ks = np.empty(count, dtype=np.intp)
     todo = np.arange(count)
     while todo.size:
         raw = np.frombuffer(gen.bytes(nbytes * todo.size), dtype=np.uint8)
         x = raw.reshape(todo.size, nbytes).copy()
         x[:, 0] &= 0xFF >> (8 * nbytes - nbits)
-        ks[todo] = np.searchsorted(table, x.view(width).ravel(), side="right")
-        todo = todo[ks[todo] == len(cum)]
+        ks[todo] = np.searchsorted(table, x.view(table.dtype).ravel(), side="right")
+        todo = todo[ks[todo] == len(table)]
     return ks
 
 
@@ -183,8 +221,7 @@ def sample_motzkin_steps(n: int, count: int, rng: RngHandle) -> np.ndarray:
     if n == 0 or count == 0:
         return np.zeros((count, n), dtype=np.int8)
     gen = rng.generator
-    cum = _pair_count_cumweights(n)
-    return _in_blocks(count, n, lambda r: _cycle_lemma_rows(_pair_counts(cum, r, gen), n, gen))
+    return _in_blocks(count, n, lambda r: _cycle_lemma_rows(_pair_counts(n, r, gen), n, gen))
 
 
 def sample_motzkin(n: int, rng: RngHandle) -> SecondaryStructure:

@@ -17,15 +17,28 @@ from endprox.exact import CountTable, Model, PfoldParams, motzkin_number
 
 def table_from_entries(model: Model, size: int, axes: tuple[str, ...], entries: dict) -> CountTable:
     """The table of a {key: weight} dict keyed like entries; integer
-    weights stay exact."""
-    cells = {key: w for key, w in entries.items() if key is not None}
-    points = [key if isinstance(key, tuple) else (key,) for key in cells]
-    shape = tuple(max(c) + 1 for c in zip(*points)) if points else (0,) * len(axes)
+    weights stay exact.  A two-axis table is keyed by deg and unp, and each
+    deg's run spans its unp keys from the least to the greatest, so a gap
+    between keys is a zero inside a run."""
     exact = all(isinstance(w, int) for w in entries.values())
-    weights = np.zeros(shape, dtype=object if exact else float)
-    for key, w in cells.items():
-        weights[key] = w
-    return CountTable(model, size, tuple(axes), weights, entries.get(None, 0))
+    rows: dict[int, dict] = {}
+    for key, w in entries.items():
+        if key is None:
+            continue
+        if len(axes) == 1:
+            rows.setdefault(0, {})[key] = w
+        else:
+            deg = axes.index("deg")
+            rows.setdefault(key[deg], {})[key[1 - deg]] = w
+    runs = []
+    for l in range(max(rows, default=0) + 1):
+        row = rows.get(l, {})
+        start = min(row, default=0)
+        w = np.zeros(max(row, default=start - 1) + 1 - start, dtype=object if exact else float)
+        for k, v in row.items():
+            w[k - start] = v
+        runs.append((start, w))
+    return CountTable(model, size, tuple(axes), tuple(runs), entries.get(None, 0))
 
 
 @lru_cache(maxsize=None)

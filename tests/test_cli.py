@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from endprox.cli import main
+from endprox import pipeline
+from endprox.cli import _STAT_CHOICES, main
 from exact_oracle import motzkin_deg_counts
 
 
@@ -280,11 +281,23 @@ class TestCompareHeatmap:
                 raise AssertionError(f"stdin.{name} used")
 
         monkeypatch.setattr("sys.stdin", Unread())
-        for argv in (["--model", "dyck", "--stat", "unp"], ["--model", "pfold", "--stat", "ete"]):
-            assert main(["compare", *argv]) == 2
-            assert main(["compare", str(tmp_path / "missing.dbn"), *argv]) == 2
-        dyck, ete = "error: no limit law for dyck x unp", "error: compare does not support ete"
-        assert capsys.readouterr().err.splitlines() == [dyck, dyck, ete, ete]
+        argv = ["--model", "dyck", "--stat", "unp"]
+        assert main(["compare", *argv]) == 2
+        assert main(["compare", str(tmp_path / "missing.dbn"), *argv]) == 2
+        dyck = "error: no limit law for dyck x unp"
+        assert capsys.readouterr().err.splitlines() == [dyck, dyck]
+
+    @pytest.mark.parametrize("stat", ["ete", "joint"])
+    def test_compare_offers_only_stats_with_a_column(self, stat, capsys):
+        # a statistic without a stats column is a usage error, not an
+        # unsupported combination after the fact
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--model", "pfold", "--stat", stat])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert f"invalid choice: '{stat}'" in err
+        offered = err.split("choose from ")[1].split(")")[0].replace("'", "").split(", ")
+        assert {_STAT_CHOICES[k] for k in offered} == set(pipeline._STAT_COLUMN)
 
     def test_heatmap_csv(self, run, tmp_path):
         path = tmp_path / "toy.dbn"

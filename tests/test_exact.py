@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import math
 import os
 import tracemalloc
@@ -230,7 +231,7 @@ class TestPfoldInside:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             table = pfold_joint_table(4000)
-        assert np.isfinite(table.weights).all()
+        assert all(np.isfinite(w).all() for _, w in table.runs)
         assert table.total() == pytest.approx(pfold_inside(DEFAULT_PFOLD, 4000).S[4000], rel=1e-12)
 
     def test_scaled_coefficients_keep_every_product(self):
@@ -813,18 +814,54 @@ class TestArrayTables:
                 assert all(type(w) is int for w in table.entries.values())
 
     def test_grammar_csv_streams_from_the_array(self):
-        """The n = 2000 grammar CSV (310014 lines) is written without its
-        {key: weight} dict, which alone would take tens of MB."""
-        tracemalloc.start()
-        try:
-            table = pfold_joint_table(2000)
-            with open(os.devnull, "w") as null:
-                table.write_csv(null)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 20 * 2**20
+        """The n = 2000 grammar CSV (310014 lines) is written from the
+        table's runs (2.4 MB), without its {key: weight} dict, which alone
+        would take tens of MB, or a dense grid over its keys (7.6 MB)."""
+        table, peak = _traced_write(lambda: pfold_joint_table(2000), "write_csv")
+        assert peak < 4 * 2**20
         assert "entries" not in vars(table)
+
+    def test_grammar_json_streams_from_the_runs(self):
+        table, peak = _traced_write(lambda: pfold_joint_table(2000), "write_json")
+        assert peak < 4 * 2**20
+        assert "entries" not in vars(table)
+
+
+def _traced_write(build, writer):
+    """(table, traced peak bytes) of building a table and writing it to
+    the null device."""
+    tracemalloc.start()
+    try:
+        table = build()
+        with open(os.devnull, "w") as null:
+            getattr(table, writer)(null)
+        return table, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# The gapped tables have zeros inside their runs, which are not keys; no
+# model's table at sizes up to 40 has one.  The empty table has no key at all.
+_GAPPED = {(0, 1): 2, (0, 3): 1, (0, 4): 5, (2, 0): 4, (2, 6): 1}
+
+WRITTEN_TABLES = {
+    "dyck-deg-0": lambda: dyck_deg_counts(0),
+    "dyck-deg": lambda: dyck_deg_counts(40),
+    "dyck-hel-0": lambda: hel_stm_counts(Model.DYCK, 0, Stat.HEL),
+    "dyck-hel": lambda: hel_stm_counts(Model.DYCK, 30, Stat.HEL),
+    "motzkin-joint": lambda: motzkin_joint_counts(60),
+    "motzkin-hel": lambda: hel_stm_counts(Model.MOTZKIN, 40, Stat.HEL),
+    "motzkin-stm": lambda: hel_stm_counts(Model.MOTZKIN, 40, Stat.STM),
+    "motzkin-stem-helices": lambda: hel_stm_counts(Model.MOTZKIN, 40, Stat.STEM_HELICES),
+    "pfold-joint": lambda: pfold_joint_table(300),
+    "pfold-hel": lambda: hel_stm_counts(Model.PFOLD, 300, Stat.HEL),
+    "gapped-deg-unp": lambda: table_from_entries(Model.MOTZKIN, 9, ("deg", "unp"), _GAPPED),
+    "gapped-unp-deg": lambda: table_from_entries(
+        Model.PFOLD, 9, ("unp", "deg"), {(k, l): w / 8 for (l, k), w in _GAPPED.items()}
+    ),
+    "gapped-hel": lambda: table_from_entries(Model.MOTZKIN, 9, ("hel",), {None: 3, 2: 1, 5: 7}),
+    "empty": lambda: table_from_entries(Model.MOTZKIN, 9, ("hel",), {}),
+}
 
 
 class TestSerialization:
@@ -843,31 +880,20 @@ class TestSerialization:
         table.write_csv(buf)
         assert "absent" in buf.getvalue()
 
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: dyck_deg_counts(0),
-            lambda: dyck_deg_counts(40),
-            lambda: hel_stm_counts(Model.DYCK, 0, Stat.HEL),
-            lambda: hel_stm_counts(Model.DYCK, 30, Stat.HEL),
-            lambda: motzkin_joint_counts(60),
-            lambda: hel_stm_counts(Model.MOTZKIN, 40, Stat.HEL),
-            lambda: hel_stm_counts(Model.MOTZKIN, 40, Stat.STM),
-            lambda: hel_stm_counts(Model.MOTZKIN, 40, Stat.STEM_HELICES),
-            lambda: pfold_joint_table(300),
-            lambda: hel_stm_counts(Model.PFOLD, 300, Stat.HEL),
-        ],
-        ids=[
-            "dyck-deg-0", "dyck-deg", "dyck-hel-0", "dyck-hel", "motzkin-joint", "motzkin-hel",
-            "motzkin-stm", "motzkin-stem-helices", "pfold-joint", "pfold-hel",
-        ],
-    )
+    @pytest.mark.parametrize("make", list(WRITTEN_TABLES.values()), ids=list(WRITTEN_TABLES))
     def test_csv_matches_csv_writer(self, make):
         table = make()
         buf = io.StringIO()
         table.write_csv(buf)
         assert buf.getvalue() == _csv_writer_oracle(table)
         assert buf.getvalue().count("\n") == 1 + len(table.entries)
+
+    @pytest.mark.parametrize("make", list(WRITTEN_TABLES.values()), ids=list(WRITTEN_TABLES))
+    def test_json_matches_json_dump(self, make):
+        table = make()
+        buf = io.StringIO()
+        table.write_json(buf)
+        assert buf.getvalue() == _json_dump_oracle(table)
 
 
 def _key_order(key):
@@ -892,3 +918,20 @@ def _csv_writer_oracle(table):
     for key in sorted(table.entries, key=_key_order):
         writer.writerow([table.model.value, table.size, name, text(key), table.entries[key]])
     return buf.getvalue()
+
+
+def _json_dump_oracle(table):
+    """The table's JSON as the exact command wrote it through json.dump."""
+
+    def text(key):
+        if key is None:
+            return "absent"
+        return ",".join(map(str, key)) if isinstance(key, tuple) else str(key)
+
+    payload = {
+        "model": table.model.value,
+        "n": table.size,
+        "axes": list(table.axes),
+        "entries": {text(k): w for k, w in table.entries.items()},
+    }
+    return json.dumps(payload, indent=2, default=float) + "\n"

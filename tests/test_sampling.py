@@ -160,15 +160,42 @@ class TestMotzkin:
         cum = _pair_count_cumweights(n)
         nbytes = (cum[-1].bit_length() + 7) // 8
         xs = sorted({x for c in cum for x in (c - 1, c) if x < cum[-1]})
-        ks = _pair_counts(cum, len(xs), _FixedBytes(xs, nbytes))
+        ks = _pair_counts(n, len(xs), _FixedBytes(xs, nbytes))
         assert ks.tolist() == [bisect_right(cum, x) for x in xs]
 
     def test_pair_count_draw_masks_and_redraws(self):
         # 323 paths of length 8 need 9 bits: 0xFE01 masks to 1, and 323 and
         # 511 are drawn again from the values that follow
         cum = _pair_count_cumweights(8)
-        ks = _pair_counts(cum, 4, _FixedBytes([322, 323, 511, 0xFE01, 0, 2], 2))
+        ks = _pair_counts(8, 4, _FixedBytes([322, 323, 511, 0xFE01, 0, 2], 2))
         assert ks.tolist() == [bisect_right(cum, x) for x in (322, 0, 2, 1)]
+
+    def test_pair_tables_cold_and_warm(self, monkeypatch):
+        """Caching the per-length tables changes no row: draws from a cold
+        cache, from a warm one and from one that keeps nothing agree."""
+
+        def draws():
+            rng = RngHandle(5)
+            return [sample_motzkin_steps(n, count, rng).tobytes() for n in (1, 8, 55, 120, 8) for count in (1, 7)]
+
+        tables = sampling._PairTables(limit=1 << 22)
+        monkeypatch.setattr(sampling, "_PAIR_TABLES", tables)
+        cold = draws()
+        assert list(tables.tables) == [1, 55, 120, 8]  # least recently used first
+        assert tables.nbytes == sum(t.nbytes for _, t in tables.tables.values())
+        assert draws() == cold
+        monkeypatch.setattr(sampling, "_PAIR_TABLES", sampling._PairTables(limit=0))
+        assert draws() == cold
+        assert not sampling._PAIR_TABLES.tables
+
+    def test_pair_tables_evict_past_their_limit(self):
+        size = {n: sampling._pair_count_table(n)[1].nbytes for n in (100, 110, 120)}
+        tables = sampling._PairTables(limit=size[100] + size[120])
+        for n in (100, 110, 100, 120):
+            tables.get(n)
+        assert list(tables.tables) == [100, 120] and tables.nbytes == size[100] + size[120]
+        tables.get(1000)  # larger than the limit: drawn from, then dropped
+        assert not tables.tables and tables.nbytes == 0
 
     def test_composition_samples_are_valid_structures(self):
         for seed in range(4):
