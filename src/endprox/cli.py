@@ -337,16 +337,9 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    model = Model(args.model)
     rng = sampling.RngHandle(args.seed)
-    params = _pfold_params(args)
-    if model is Model.DYCK:
-        steps = sampling.sample_dyck_steps(args.n, args.count, rng)
-    elif model is Model.MOTZKIN:
-        steps = sampling.sample_motzkin_steps(args.n, args.count, rng)
-    else:
-        steps = sampling.sample_pfold_many(args.n, args.count, params, rng)
-    sys.stdout.write(sampling.step_rows_text(steps))
+    for steps in sampling._sampled_blocks(Model(args.model), args.n, args.count, _pfold_params(args), rng):
+        sys.stdout.write(sampling.step_rows_text(steps))
     return 0
 
 

@@ -18,9 +18,12 @@ seeds reproduce identical sample streams on every platform.
   on length, run level by level over a batch of samples.  Each sample reads
   its own block of 2n uniforms (a production slot and a split slot per
   position), so a run of draws gives the same rows however its calls are
-  chunked.  The split tables keep every 8th prefix sum of each split row,
-  about n**2 / 16 floats, and a split point rebuilds the few sums it needs
+  chunked.  The split tables keep every 16th prefix sum of each split row,
+  about n**2 / 32 floats, and a split point rebuilds the few sums it needs
   in the row's own order, so it is the one the whole row would give.
+
+Rows are drawn in blocks (`_blocks`), and `sample` writes each block as it
+is drawn, so its memory is bounded by a block, not by the count.
 
 The seeded Dyck stream is the one earlier versions drew.  The seeded grammar
 stream changed when the batched traceback replaced the per-sample one, and
@@ -31,13 +34,14 @@ the same exact laws.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .exact import DEFAULT_PFOLD, PfoldParams, _pfold_mass, pfold_inside
+from .exact import DEFAULT_PFOLD, Model, PfoldParams, _pfold_mass, pfold_inside
 from .structure import SecondaryStructure, _Block
 
 
@@ -62,18 +66,32 @@ def _check_count(count: int) -> None:
         raise ValueError("count must be nonnegative")
 
 
-# Rows are filled in blocks of at most this many steps, which bounds the
-# working arrays (uniforms, permutations) whatever the count.
+# A block holds at most _BLOCK_STEPS steps of Dyck or Motzkin rows, whose
+# seeded streams depend on this cut.  A grammar row reads two float64
+# uniforms, _UNIFORM_BYTES bytes, a step, and its stream does not depend on
+# the cut, so a grammar block holds 1 MB of uniforms.
 _BLOCK_STEPS = 1 << 20
+_UNIFORM_BYTES = 16
 
 
-def _in_blocks(count: int, length: int, draw) -> np.ndarray:
-    """count step rows of the given length; draw(r) returns the next r rows."""
+def _blocks(count: int, length: int, draw, step_bytes: int = 1) -> Iterator[np.ndarray]:
+    """draw(r) for the r rows of each block in turn, count rows of the given
+    length in all, a block holding at most _BLOCK_STEPS // step_bytes steps
+    and at least one row.  The first block is drawn even at a count of 0 or
+    below, so that draw's own checks run before any row is used."""
+    rows = max(1, _BLOCK_STEPS // (step_bytes * max(length, 1)))
+    yield draw(min(rows, count))
+    for start in range(rows, count, rows):
+        yield draw(min(rows, count - start))
+
+
+def _in_blocks(count: int, length: int, draw, step_bytes: int = 1) -> np.ndarray:
+    """count step rows of the given length, filled from _blocks."""
     steps = np.empty((count, length), dtype=np.int8)
-    block = max(1, _BLOCK_STEPS // max(length, 1))
-    for start in range(0, count, block):
-        rows = steps[start : start + block]
-        rows[:] = draw(len(rows))
+    start = 0
+    for block in _blocks(count, length, draw, step_bytes):
+        steps[start : start + len(block)] = block
+        start += len(block)
     return steps
 
 
@@ -132,27 +150,29 @@ def sample_dyck(n: int, rng: RngHandle) -> SecondaryStructure:
 # ---------------------------------------------------------------------------
 # Motzkin
 
-def _pair_count_cumweights(n: int) -> list[int]:
+def _pair_count_cumweights(n: int) -> Iterator[int]:
     """Cumulative counts of length-n paths by number of up steps k:
     C(n, 2k) placements times the Catalan fill, each term from the last by
     the exact ratio (n-2k)(n-2k-1) / ((k+1)(k+2))."""
     term = acc = 1
-    cum = [1]
+    yield acc
     for k in range(n // 2):
         term = term * (n - 2 * k) * (n - 2 * k - 1) // ((k + 1) * (k + 2))
         acc += term
-        cum.append(acc)
-    return cum
+        yield acc
 
 
 def _pair_count_table(n: int) -> tuple[int, np.ndarray]:
     """(nbits, table) for _pair_counts at length n: nbits is the bit length
     of the path count, and table holds the cumulative counts as equal-width
-    big-endian byte strings, which sort as the integers they encode."""
-    cum = _pair_count_cumweights(n)
-    nbits = cum[-1].bit_length()
+    big-endian byte strings, which sort as the integers they encode.  A
+    first walk finds the width, and a second fills the table, so no other
+    copy of its counts is held."""
+    nbits = deque(_pair_count_cumweights(n), maxlen=1)[0].bit_length()
     nbytes = (nbits + 7) // 8
-    table = np.array([c.to_bytes(nbytes, "big") for c in cum], dtype=f"S{nbytes}")
+    table = np.empty(n // 2 + 1, dtype=f"S{nbytes}")
+    for k, c in enumerate(_pair_count_cumweights(n)):
+        table[k] = c.to_bytes(nbytes, "big")
     table.flags.writeable = False
     return nbits, table
 
@@ -233,9 +253,11 @@ def sample_motzkin(n: int, rng: RngHandle) -> SecondaryStructure:
 # grammar traceback
 
 
-# A rebuild between two marks costs the same few numpy passes at any
-# spacing; 16 measured no faster than 8, which keeps an eighth of the sums.
-_MARK_SPACING = 8
+# A rebuild from a mark adds in the row's own order at any spacing, so the
+# spacing moves no float and no decision; it trades table size against the
+# width of a rebuild.  At 16 the marks take 1.01 MB at capacity 2000, and a
+# rebuild is one cumsum over 17 terms per job.
+_MARK_SPACING = 16
 
 
 class _GrammarTables:
@@ -249,10 +271,11 @@ class _GrammarTables:
     The split row of length m is cumsum(L[1:m] * S[m-1:0:-1]), m - 1 prefix
     sums.  Only its marks are kept: a leading 0 and then every
     _MARK_SPACING-th prefix sum, back to back for every m from 2 to
-    capacity, row m in marks[start[m] : start[m + 1]]; last[m] is the
-    row's final sum.  About capacity**2 / 16 floats in all, where whole rows
-    take capacity**2 / 2.  lpad and spad are L and S with zeros on the side
-    a rebuild past the row's end reads (spad[k + _MARK_SPACING] = S[k]).
+    capacity, row m in marks[start[m] : start[m + 1]]; first[m] and last[m]
+    are the row's first and final sums.  About capacity**2 / 32 floats in
+    all, where whole rows take capacity**2 / 2.  lpad and spad are L and S
+    with zeros on the side a rebuild past the row's end reads
+    (spad[k + _MARK_SPACING] = S[k]).
     """
 
     def __init__(self, p: PfoldParams, capacity: int):
@@ -269,6 +292,8 @@ class _GrammarTables:
         counts = 1 + (np.arange(capacity + 1) - 1) // _MARK_SPACING  # none at m = 0
         self.start = np.concatenate([[0], np.cumsum(counts)])
         self.marks = np.zeros(self.start[-1])
+        self.first = np.zeros(capacity + 1)
+        self.first[1:] = L[1] * S[:-1]
         self.last = np.zeros(capacity + 1)
         for m in range(2, capacity + 1):
             row = np.cumsum(L[1:m] * S[m - 1 : 0 : -1])
@@ -301,7 +326,7 @@ def _split_points(tables: _GrammarTables, m: np.ndarray, u: np.ndarray) -> np.nd
     lpad, spad = tables.lpad, tables.spad
     x = u * tables.last[m]
     a = np.ones(len(m), dtype=np.int64)
-    rest = np.flatnonzero(lpad[1] * spad[m - 1 + _MARK_SPACING] <= x)
+    rest = np.flatnonzero(tables.first[m] <= x)
     m, x = m[rest], x[rest]
     marks, start = tables.marks, tables.start[m]
     base = start
@@ -316,6 +341,14 @@ def _split_points(tables: _GrammarTables, m: np.ndarray, u: np.ndarray) -> np.nd
     below = (np.cumsum(terms, axis=0)[1:] <= x).sum(axis=0)
     a[rest] = np.minimum(k[0] + below, m - 1) + 1
     return a
+
+
+# A level costs a few dozen small numpy passes.  A dot split off an S, or a
+# pair nested in an F, leaves a job of the same symbol one position on, so a
+# level first takes up to this many such steps per job, each by the test its
+# own level would make: the rows stay, and a block at n = 2000 runs about a
+# quarter of the levels.
+_RUN_STEPS = 8
 
 
 def _pfold_traceback(tables: _GrammarTables, n: int, u: np.ndarray) -> np.ndarray:
@@ -333,7 +366,22 @@ def _pfold_traceback(tables: _GrammarTables, n: int, u: np.ndarray) -> np.ndarra
     pos = np.arange(count, dtype=np.int64) * n
     size = np.full(count, n, dtype=np.int64)
     is_f = np.zeros(count, dtype=bool)
+    steps = np.arange(_RUN_STEPS)[:, None]
     while pos.size:
+        # the run of forced steps that starts each job, to its first other
+        # step or to _RUN_STEPS steps: S -> L S with L -> ., or F -> ( F )
+        m = np.maximum(size - (1 + is_f) * steps, 0)
+        at = 2 * (pos + np.minimum(steps, size - 1))
+        key = m + stride * is_f
+        forced = (flat_u[at] * tables.total[key] < tables.thresh[key]) & (
+            is_f | (tables.first[m] > flat_u[at + 1] * tables.last[m])
+        )
+        run = np.logical_and.accumulate(forced).sum(axis=0)
+        k, nested = np.nonzero(is_f & (steps < run))
+        rows[pos[nested] + k] = 1
+        rows[pos[nested] + size[nested] - 1 - k] = -1
+        pos = pos + run
+        size = size - (1 + is_f) * run
         key = size + stride * is_f
         hit = flat_u[2 * pos] * tables.total[key] < tables.thresh[key]
         split = hit != is_f
@@ -370,7 +418,7 @@ def sample_pfold_many(
         return np.zeros((0, n), dtype=np.int8)
     tables = _grammar_tables(p, n)
     gen = rng.generator
-    return _in_blocks(count, n, lambda r: _pfold_traceback(tables, n, gen.random((r, 2 * n))))
+    return _in_blocks(count, n, lambda r: _pfold_traceback(tables, n, gen.random((r, 2 * n))), _UNIFORM_BYTES)
 
 
 def sample_pfold(
@@ -378,3 +426,16 @@ def sample_pfold(
 ) -> SecondaryStructure:
     """One structure drawn from the grammar conditioned on output length n."""
     return _Block.from_steps(sample_pfold_many(n, 1, p, rng)).structure(0)
+
+
+def _sampled_blocks(
+    model: Model, n: int, count: int, p: PfoldParams, rng: RngHandle
+) -> Iterator[np.ndarray]:
+    """The rows of the model's array sampler at (n, count), from one call
+    per block, cut where it cuts its own: the rows one call gives, and its
+    checks made before the first block is out."""
+    if model is Model.DYCK:
+        return _blocks(count, 2 * n, lambda r: sample_dyck_steps(n, r, rng))
+    if model is Model.MOTZKIN:
+        return _blocks(count, n, lambda r: sample_motzkin_steps(n, r, rng))
+    return _blocks(count, n, lambda r: sample_pfold_many(n, r, p, rng), _UNIFORM_BYTES)

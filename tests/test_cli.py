@@ -4,9 +4,11 @@ import json
 
 import pytest
 
-from endprox import pipeline
+from endprox import pipeline, sampling
 from endprox.cli import _STAT_CHOICES, main
+from endprox.sampling import step_rows_text
 from exact_oracle import motzkin_deg_counts
+from test_scan import _traced_peak
 
 
 @pytest.fixture
@@ -235,7 +237,49 @@ class TestSample:
     @pytest.mark.parametrize("model", ["dyck", "motzkin", "pfold"])
     def test_negative_count(self, run, model):
         code, out, err = run(["sample", "--model", model, "--n", "5", "--count", "-1"])
-        assert code == 1 and out == "" and "count must be nonnegative" in err
+        assert code == 1 and out == "" and err == "error: count must be nonnegative\n"
+
+    @pytest.mark.parametrize("model, n", [("dyck", 25), ("motzkin", 50), ("pfold", 50)])
+    def test_blocks_stream_the_array_rows(self, run, monkeypatch, model, n):
+        # blocks of 20 Dyck or Motzkin rows and of one grammar row: 65 rows
+        # are written in several blocks, and read the stream of one call
+        monkeypatch.setattr(sampling, "_BLOCK_STEPS", 1000)
+        written = []
+
+        def text(steps):
+            written.append(len(steps))
+            return step_rows_text(steps)
+
+        monkeypatch.setattr(sampling, "step_rows_text", text)
+        draw = {"dyck": sampling.sample_dyck_steps, "motzkin": sampling.sample_motzkin_steps}.get(
+            model, lambda n, count, rng: sampling.sample_pfold_many(n, count, rng=rng)
+        )
+        code, out, err = run(["--seed", "8", "sample", "--model", model, "--n", str(n), "--count", "65"])
+        assert (code, err) == (0, "") and out == step_rows_text(draw(n, 65, sampling.RngHandle(8)))
+        assert written == ([20, 20, 20, 5] if model != "pfold" else [1] * 65)
+        code, out, err = run(["sample", "--model", model, "--n", str(n), "--count", "0"])
+        assert (code, out, err) == (0, "", "")
+
+    def test_underflowed_grammar_length_writes_nothing(self, run, tmp_path):
+        params = tmp_path / "high_rho.json"
+        params.write_text('{"p1": 0.2, "p2": 0.9, "p3": 0.2}')
+        for count in ("2", "0"):
+            code, out, err = run(
+                ["--pfold-params", str(params), "sample", "--model", "pfold", "--n", "2500", "--count", count]
+            )
+            assert code == 1 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+            assert "underflowed" in err
+
+
+class TestSampleMemory:
+    @pytest.mark.parametrize("model, rows", [("motzkin", 5242), ("pfold", 327)])
+    def test_peak_does_not_grow_with_the_count(self, model, rows):
+        # rows fill one block at n = 200: 2**20 steps of Motzkin rows, 2**16
+        # of grammar rows (1 MB of uniforms).  Traced peaks after a warm-up
+        # run; keeping every row and its text grows with the count.
+        argv = ["sample", "--model", model, "--n", "200", "--count"]
+        peaks = [_traced_peak(argv + [str(count)]) for count in (rows, rows, 10 * rows)]
+        assert peaks[2] <= 1.25 * peaks[1], peaks
 
 
 class TestShuffle:

@@ -157,7 +157,7 @@ class TestMotzkin:
     @pytest.mark.parametrize("n", [1, 2, 8, 39, 1000])
     def test_pair_count_draw_is_bisect_right(self, n):
         # x = c - 1 and x = c at every cumulative weight c
-        cum = _pair_count_cumweights(n)
+        cum = list(_pair_count_cumweights(n))
         nbytes = (cum[-1].bit_length() + 7) // 8
         xs = sorted({x for c in cum for x in (c - 1, c) if x < cum[-1]})
         ks = _pair_counts(n, len(xs), _FixedBytes(xs, nbytes))
@@ -166,7 +166,7 @@ class TestMotzkin:
     def test_pair_count_draw_masks_and_redraws(self):
         # 323 paths of length 8 need 9 bits: 0xFE01 masks to 1, and 323 and
         # 511 are drawn again from the values that follow
-        cum = _pair_count_cumweights(8)
+        cum = list(_pair_count_cumweights(8))
         ks = _pair_counts(8, 4, _FixedBytes([322, 323, 511, 0xFE01, 0, 2], 2))
         assert ks.tolist() == [bisect_right(cum, x) for x in (322, 0, 2, 1)]
 
@@ -187,6 +187,34 @@ class TestMotzkin:
         monkeypatch.setattr(sampling, "_PAIR_TABLES", sampling._PairTables(limit=0))
         assert draws() == cold
         assert not sampling._PAIR_TABLES.tables
+
+    @pytest.mark.parametrize(
+        "n, digest",
+        [
+            (1, "cc2786e1f9910a9d811400edcddaf7075195f7a16b216dcbefba3bc7c4f2ae51"),
+            (200, "617fed70ca7fb4f83148792e63b3a7a8a61b628a7e0823033361a1e5870286ed"),
+            (1000, "f0f43117ccbc3012a53de1f0a9b78c3081c5c434fb4515e85dd2783c0fe5d441"),
+            (10_000, "dbff2ffa3d4f906b506e60b2cabd1f70f2eef50f90e23c6c483a890252b81172"),
+        ],
+    )
+    def test_pair_table_keeps_the_stream(self, n, digest, monkeypatch):
+        # the table's width sets how many random bytes a draw reads, so the
+        # rows pin it; the digests are those of the table built from the
+        # whole list of cumulative counts
+        monkeypatch.setattr(sampling, "_PAIR_TABLES", sampling._PairTables(limit=0))
+        rows = sample_motzkin_steps(n, 50, RngHandle(7))
+        assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
+
+    def test_pair_table_peak_is_the_table(self):
+        # the bigint list and a list of byte strings beside the table took
+        # 28.7 MB at n = 10**4, for a 9.9 MB table
+        tracemalloc.start()
+        try:
+            _, table = sampling._pair_count_table(10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * table.nbytes
 
     def test_pair_tables_evict_past_their_limit(self):
         size = {n: sampling._pair_count_table(n)[1].nbytes for n in (100, 110, 120)}
@@ -311,6 +339,22 @@ class TestStepRows:
         with pytest.raises(ValueError, match="count must be nonnegative"):
             _draw(model, 5, -1, 3)
 
+    @pytest.mark.parametrize(
+        "model, n, count, digest",
+        [
+            ("dyck", 100, 12_000, "767245c101855dcb839986fda72f942ed749b3a161b064b9af9172115667d77e"),
+            ("dyck", 500, 2500, "fd2ab0a467ece2c60dda03bedc639d30f1f0542c83f9078403ca0a195d52cb67"),
+            ("motzkin", 200, 6000, "3d9626823331de6d200c311cd2fd4e22fde2d85e67ffdb2a373626a64ea1e7d1"),
+            ("motzkin", 1000, 2500, "d1a3f9d96d01e7287989b9ef62ea294a0c1f04acb227c6c05552ae52cc6d68da"),
+        ],
+    )
+    def test_uniform_streams_pinned(self, model, n, count, digest):
+        # the Dyck and Motzkin streams depend on where blocks are cut; each
+        # count here spans two or three blocks of _BLOCK_STEPS steps
+        assert count * (2 * n if model == "dyck" else n) > sampling._BLOCK_STEPS
+        rows = _draw(model, n, count, 5)
+        assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
+
     @given(
         st.sampled_from(["dyck", "motzkin", "pfold"]),
         st.integers(0, 80),
@@ -373,7 +417,8 @@ class TestPfoldBatch:
     def test_matches_serial_traceback(self, p):
         # the batched traceback makes the serial traceback's decisions on
         # the same uniforms: 2n per sample, read from the handle in order
-        # the rows at n = 2000 search split rows of up to 250 marks
+        # the rows at n = 2000 search split rows of up to 125 marks and
+        # nest and split off dots in runs longer than _RUN_STEPS
         for n, count in ((1, 30), (2, 30), (3, 30), (8, 30), (45, 30), (130, 30), (2000, 3)):
             u = RngHandle(n).generator.random((count, 2 * n))
             expected = np.array([_serial_traceback(n, p, row) for row in u], dtype=np.int8)
@@ -406,6 +451,7 @@ class TestGrammarTables:
         # every split row, at the ends of [0, 1), at seeded uniforms, and at
         # u = row[k] / row[-1] for the first sum and the sums around the
         # first mark, which put x on those sums (u = 1 on rows that short)
+        spacing = sampling._MARK_SPACING
         inside = pfold_inside(p, capacity)
         L, S = inside.L, inside.S
         us = RngHandle(capacity).generator.random((capacity - 1, 11))
@@ -413,7 +459,7 @@ class TestGrammarTables:
         expected = []
         for size, row_us in zip(range(2, capacity + 1), us):
             row = np.cumsum(L[1:size] * S[size - 1 : 0 : -1])
-            row_us[8:] = row[np.minimum([0, 7, 8], size - 2)] / row[-1]
+            row_us[8:] = row[np.minimum([0, spacing - 1, spacing], size - 2)] / row[-1]
             row = row.tolist()
             expected += [bisect_right(row, v * row[-1]) + 1 for v in row_us.tolist()]
         m = np.repeat(np.arange(2, capacity + 1), us.shape[1])
@@ -421,10 +467,11 @@ class TestGrammarTables:
         assert got.tolist() == expected
 
     def test_tables_are_small(self):
-        # whole split rows took about capacity**2 / 2 floats, 15.3 MB here
+        # whole split rows took about capacity**2 / 2 floats, 15.3 MB here,
+        # and every 8th sum 2.1 MB
         tables = _GrammarTables(DEFAULT_PFOLD, 2000)
         size = sum(a.nbytes for a in vars(tables).values() if isinstance(a, np.ndarray))
-        assert size <= 4e6
+        assert size <= 1.3e6
 
     def test_cold_draw_peak(self, monkeypatch):
         monkeypatch.setattr(sampling, "_SAMPLER_CACHE", {})
