@@ -7,14 +7,12 @@ import argparse
 import csv
 import sys
 
-from endprox import Model, Stat, conditional_law, limit_of
+from endprox import Model, Stat, conditional_law, limit_of, pmf_expand
 
 
 def tv_against_law(arr, law) -> float:
-    body = 0.0
-    law_body = 0.0
-    for k in range(len(arr)):
-        pk = float(law.pmf(k))
+    body = law_body = 0.0
+    for k, pk in enumerate(pmf_expand(law, len(arr) - 1)):
         law_body += pk
         body += abs(arr[k] - pk)
     tail = max(0.0, 1 - float(arr.sum()))

@@ -7,21 +7,20 @@ import argparse
 
 from endprox import Model, Stat, ete_limit_moments, limit_of, moments
 from endprox.exact import UnsupportedCombination
-from endprox.limits import JointNB, LenDist, NegBinomial
 
 SCALAR_STATS = [Stat.DEG, Stat.UNP, Stat.CHN, Stat.LEN, Stat.HEL, Stat.STM, Stat.STEM_HELICES]
 
+FORMATS = {  # by the kind that a law's own description names
+    "neg_binomial": "NB({r}, {p:.4g})",
+    "substituted_len": "len subst. of joint(a={a:.4g}, b={b:.4g})",
+    "joint_nb": "joint(a={a:.4g}, b={b:.4g})",
+}
+
 
 def describe(law) -> str:
-    if isinstance(law, NegBinomial):
-        prefix = f"{law.offset} + " if law.offset else ""
-        return f"{prefix}NB({law.r}, {float(law.p):.4g})"
-    if isinstance(law, LenDist):
-        j = law.joint
-        return f"len subst. of joint(a={float(j.a):.4g}, b={float(j.b):.4g})"
-    if isinstance(law, JointNB):
-        return f"joint(a={float(law.a):.4g}, b={float(law.b):.4g})"
-    return "?"
+    fields = law.describe()
+    prefix = f"{fields['offset']} + " if fields.get("offset") else ""
+    return prefix + FORMATS[fields["kind"]].format(**fields)
 
 
 def main() -> None:

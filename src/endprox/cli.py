@@ -261,77 +261,45 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _law_payload(law) -> dict:
-    if isinstance(law, limits.NegBinomial):
-        return {"kind": "neg_binomial", "offset": law.offset, "r": law.r, "p": float(law.p)}
-    if isinstance(law, limits.JointNB):
-        return {"kind": "joint_nb", "a": float(law.a), "b": float(law.b), "c": float(law.c)}
-    if isinstance(law, limits.LenDist):
-        joint = law.joint
-        return {
-            "kind": "substituted_len",
-            "a": float(joint.a),
-            "b": float(joint.b),
-            "c": float(joint.c),
-        }
-    raise UnsupportedCombination("unknown law kind")
-
-
 def _cmd_limits(args) -> int:
-    model = Model(args.model)
-    stat = _STAT_CHOICES[args.stat]
-    params = _pfold_params(args)
+    model, stat, params = Model(args.model), _STAT_CHOICES[args.stat], _pfold_params(args)
     if stat is Stat.ETE:
-        summary = limits.ete_limit_moments(model, _ete_model(args), tol=args.tol, p=params)
-        payload = {
-            "model": model.value,
-            "stat": stat.value,
-            "law": {"kind": "two_scale_distance"},
-            "mean": float(summary.mean),
-            "variance": float(summary.variance),
-            "certified_error": float(summary.certified_error),
-        }
+        law = {"kind": "two_scale_distance"}
+        summary = asdict(limits.ete_limit_moments(model, _ete_model(args), tol=args.tol, p=params))
     else:
-        law = limits.limit_of(model, stat, params)
-        payload = {"model": model.value, "stat": stat.value, "law": _law_payload(law)}
-        if isinstance(law, limits.JointNB):
-            payload.update({"mean": None, "variance": None, "certified_error": 0.0})
-        else:
-            summary = limits.moments(law)
-            payload.update(
-                {
-                    "mean": float(summary.mean),
-                    "variance": float(summary.variance),
-                    "certified_error": float(summary.certified_error),
-                }
-            )
-    json.dump(payload, sys.stdout, indent=2)
+        dist = limits.limit_of(model, stat, params)
+        law = dist.describe()
+        try:
+            summary = asdict(limits.moments(dist))
+        except UnsupportedCombination:  # the joint law has no scalar moments
+            summary = {"mean": None, "variance": None, "certified_error": 0.0}
+    payload = {"model": model.value, "stat": stat.value, "law": law, **summary}
+    json.dump(payload, sys.stdout, indent=2, default=float)
     sys.stdout.write("\n")
     return 0
 
 
+# exact's table of each (stat, model) pair; builders are looked up in exact
+# as they run, so that one rebound there (bench/tracer.py) is the one called
+_EXACT_TABLES = {
+    (Stat.DEG, Model.DYCK): lambda model, n, stat, p: exact.dyck_deg_counts(n),
+    (Stat.DEG, Model.MOTZKIN): lambda model, n, stat, p: exact.motzkin_joint_counts(n).marginal("deg"),
+    (Stat.JOINT, Model.DYCK): lambda model, n, stat, p: exact.dyck_deg_counts(n),
+    (Stat.JOINT, Model.MOTZKIN): lambda model, n, stat, p: exact.motzkin_joint_counts(n),
+    (Stat.JOINT, Model.PFOLD): lambda model, n, stat, p: exact.pfold_joint_table(n, p),
+    **dict.fromkeys(
+        [(Stat.HEL, Model.DYCK), (Stat.HEL, Model.MOTZKIN), (Stat.HEL, Model.PFOLD), (Stat.STM, Model.MOTZKIN),
+         (Stat.STEM_HELICES, Model.MOTZKIN)],
+        lambda model, n, stat, p: exact.hel_stm_counts(model, n, stat, p),
+    ),
+}
+
+
 def _cmd_exact(args) -> int:
-    model = Model(args.model)
-    params = _pfold_params(args)
-    if args.stat == "deg":
-        if model is Model.DYCK:
-            table = exact.dyck_deg_counts(args.n)
-        elif model is Model.MOTZKIN:
-            table = exact.motzkin_joint_counts(args.n).marginal("deg")
-        else:
-            raise UnsupportedCombination("use --stat joint for the grammar model")
-    elif args.stat == "joint":
-        if model is Model.MOTZKIN:
-            table = exact.motzkin_joint_counts(args.n)
-        elif model is Model.PFOLD:
-            table = exact.pfold_joint_table(args.n, params)
-        elif model is Model.DYCK:
-            table = exact.dyck_deg_counts(args.n)
-        else:  # pragma: no cover
-            raise UnsupportedCombination(args.model)
-    else:
-        stat = _STAT_CHOICES[args.stat]
-        table = exact.hel_stm_counts(model, args.n, stat, params)
+    stat, model = _STAT_CHOICES[args.stat], Model(args.model)
+    if (stat, model) not in _EXACT_TABLES:
+        raise UnsupportedCombination(f"no exact {args.stat} table for {args.model}")
+    table = _EXACT_TABLES[stat, model](model, args.n, stat, _pfold_params(args))
     (table.write_json if args.format == "json" else table.write_csv)(sys.stdout)
     return 0
 

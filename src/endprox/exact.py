@@ -256,12 +256,9 @@ _MOTZKIN: list[int] = [1, 1]
 def motzkin_number(n: int) -> int:
     if n < 0:
         return 0
-    while len(_MOTZKIN) <= n:
+    while len(_MOTZKIN) <= n:  # (m + 2) M(m) = (2m + 1) M(m - 1) + 3 (m - 1) M(m - 2)
         m = len(_MOTZKIN)
-        value = _MOTZKIN[m - 1] + sum(
-            _MOTZKIN[j] * _MOTZKIN[m - 2 - j] for j in range(m - 1)
-        )
-        _MOTZKIN.append(value)
+        _MOTZKIN.append(((2 * m + 1) * _MOTZKIN[m - 1] + 3 * (m - 1) * _MOTZKIN[m - 2]) // (m + 2))
     return _MOTZKIN[n]
 
 
@@ -652,9 +649,10 @@ def _first_arch_weights(
                      between two dot runs (Motzkin);
       STEM_HELICES   pair z^2 (L^2 - 1) / (1 - pair z^2): stacked pairs, then
                      a child pair with a dot beside it (Motzkin).
-    Multiplying by ratio takes a few O(n) recurrences, so a table costs one
-    product and O(n^2) additions, in exact integers for an exact uniform
-    model.
+    Multiplying by ratio takes a few O(n) recurrences.  In exact integers
+    the model's equation A = 1 + dot z A + z^s A^2 gives inner * rest = A^2
+    without a product, so an exact table costs O(n^2) additions; floats
+    take one truncated product.
     """
     if not (stat is Stat.HEL or model is Model.MOTZKIN and stat in (Stat.STM, Stat.STEM_HELICES)):
         raise UnsupportedCombination(f"no {stat.value} table or law for {model.value}")
@@ -672,12 +670,19 @@ def _first_arch_weights(
         Stat.STM: runs,
         Stat.STEM_HELICES: lambda u: _over_one_minus(runs(u) - u, c, s),
     }[stat]
-    ends = ext.inner.copy()  # inner (1 - cont): contents that end the statistic
-    ends[s:] -= c * ratio(ext.inner[: n + 1 - s])
-    rest = ext.step * ext.total
-    rest[0] = ext.head
-    u = np.zeros_like(ends)
-    u[s:] = ext.pair * _truncated_product(ends[: n + 1 - s], 0, rest[: n + 1 - s], 0)
+
+    # ratio(u) rest = ratio(u rest); in exact integers inner = rest = A, and
+    # the model's equation gives A^2 = (A - 1 - dot z A) / z^s
+    inner = ext.inner[s:] - ext.dot * ext.inner[s - 1 : n] if ext.exact else ext.inner
+    ends = inner.copy()  # inner (1 - cont): contents that end the statistic
+    ends[s:] -= c * ratio(inner[: max(0, len(inner) - s)])
+    u = np.zeros_like(ext.inner)
+    if ext.exact:
+        u[s:] = ext.pair * ends
+    else:
+        rest = ext.step * ext.total
+        rest[0] = ext.head
+        u[s:] = ext.pair * _truncated_product(ends[: n + 1 - s], 0, rest[: n + 1 - s], 0)
     u = _over_one_minus(u, ext.step * ext.dot)
     top = n // s if top is None else top
     w = np.zeros(top + 1, dtype=u.dtype)

@@ -11,7 +11,8 @@ geometric laws.  The grammar model enters only through the root of its
 singularity polynomial.
 
 Rational model constants stay exact Fractions end to end; grammar-derived
-quantities are floats.
+quantities are floats.  Laws describe themselves (describe(), pgf), so
+moments and pmf_expand, the one expansion of a law to floats, are one rule.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain
 from typing import Optional, Union
 
 from .exact import (
@@ -66,6 +68,15 @@ class NegBinomial:
     def variance(self) -> Number:
         return self.r * (1 - self.p) / self.p**2
 
+    @property
+    def pgf(self) -> tuple[list, list]:
+        """Coefficients of u^offset p^r / (1 - (1 - p) u)^r."""
+        den = [math.comb(self.r, i) * (self.p - 1) ** i for i in range(self.r + 1)]
+        return [0] * self.offset + [self.p**self.r], den
+
+    def describe(self) -> dict:
+        return {"kind": "neg_binomial", "offset": self.offset, "r": self.r, "p": float(self.p)}
+
 
 @dataclass(frozen=True)
 class JointNB:
@@ -81,13 +92,19 @@ class JointNB:
     def pmf(self, i: int, j: int) -> Number:
         if j < 1 or i < 0:
             return 0 * self.a
-        return (
-            self.c
-            * math.comb(i + j - 1, i)
-            * (i + j)
-            * self.a**i
-            * self.b ** (j - 1)
-        )
+        return self._term(i, j, math.comb(i + j - 1, i))
+
+    def _term(self, i: int, j: int, count: int) -> Number:
+        """pmf(i, j) for i >= 0, j >= 1, given count = C(i + j - 1, i).  With
+        float parameters a count past the float range is taken in logs."""
+        try:
+            value = self.c * count * (i + j) * self.a**i * self.b ** (j - 1)
+            if value < math.inf:
+                return value
+        except OverflowError:
+            pass
+        logs = math.log(count) + math.log(self.c * (i + j)) + i * math.log(self.a) + (j - 1) * math.log(self.b)
+        return math.exp(logs)
 
     def diagonal_pmf(self, n: int) -> Number:
         """P(unp + deg = n) = c * n * (a+b)^(n-1)."""
@@ -116,6 +133,15 @@ class JointNB:
             "euv": 2 * a / s0 + 6 * a * b / s0**2,
         }
 
+    def describe(self) -> dict:
+        return {"kind": "joint_nb", "a": float(self.a), "b": float(self.b), "c": float(self.c)}
+
+    @property
+    def pgf(self):
+        raise UnsupportedCombination("the joint law is bivariate: expand or summarize a projection of it")
+
+    mean = variance = pgf  # nor has it one scalar mean or variance
+
 
 @dataclass(frozen=True)
 class LenDist:
@@ -125,10 +151,13 @@ class LenDist:
     joint: JointNB
 
     def pmf(self, m: int) -> Number:
-        return sum(
-            (self.joint.pmf(m - 2 * j, j) for j in range(1, m // 2 + 1)),
-            start=0 * self.joint.a,
+        """The sum of joint.pmf(m - 2j, j) over j >= 1, its binomial
+        C(m - j - 1, m - 2j) stepped from one j to the next."""
+        js = range(1, m // 2 + 1)
+        counts = accumulate(
+            js[1:], lambda c, j: c * (m - 2 * j + 2) * (m - 2 * j + 1) // ((m - j) * (j - 1)), initial=1
         )
+        return sum(map(self.joint._term, (m - 2 * j for j in js), js, counts), start=0 * self.joint.a)
 
     @property
     def mean(self) -> Number:
@@ -142,6 +171,15 @@ class LenDist:
         # chain rule for the substituted PGF: L''(1) then L'' + L' - L'^2
         second = fm["euu"] + 4 * fm["euv"] + 4 * fm["evv"] + 2 * fm["ev"]
         return second + mean - mean**2
+
+    @property
+    def pgf(self) -> tuple[list, list]:
+        """Coefficients of c u^2 / (1 - a u - b u^2)^2."""
+        a, b = self.joint.a, self.joint.b
+        return [0, 0, self.joint.c], [1, -2 * a, a**2 - 2 * b, 2 * a * b, b**2]
+
+    def describe(self) -> dict:
+        return {**self.joint.describe(), "kind": "substituted_len"}
 
 
 LimitDist = Union[NegBinomial, JointNB, LenDist]
@@ -284,22 +322,30 @@ def limit_of(model: Model, stat: Stat, p: Optional[PfoldParams] = None) -> Limit
 
 def moments(d: LimitDist) -> MomentSummary:
     """Closed-form mean and variance; exact when the law is rational."""
-    if isinstance(d, NegBinomial):
-        zero = 0 * d.p
-        return MomentSummary(d.mean, d.variance, zero)
-    if isinstance(d, LenDist):
-        zero = 0 * d.joint.a
-        return MomentSummary(d.mean, d.variance, zero)
-    raise UnsupportedCombination("moments are defined for scalar laws only")
+    return MomentSummary(d.mean, d.variance, 0 * d.mean)
 
 
 def pmf_expand(d: LimitDist, kmax: int) -> list[float]:
-    """pmf values at 0..kmax for a scalar law."""
+    """pmf values at 0..kmax of a scalar law, each equal to float(d.pmf(k)).
+
+    A rational law's pgf num / den steps p_m D^(m+1), D the common
+    denominator, on exact integers, and one correctly rounded int / int
+    division gives p_m; other laws are read one pmf value at a time."""
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    if isinstance(d, (NegBinomial, LenDist)):
+    pgf = getattr(d, "pgf", None)  # the joint law's raises UnsupportedCombination
+    if pgf is None or any(isinstance(x, float) for x in chain(*pgf)):
         return [float(d.pmf(k)) for k in range(kmax + 1)]
-    raise UnsupportedCombination("pmf expansion is defined for scalar laws only")
+    num, den = pgf
+    scale = math.lcm(*(Fraction(x).denominator for x in chain(num, den)))
+    steps = [int(x * scale**i) for i, x in enumerate(den)][1:]
+    recent, values, power = [], [], scale  # p_m scale^(m+1) of the last len(steps) m, latest first
+    for m in range(kmax + 1):
+        head = int(num[m] * power) if m < len(num) else 0
+        recent = [head - sum(c * x for c, x in zip(steps, recent)), *recent[: len(steps) - 1]]
+        values.append(recent[0] / power)
+        power *= scale
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import IO, Iterable, Mapping, Optional, Sequence
 
 from .exact import Model, PfoldParams, Stat, UnsupportedCombination
-from .limits import LenDist, LimitDist, NegBinomial, limit_of, moments
+from .limits import LimitDist, limit_of, moments, pmf_expand
 from .structure import _STAT_FIELDS, DEFAULT_ETE, EteModel, ParsedRecord, ete_distance, stats_columns
 
 
@@ -147,14 +147,13 @@ def heatmap(blocks: Iterable[dict[str, list]], m: EteModel = DEFAULT_ETE) -> lis
 
 
 def law_quantile_cap(d: LimitDist, tail: float = 1e-6) -> int:
-    """Smallest k whose cdf reaches 1 - tail."""
-    if not isinstance(d, (NegBinomial, LenDist)):
-        raise UnsupportedCombination("quantile cap is defined for scalar laws")
-    acc = 0.0
-    for k in range(100_000):
-        acc += float(d.pmf(k))
-        if acc >= 1 - tail:
-            return k
+    """Smallest k < 100000 whose cdf reaches 1 - tail."""
+    for kmax in (255, 4095, 99_999):
+        acc = 0.0
+        for k, pk in enumerate(pmf_expand(d, kmax)):
+            acc += pk
+            if acc >= 1 - tail:
+                return k
     raise ValueError("law cdf does not reach the requested quantile")
 
 
@@ -166,10 +165,8 @@ def total_variation(h: Mapping[int, float], d: LimitDist, cap: int) -> float:
     total = float(sum(h.values()))
     if total <= 0 or any(v < 0 for v in h.values()):
         raise EmptyHistogram("histogram must have nonnegative mass")
-    body = 0.0
-    law_body = 0.0
-    for k in range(cap + 1):
-        pk = float(d.pmf(k))
+    body = law_body = 0.0
+    for k, pk in enumerate(pmf_expand(d, cap)):
         law_body += pk
         body += abs(h.get(k, 0.0) / total - pk)
     emp_tail = sum(v for k, v in h.items() if k > cap) / total
@@ -225,7 +222,7 @@ def compare(
     cap = law_quantile_cap(law)
     summary = moments(law)
     tv = total_variation(hist, law, cap)
-    bins = [(k, hist[k] / n, float(law.pmf(k))) for k in range(0, min(cap, max(hist)) + 1)]
+    bins = [(k, hist[k] / n, pk) for k, pk in enumerate(pmf_expand(law, min(cap, max(hist))))]
     return CompareReport(
         model=model.value,
         stat=stat.value,

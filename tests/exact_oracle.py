@@ -66,3 +66,13 @@ def singularity_polynomial_factored(p: PfoldParams, z: float) -> float:
     """Direct factored-form evaluation; guards the expanded coefficients."""
     alpha = p.p1 * p.q2
     return (1 - alpha * z) ** 2 * (1 - p.p3 * z**2) - 4 * p.p2 * p.q1 * p.q2 * p.q3 * z**3
+
+
+def motzkin_numbers_by_convolution(n: int) -> list[int]:
+    """M(0), ..., M(n) by the first-return decomposition M(m) = M(m - 1) +
+    sum_j M(j) M(m - 2 - j): quadratic in n, kept to check the package's
+    three-term recurrence."""
+    numbers = [1, 1][: n + 1]
+    for m in range(2, n + 1):
+        numbers.append(numbers[m - 1] + sum(numbers[j] * numbers[m - 2 - j] for j in range(m - 1)))
+    return numbers

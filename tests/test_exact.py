@@ -37,7 +37,7 @@ from endprox.exact import (
 )
 from endprox.sampling import RngHandle, sample_pfold_many
 from endprox.structure import exterior_stats
-from exact_oracle import motzkin_deg_counts, table_from_entries
+from exact_oracle import motzkin_deg_counts, motzkin_numbers_by_convolution, table_from_entries
 
 
 def exterior_of(s):
@@ -53,6 +53,10 @@ class TestSequences:
         for n in range(0, 31):
             direct = sum(math.comb(n, 2 * k) * catalan(k) for k in range(n // 2 + 1))
             assert motzkin_number(n) == direct
+
+    def test_motzkin_recurrence_matches_convolution(self):
+        # the three-term recurrence against the first-return convolution
+        assert [motzkin_number(m) for m in range(401)] == motzkin_numbers_by_convolution(400)
 
 
 class TestDyckDeg:

@@ -191,6 +191,33 @@ class TestLaws:
             assert total >= 1 - 1e-9, (model, stat, total)
 
 
+def _scalar_laws():
+    """(model, stat, grammar) of every scalar law; the uniform models' laws
+    do not depend on the grammar parameters."""
+    for model in Model:
+        for grammar in (None, PfoldParams(0.2, 0.9, 0.2)) if model is Model.PFOLD else (None,):
+            for stat in Stat:
+                try:
+                    limit_of(model, stat, grammar)
+                except UnsupportedCombination:
+                    continue
+                if stat is not Stat.JOINT:
+                    name = f"{model.value}-{stat.value}{'-alt' if grammar else ''}"
+                    yield pytest.param(model, stat, grammar, id=name)
+
+
+class TestExpansion:
+    @pytest.mark.parametrize("model,stat,grammar", _scalar_laws())
+    def test_expansion_is_the_pmf_bit_for_bit(self, model, stat, grammar):
+        law = limit_of(model, stat, grammar)
+        values = pmf_expand(law, 2000)
+        # the rational len law's pmf sums O(k) Fraction terms a value, about
+        # a minute over all 2001: every value to 300, then every 50th
+        ks = [*range(301), *range(350, 2001, 50)] if (model, stat) == (Model.MOTZKIN, Stat.LEN) else range(2001)
+        assert [values[k].hex() for k in ks] == [float(law.pmf(k)).hex() for k in ks]
+        assert all(map(math.isfinite, values))
+
+
 class TestJointConsistency:
     def test_marginals_match(self):
         for joint in (limit_of(Model.MOTZKIN, Stat.JOINT), limit_of(Model.PFOLD, Stat.JOINT)):
@@ -268,6 +295,8 @@ class TestMoments:
     def test_joint_rejected(self):
         with pytest.raises(UnsupportedCombination):
             moments(limit_of(Model.MOTZKIN, Stat.JOINT))
+        with pytest.raises(UnsupportedCombination):
+            pmf_expand(limit_of(Model.MOTZKIN, Stat.JOINT), 5)
 
 
 class TestEteMoments:

@@ -1,0 +1,255 @@
+"""Byte-for-byte pins of the commands and scripts whose outputs come from the
+limit laws and the first-arch tables: `limits` JSON, `compare` CSV and JSON
+on one fixed mixed file, `exact` first-arch tables, and the two scripts.
+Each output is pinned as the sha256 of its text, so any change to a digit
+shows here.  The digests were taken before the laws described and expanded
+themselves and before the exact first-arch product came from the functional
+equation; both changes keep every output."""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from endprox.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# nested, unpaired-only, pseudoknotted and unparseable records in two groups
+MIXED = """\
+>a1 group=alpha
+((((...))))..((...))...
+>a2 group=alpha
+..((((....))..((...))))...(((....)))
+>a3 group=alpha
+.........
+>a4 group=alpha
+(((((((...)))))))
+>a5 group=alpha
+.((..[[..))..]].
+>a6 group=alpha
+((.)
+>a7 group=alpha
+((...))((...))((...))((...)).
+>b1 group=beta
+.(.(.(...).).).
+>b2 group=beta
+((((....))))....((((....))))..(((...(((...)))...)))
+>b3 group=beta
+...((((..((...))..((...))..))))...
+>b4 group=beta
+(...)
+>b5 group=beta
+..((...((...))...))..((...))..((...((...))..((...))...))....
+>b6 group=beta
+((((((((....))))))))..........
+>b7 group=beta
+.((((...))).((...)).((((...)))).).
+>b8 group=beta
+.(((...[[[...)))..(((...]]]...)))...
+"""
+
+GRAMMAR = {"default": None, "alt": "0.2 0.9 0.2\n"}
+
+_LIMIT_STATS = ["deg", "unp", "chn", "len", "ete", "hel", "stm", "stem-helices", "joint"]
+_COMPARE = {
+    "dyck": ["deg", "hel"],
+    "motzkin": ["deg", "unp", "chn", "len", "hel", "stm", "stem-helices"],
+    "pfold": ["deg", "unp", "chn", "len", "hel"],
+}
+_FIRST_ARCH = [("dyck", "hel"), ("motzkin", "hel"), ("motzkin", "stm"), ("motzkin", "stem-helices")]
+
+
+def _grammar_flags(grammar, tmp_path):
+    if GRAMMAR[grammar] is None:
+        return []
+    path = tmp_path / "params.txt"
+    path.write_text(GRAMMAR[grammar])
+    return ["--pfold-params", str(path)]
+
+
+def _cli_digest(argv, capsys) -> str:
+    code = main(argv)
+    out = capsys.readouterr().out
+    return f"{code}:{hashlib.sha256(out.encode()).hexdigest()}"
+
+
+LIMITS = {
+    ("dyck", "deg", "default"): "0:412b404bafeed1661512f3e0d400374617fc80b28fdc27a95d85a47b1dfd2f0e",
+    ("dyck", "unp", "default"): "2:e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("dyck", "chn", "default"): "2:e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("dyck", "len", "default"): "2:e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("dyck", "ete", "default"): "0:9b8fdbf6de784dcf84d0c2f336d86cc117de0cfd62a8fefbecee123a82d03a68",
+    ("dyck", "hel", "default"): "0:861283faab04eacb7a7043001d3e299873b791df5f62685d970bf4de32bbb3dc",
+    ("dyck", "stm", "default"): "2:e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("dyck", "stem-helices", "default"): "2:e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("dyck", "joint", "default"): "2:e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("motzkin", "deg", "default"): "0:894142907e3e702161254d58574f1cda8ef4ee5c390761d4fcfbff8f8a296f5c",
+    ("motzkin", "unp", "default"): "0:ea1b0109dfb178a6a0aa6fd7fb5c40b78f74e2520d61b1f740be4e63ff2a2523",
+    ("motzkin", "chn", "default"): "0:fe116affb6c81cfb49dfe91de7505863647a9f22220091d267b0743d4721faab",
+    ("motzkin", "len", "default"): "0:a4bb3346e8aa34516e01ce89d5aac3e8deb23fe154e972dfcf2029ad56ef337f",
+    ("motzkin", "ete", "default"): "0:530957ab8b39e55a9b75839c49757b95672aa666ce73ada1cf02b9e034440eb8",
+    ("motzkin", "hel", "default"): "0:afb41d79bdb4643685ce54080ae54d77024b510883f6cbc74a547009f268e4ec",
+    ("motzkin", "stm", "default"): "0:b0c1fea0fa135eb9eb81ab12772e0d6e6c3ca078b6a31bb40a8d362079c39619",
+    ("motzkin", "stem-helices", "default"): "0:ca5c2ebf3a684ae6fd135f3ae05e728f094e7d3dd99fc767297a56773791d6ad",
+    ("motzkin", "joint", "default"): "0:805d59abcf436778abfa49ab511aa9fc7bde6677da4e57eb959f92a7c3666b94",
+    ("pfold", "deg", "default"): "0:0d8f8645272b931b08a5428c5facdb67cba46b4b0b35b556f012be22e2c2e39c",
+    ("pfold", "unp", "default"): "0:ded5b3b3a920b1176dc8607a5787f8c28f03a693dc8ebc6d7992d36dce754595",
+    ("pfold", "chn", "default"): "0:39972796a4a0df2acca778df50cbb3d912703c98775a0e54ba5a49ffb78e3780",
+    ("pfold", "len", "default"): "0:40df517dd7d0df4910b9e7a4a354dedf342543fac16c60360b5f073cc28e83b4",
+    ("pfold", "ete", "default"): "0:1174b7894cd07ead1581c80ea4dd3e23989cd971a577b8ef20d71b5f62adb974",
+    ("pfold", "hel", "default"): "0:e31885e2654cab582df4320687d6a3041749f3f1b7e38fa954235934b57830da",
+    ("pfold", "stm", "default"): "2:e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("pfold", "stem-helices", "default"): "2:e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("pfold", "joint", "default"): "0:b41fa46a3137f66bb2c456dd6829dbcfe108083aef9290d48206e24bfab639ba",
+    ("pfold", "deg", "alt"): "0:672df8eb7ff9df7f39f522cd8b00c456065819ea800326fd2f20b649f45a8688",
+    ("pfold", "unp", "alt"): "0:0a87f4011adb23f76fac316f09098365ff12b32b5be3f85cdec70095774f7511",
+    ("pfold", "chn", "alt"): "0:9dd5a19d7f9b9d0d8904cb58f22d61ce781ea5156a3305f5439db6d72246a82d",
+    ("pfold", "len", "alt"): "0:36faf8594b12a6169da55a6a90fb69f81229c2102c33ebbd4ecd6742bdfca842",
+    ("pfold", "ete", "alt"): "0:096291f42550ea8b600b0905b9929da7100a1cf9c244e14d7475ff439885bf40",
+    ("pfold", "hel", "alt"): "0:fa44a651d2db5eb197ead73b3f8acbc02a1c6e27d18bed104018b1fecc4ea03d",
+    ("pfold", "stm", "alt"): "2:e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("pfold", "stem-helices", "alt"): "2:e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("pfold", "joint", "alt"): "0:7f9c0c61048c6811cb28bae9fc579a065b6fb3c035aeec79c25fbde6ce337cc6",
+}
+COMPARE = {
+    ("dyck", "deg", "csv", "default"): "0:2960df09dc5db4e7103beba740b6ef8bd0276a1e16196e1a0a9a7b7c2a6362d0",
+    ("dyck", "deg", "json", "default"): "0:67e7065a700211d0decbc2c053c91348f512d74296124f4cd8b10de9e6f2d2a4",
+    ("dyck", "hel", "csv", "default"): "0:b9414c5c4cb4448b5af5879caa9f4bcc8eec6d732a04db7e6c9a7f33f6ede8e4",
+    ("dyck", "hel", "json", "default"): "0:365ed0fc9212439b146635e665198b393751fb1e3d8415d017943c63c8428d0d",
+    ("motzkin", "deg", "csv", "default"): "0:5b85e0d1a59efb649e04302d53ce15c28808c51cf424c45256922996b1cdcea6",
+    ("motzkin", "deg", "json", "default"): "0:99dafe4149346e20ebd5e7c6395c497b4dee8770c9ae0b411c5522e1070c2cae",
+    ("motzkin", "unp", "csv", "default"): "0:780d608a3087258cd025ed4487021605d286b511ab3b71c4c2e86b859bbb6069",
+    ("motzkin", "unp", "json", "default"): "0:8beb0c89b052a5d4b2ebddd2ccff5411723981bc6fe884ea76566928da20641b",
+    ("motzkin", "chn", "csv", "default"): "0:29e4d1108bb039447aa26ec2aa6e9448382da82ba852c99d01bafef8f282550f",
+    ("motzkin", "chn", "json", "default"): "0:41a8510b579075b2379483c774986a2f1750303f1981c8415e8696331ad28e3b",
+    ("motzkin", "len", "csv", "default"): "0:ad0afe078371acde9e531e0ca50af21e6ecc2cc7d6fa9be14d0532259c12decd",
+    ("motzkin", "len", "json", "default"): "0:8129458e9d65f682b6e70cecc129791b606258607c452f243d23885cb57ba634",
+    ("motzkin", "hel", "csv", "default"): "0:ad72ad6e7aa72ed5eca7921c38cbf422a1e22735141261fbe723f459b1a35cec",
+    ("motzkin", "hel", "json", "default"): "0:c9e705252993931e0b27508a74af83929e28762aa70298daa1da30ff892830a4",
+    ("motzkin", "stm", "csv", "default"): "0:82cb49631ad9fbc95860d5adfd84dcf8b65bdb3b9ba1c25fdc932461ce751729",
+    ("motzkin", "stm", "json", "default"): "0:e4b821950b113384ec4052b878117823833b73fa741caa2660f4232f62741278",
+    ("motzkin", "stem-helices", "csv", "default"): "0:0c6e8fae9d9c7684fe92ef09fe1f210cfa6f7bb2fbb0d22ebbcb9c2b230f29e9",
+    ("motzkin", "stem-helices", "json", "default"): "0:9daf5a97da2658db907c5c4dfe2797f474bf456ac3f8f45a0653897df3c9a4ed",
+    ("pfold", "deg", "csv", "default"): "0:cd28b5beffdcaf6ec7600bdc3a6b4188c0911b767390e5257518fe3c6eb8b256",
+    ("pfold", "deg", "json", "default"): "0:4b47ed3fe92887479e7ee8f77fcb94e472d98d851def95ba6c2e0fcbbc7616c1",
+    ("pfold", "unp", "csv", "default"): "0:976c4055f0587ffda852cecad154469f1ae14a010eb0e8aafb0905806a19615e",
+    ("pfold", "unp", "json", "default"): "0:edc77bce352e9cafc02a3e3a1a88ef6703101b9396499fcabd6edaacadb27508",
+    ("pfold", "chn", "csv", "default"): "0:0d65610a0ff7c100ec5e16107148dac9e048a86d93a6daaeebce761241ca7e11",
+    ("pfold", "chn", "json", "default"): "0:e3b0bba1e6b0bedcac62c5aec0d586bbae5e270072f13e8be264721c26e1b573",
+    ("pfold", "len", "csv", "default"): "0:b849843461a6a178495fc18df68e65d52b0f6460b87da7bc7e4c989362ca866a",
+    ("pfold", "len", "json", "default"): "0:734e9c6a262e719e1b861689ba5b83fc4fc5112a80e616ddb4903bb5e214e22b",
+    ("pfold", "hel", "csv", "default"): "0:f3db4b16a68463f0c955af18619a24b00afd58237770a602878419f1b133166b",
+    ("pfold", "hel", "json", "default"): "0:8b36af748cf39905357e914f2291bdc4c71e5e08cf6a4cdfbace07c23fc23065",
+    ("pfold", "deg", "csv", "alt"): "0:e52bca01380253d56596cd4bd9e8ec6827e85218bf7ca30db568c22c067fd1cf",
+    ("pfold", "deg", "json", "alt"): "0:b3ae730c2044ea05c8fcf5abcd4ae86062a09eb176500f566098ccbaa501b351",
+    ("pfold", "unp", "csv", "alt"): "0:97f1200d50a5683aeb8959c5a07563e3865432d933f6dc9fbaba9b7c72557286",
+    ("pfold", "unp", "json", "alt"): "0:9a1408916510415fe38d5de4a1c51787e9bb8b66f0e6839300c721031be2bafe",
+    ("pfold", "chn", "csv", "alt"): "0:fe863ee585f6ea30654bfc47634352e9c6228aa500228c06e164fc7d2b1878e8",
+    ("pfold", "chn", "json", "alt"): "0:1d551c41a248d63b5d4a93ff682dcccd950d818bc6d9b08d614f0c076b5ef9fd",
+    ("pfold", "len", "csv", "alt"): "0:062c66c0c06832475c39f2548471cafb962ebf8eb2da4e5bffef0eee7277b34a",
+    ("pfold", "len", "json", "alt"): "0:ef208dafb433f0995faff95880d94c7eca1e1f11c59638b02df21fe21789c8ec",
+    ("pfold", "hel", "csv", "alt"): "0:23311e5f5323d568bf0fcf0da8bdf77da9234808e5ecb1ec24d044267e0c9828",
+    ("pfold", "hel", "json", "alt"): "0:a5e256df8a9898a4139ea10a10759dbac6f2c3387b4bce129c11d6edad3c3b65",
+}
+EXACT = {
+    ("dyck", "hel", 0, "csv"): "0:b76c7397e197469bf244f06d9d5ecd0340ba4ae82ab6c371a66b813583ecbeca",
+    ("dyck", "hel", 0, "json"): "0:93e52146d6eb338c8e205c7aefdef1c840027356d1d3d7202b463b226c57683c",
+    ("dyck", "hel", 1, "csv"): "0:39b1597096d44ae9861c088728865acb7e7bb810eb2f9f74411862b5e89eac00",
+    ("dyck", "hel", 1, "json"): "0:8db644829fd4dc004e9629c17d667e360b58dc2998e73de6047f382a60dc5079",
+    ("dyck", "hel", 2, "csv"): "0:9f0c4746f6b078a9243825b2386b297de3bfcf3448efea992cde1a5051e02fd8",
+    ("dyck", "hel", 2, "json"): "0:4d4efdfb42a30275d56a8d75266e4da87354e3f6de75a2f39f3a025477da7424",
+    ("dyck", "hel", 150, "csv"): "0:ebd79647c2c203acb2a5d559dc903a829765ed3869cfde224e4c4174253bdf02",
+    ("dyck", "hel", 150, "json"): "0:c3c95587ffc476753d56b631132e0274264e86090c6f046c4ed5d9f2bc5a5aa5",
+    ("dyck", "hel", 300, "csv"): "0:0689d15fe60795813de39a60eae799494c2e06ec21b9a406266ccf8ca5331dbe",
+    ("dyck", "hel", 300, "json"): "0:bf3b46b64b8a0b47e28a3768066bd5ba8d1756d01a253aeaad25a445eb183176",
+    ("dyck", "hel", 1000, "csv"): "0:3c7ea906950d431599d7dcb812f5b52b97cc8a6fd58b8620867c46a4a9271f23",
+    ("dyck", "hel", 1000, "json"): "0:6d7a7a156cc69c0823a577923a8bcbc3818a82f210b518038c3b879c2a0a7d6b",
+    ("motzkin", "hel", 0, "csv"): "0:f5c0b6bea77deb57aafc8a0b0592b05fe4d1ce687b42fc8d49fc610584586341",
+    ("motzkin", "hel", 0, "json"): "0:9e513301d8a5dc50b88ee7f7d5d4b6c1834176b3f3f23abef9590ba010758359",
+    ("motzkin", "hel", 1, "csv"): "0:30c3c7e6662fccc3a170838956ce9b5c0f41db4215bb8fc93bfb81b361b38cf3",
+    ("motzkin", "hel", 1, "json"): "0:e2cdb7530f750308650d0a49c4dcbd368913e43bba307a2359e7159b5cd6e60b",
+    ("motzkin", "hel", 2, "csv"): "0:68986cc92188b49301d0f6c906be26825630fe378d367bb28510d8371ad8afed",
+    ("motzkin", "hel", 2, "json"): "0:9a839c0edfa558e6d0469d6a94afd66b3787acc0bc70d22887c92a908217a506",
+    ("motzkin", "hel", 150, "csv"): "0:ede7a770c57fa22dd49803893419f5c59ed2a4895109cb7699fd2d3fde9ae20d",
+    ("motzkin", "hel", 150, "json"): "0:afa1a393c6c446be3e4a9f2869c4daca1530780f556c9fe9f98cd62414bfe840",
+    ("motzkin", "hel", 300, "csv"): "0:a6a4ca1731c261c75e6962d1eba579f5fc0eb3fc4da6205ac83c6c19bf9bb1a2",
+    ("motzkin", "hel", 300, "json"): "0:f9eedfb87015b7da537ecf567acfd3b18842e1563303ab601885b856df2c40b2",
+    ("motzkin", "hel", 1000, "csv"): "0:e0ba4ccac24e2b37dc606ca1b42b870726a26e6f00c7f6737f504f081e176e05",
+    ("motzkin", "hel", 1000, "json"): "0:8f3ecabf9a963b970724f9565f94d7e4bdb2bdcff735f7fd08496f31bd759297",
+    ("motzkin", "stm", 0, "csv"): "0:5c882d00759f3256d5761815782bfd5ead906df7df78065caa5c1a5e07052a4c",
+    ("motzkin", "stm", 0, "json"): "0:af459586f7cfc0e120f8e67f46463380b23444df65a67e6a5cfaaa2ef322180b",
+    ("motzkin", "stm", 1, "csv"): "0:422a90934f8e3d646464847684fd36ae33141b0a0937b2116a39beda13605f9f",
+    ("motzkin", "stm", 1, "json"): "0:7b83a1df47caad7f54938707bcd422b3d059d119333fd42f0a138d36d56fbcf1",
+    ("motzkin", "stm", 2, "csv"): "0:44849f2e3684880e7ec4c56878ed1ee65728c21464ea02464116ad6ade00763a",
+    ("motzkin", "stm", 2, "json"): "0:2f7989733aeee6b4deec7a0d08bfbae032629568d3224e88cf743a49f29114e0",
+    ("motzkin", "stm", 150, "csv"): "0:8f4feab5ba8b4078700a169557558a5fd8d96dfbaee9db9b9feb7adc1377cd3d",
+    ("motzkin", "stm", 150, "json"): "0:32477d20f73f22bd56baf348bf2d526f13295a628b1645bdcadfe23eac24dcf8",
+    ("motzkin", "stm", 300, "csv"): "0:93b222ca34b1d7df1563bf825f1b6c72b7d12c9491eabc77152fffcf12d02642",
+    ("motzkin", "stm", 300, "json"): "0:b5786a84e85c5be24acb6a394adbe5490656416be2b42818eaa480591ffcc5d7",
+    ("motzkin", "stm", 1000, "csv"): "0:e3f524a35d9346a893b8e1a43cc84da1fd5115d4fb8f596cacc7a7e607f7373c",
+    ("motzkin", "stm", 1000, "json"): "0:023a3e5598af4cd0e4a232eb5be6d03fe8e98224422d1dce81e686f1e071d590",
+    ("motzkin", "stem-helices", 0, "csv"): "0:3a39ac8db244c3bd9b315335bb83c986780dc25c3bd4a7925409148b7542b181",
+    ("motzkin", "stem-helices", 0, "json"): "0:b6bce82d7184ec87dbda21832bc830ca49b54680102984d79a3591ba7cc77be6",
+    ("motzkin", "stem-helices", 1, "csv"): "0:575d1a14ca79c67df3d316d9eedbeac6f8a45b2c43388ebe34cf8d5b7b88b39c",
+    ("motzkin", "stem-helices", 1, "json"): "0:bffeca52a48a3dd148726c9221b09c1f6c8cad8b95a8899d501a24f4922884fc",
+    ("motzkin", "stem-helices", 2, "csv"): "0:e7b5a37c7ef5bad96598cf1f251b9a13fd46c78a7cea0ad5e8f482c136f11245",
+    ("motzkin", "stem-helices", 2, "json"): "0:f37b628b9a84c1fe7d063d60012dcda2502094cc9deaff454d23a5a53e65aa82",
+    ("motzkin", "stem-helices", 150, "csv"): "0:ba7a1a4f81691dac5baef61376e1df1a131c691b3f01798409550ed3af0930be",
+    ("motzkin", "stem-helices", 150, "json"): "0:652d75b3103cd6e48bf55f56cdd5725cb6c00cfa0e7fac8641d256ee14797812",
+    ("motzkin", "stem-helices", 300, "csv"): "0:bf176dbbe46f22baa9b1be32718fd01a52c30ca5f1561aae19d460ca3cb779aa",
+    ("motzkin", "stem-helices", 300, "json"): "0:722b39d1eb98fef09ac3a67a47fa3f7948d586265a5d129f2c621ac4a8aeb874",
+    ("motzkin", "stem-helices", 1000, "csv"): "0:c34a7fe2c60d528f330a49458ebe56980d016a9ac1f9e935eaa4b01d8ab63a68",
+    ("motzkin", "stem-helices", 1000, "json"): "0:a3ae6817272b39f52b3dbca38d6fba53ab9fd79616b2af4dd5193c047195bd99",
+}
+SCRIPTS = {
+    "limit_table.py": "0858bd44da66f9b04ef90a9164338de5edae0d6207a20f368c94f2627fc768e2",
+    "convergence_report.py": "1704b6025e85bfa7cc941f97e6bc7af962b1df29ca28252c1464e4327547d62b",
+}
+
+
+def _limits_cases():
+    cases = [(m, s, "default") for m in _COMPARE for s in _LIMIT_STATS]
+    return cases + [("pfold", s, "alt") for s in _LIMIT_STATS]
+
+
+def _compare_cases():
+    cases = [(m, s, fmt, "default") for m, stats in _COMPARE.items() for s in stats for fmt in ("csv", "json")]
+    return cases + [("pfold", s, fmt, "alt") for s in _COMPARE["pfold"] for fmt in ("csv", "json")]
+
+
+def _exact_cases():
+    return [(m, s, n, fmt) for m, s in _FIRST_ARCH for n in (0, 1, 2, 150, 300, 1000) for fmt in ("csv", "json")]
+
+
+@pytest.mark.parametrize("model,stat,grammar", _limits_cases())
+def test_limits_output(model, stat, grammar, capsys, tmp_path):
+    argv = [*_grammar_flags(grammar, tmp_path), "limits", "--model", model, "--stat", stat]
+    assert _cli_digest(argv, capsys) == LIMITS[model, stat, grammar]
+
+
+@pytest.mark.parametrize("model,stat,fmt,grammar", _compare_cases())
+def test_compare_output(model, stat, fmt, grammar, capsys, tmp_path):
+    path = tmp_path / "mixed.dbn"
+    path.write_text(MIXED)
+    argv = [*_grammar_flags(grammar, tmp_path), "--format", fmt, "compare", str(path), "--model", model, "--stat", stat]
+    assert _cli_digest(argv, capsys) == COMPARE[model, stat, fmt, grammar]
+
+
+@pytest.mark.parametrize("model,stat,n,fmt", _exact_cases())
+def test_exact_first_arch_output(model, stat, n, fmt, capsys):
+    argv = ["--format", fmt, "exact", "--model", model, "--n", str(n), "--stat", stat]
+    assert _cli_digest(argv, capsys) == EXACT[model, stat, n, fmt]
+
+
+@pytest.mark.parametrize("script", ["limit_table.py", "convergence_report.py"])
+def test_script_output(script):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script)], capture_output=True, env=env, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout).hexdigest() == SCRIPTS[script]

@@ -64,6 +64,11 @@ def test_tracer_finds_its_spans(tmp_path):
     summary = json.loads(spans.read_text())
     assert {"exact.dyck_deg_counts", "exact.CountTable.write_csv"} <= set(summary["seconds"])
     assert summary["counts"]["exact.table_rows"] == 20
+    # exact finds its builders in the exact module as it runs, so the
+    # rebound ones are the ones called
+    for model, n, own in (("motzkin", "20", "exact.motzkin_joint_counts"), ("pfold", "50", "exact.pfold_joint_table")):
+        run_script("bench/tracer.py", str(spans), "cli", "exact", "--model", model, "--n", n, "--stat", "joint")
+        assert {own, "exact.CountTable.write_csv"} <= set(json.loads(spans.read_text())["seconds"]), model
     records = tmp_path / "three.dbn"
     records.write_text(">a\n((..))..\n>bad\n((.)\n>c\n.([..)].\n")
     # each dataset command also records its own pipeline span, so that its
