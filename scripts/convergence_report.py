@@ -11,7 +11,8 @@ from endprox import Model, Stat, conditional_law, limit_of, pmf_expand
 
 
 def tv_against_law(arr, law) -> float:
-    body = law_body = 0.0
+    body = 0.0
+    law_body = 0.0
     for k, pk in enumerate(pmf_expand(law, len(arr) - 1)):
         law_body += pk
         body += abs(arr[k] - pk)

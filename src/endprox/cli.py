@@ -262,7 +262,9 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_limits(args) -> int:
-    model, stat, params = Model(args.model), _STAT_CHOICES[args.stat], _pfold_params(args)
+    model = Model(args.model)
+    stat = _STAT_CHOICES[args.stat]
+    params = _pfold_params(args)
     if stat is Stat.ETE:
         law = {"kind": "two_scale_distance"}
         summary = asdict(limits.ete_limit_moments(model, _ete_model(args), tol=args.tol, p=params))
@@ -279,27 +281,26 @@ def _cmd_limits(args) -> int:
     return 0
 
 
-# exact's table of each (stat, model) pair; builders are looked up in exact
+# the deg and joint tables of each model; builders are looked up in exact
 # as they run, so that one rebound there (bench/tracer.py) is the one called
 _EXACT_TABLES = {
-    (Stat.DEG, Model.DYCK): lambda model, n, stat, p: exact.dyck_deg_counts(n),
-    (Stat.DEG, Model.MOTZKIN): lambda model, n, stat, p: exact.motzkin_joint_counts(n).marginal("deg"),
-    (Stat.JOINT, Model.DYCK): lambda model, n, stat, p: exact.dyck_deg_counts(n),
-    (Stat.JOINT, Model.MOTZKIN): lambda model, n, stat, p: exact.motzkin_joint_counts(n),
-    (Stat.JOINT, Model.PFOLD): lambda model, n, stat, p: exact.pfold_joint_table(n, p),
-    **dict.fromkeys(
-        [(Stat.HEL, Model.DYCK), (Stat.HEL, Model.MOTZKIN), (Stat.HEL, Model.PFOLD), (Stat.STM, Model.MOTZKIN),
-         (Stat.STEM_HELICES, Model.MOTZKIN)],
-        lambda model, n, stat, p: exact.hel_stm_counts(model, n, stat, p),
-    ),
+    ("deg", Model.DYCK): lambda n, p: exact.dyck_deg_counts(n),
+    ("deg", Model.MOTZKIN): lambda n, p: exact.motzkin_joint_counts(n).marginal("deg"),
+    ("joint", Model.DYCK): lambda n, p: exact.dyck_deg_counts(n),
+    ("joint", Model.MOTZKIN): lambda n, p: exact.motzkin_joint_counts(n),
+    ("joint", Model.PFOLD): lambda n, p: exact.pfold_joint_table(n, p),
 }
 
 
 def _cmd_exact(args) -> int:
-    stat, model = _STAT_CHOICES[args.stat], Model(args.model)
-    if (stat, model) not in _EXACT_TABLES:
-        raise UnsupportedCombination(f"no exact {args.stat} table for {args.model}")
-    table = _EXACT_TABLES[stat, model](model, args.n, stat, _pfold_params(args))
+    model = Model(args.model)
+    params = _pfold_params(args)
+    if args.stat == "deg" and model is Model.PFOLD:
+        raise UnsupportedCombination("use --stat joint for the grammar model")
+    if (args.stat, model) in _EXACT_TABLES:
+        table = _EXACT_TABLES[args.stat, model](args.n, params)
+    else:  # a first-arch statistic, whose support exact decides
+        table = exact.hel_stm_counts(model, args.n, _STAT_CHOICES[args.stat], params)
     (table.write_json if args.format == "json" else table.write_csv)(sys.stdout)
     return 0
 

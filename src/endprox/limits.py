@@ -11,8 +11,9 @@ geometric laws.  The grammar model enters only through the root of its
 singularity polynomial.
 
 Rational model constants stay exact Fractions end to end; grammar-derived
-quantities are floats.  Laws describe themselves (describe(), pgf), so
-moments and pmf_expand, the one expansion of a law to floats, are one rule.
+quantities are floats.  Laws describe themselves (describe()); moments is
+one rule, and pmf_values, listed by pmf_expand, is the one expansion of a
+scalar law to floats.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
-from typing import Optional, Union
+from itertools import accumulate, count, islice
+from typing import Iterator, Optional, Union
 
 from .exact import (
     DEFAULT_PFOLD,
@@ -67,12 +68,6 @@ class NegBinomial:
     @property
     def variance(self) -> Number:
         return self.r * (1 - self.p) / self.p**2
-
-    @property
-    def pgf(self) -> tuple[list, list]:
-        """Coefficients of u^offset p^r / (1 - (1 - p) u)^r."""
-        den = [math.comb(self.r, i) * (self.p - 1) ** i for i in range(self.r + 1)]
-        return [0] * self.offset + [self.p**self.r], den
 
     def describe(self) -> dict:
         return {"kind": "neg_binomial", "offset": self.offset, "r": self.r, "p": float(self.p)}
@@ -136,12 +131,6 @@ class JointNB:
     def describe(self) -> dict:
         return {"kind": "joint_nb", "a": float(self.a), "b": float(self.b), "c": float(self.c)}
 
-    @property
-    def pgf(self):
-        raise UnsupportedCombination("the joint law is bivariate: expand or summarize a projection of it")
-
-    mean = variance = pgf  # nor has it one scalar mean or variance
-
 
 @dataclass(frozen=True)
 class LenDist:
@@ -171,12 +160,6 @@ class LenDist:
         # chain rule for the substituted PGF: L''(1) then L'' + L' - L'^2
         second = fm["euu"] + 4 * fm["euv"] + 4 * fm["evv"] + 2 * fm["ev"]
         return second + mean - mean**2
-
-    @property
-    def pgf(self) -> tuple[list, list]:
-        """Coefficients of c u^2 / (1 - a u - b u^2)^2."""
-        a, b = self.joint.a, self.joint.b
-        return [0, 0, self.joint.c], [1, -2 * a, a**2 - 2 * b, 2 * a * b, b**2]
 
     def describe(self) -> dict:
         return {**self.joint.describe(), "kind": "substituted_len"}
@@ -320,32 +303,28 @@ def limit_of(model: Model, stat: Stat, p: Optional[PfoldParams] = None) -> Limit
     return _PROJECTIONS[stat](_exterior_law(model, params))
 
 
+def _scalar(d: LimitDist) -> LimitDist:
+    if isinstance(d, JointNB):
+        raise UnsupportedCombination("the joint law is bivariate: use one of its projections")
+    return d
+
+
 def moments(d: LimitDist) -> MomentSummary:
     """Closed-form mean and variance; exact when the law is rational."""
+    d = _scalar(d)
     return MomentSummary(d.mean, d.variance, 0 * d.mean)
 
 
-def pmf_expand(d: LimitDist, kmax: int) -> list[float]:
-    """pmf values at 0..kmax of a scalar law, each equal to float(d.pmf(k)).
+def pmf_values(d: LimitDist) -> Iterator[float]:
+    """float(d.pmf(k)) for k = 0, 1, ... of a scalar law, as far as it is read."""
+    return map(float, map(_scalar(d).pmf, count()))
 
-    A rational law's pgf num / den steps p_m D^(m+1), D the common
-    denominator, on exact integers, and one correctly rounded int / int
-    division gives p_m; other laws are read one pmf value at a time."""
+
+def pmf_expand(d: LimitDist, kmax: int) -> list[float]:
+    """pmf values at 0..kmax for a scalar law."""
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    pgf = getattr(d, "pgf", None)  # the joint law's raises UnsupportedCombination
-    if pgf is None or any(isinstance(x, float) for x in chain(*pgf)):
-        return [float(d.pmf(k)) for k in range(kmax + 1)]
-    num, den = pgf
-    scale = math.lcm(*(Fraction(x).denominator for x in chain(num, den)))
-    steps = [int(x * scale**i) for i, x in enumerate(den)][1:]
-    recent, values, power = [], [], scale  # p_m scale^(m+1) of the last len(steps) m, latest first
-    for m in range(kmax + 1):
-        head = int(num[m] * power) if m < len(num) else 0
-        recent = [head - sum(c * x for c, x in zip(steps, recent)), *recent[: len(steps) - 1]]
-        values.append(recent[0] / power)
-        power *= scale
-    return values
+    return list(islice(pmf_values(d), kmax + 1))
 
 
 # ---------------------------------------------------------------------------

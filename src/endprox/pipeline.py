@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import IO, Iterable, Mapping, Optional, Sequence
 
 from .exact import Model, PfoldParams, Stat, UnsupportedCombination
-from .limits import LimitDist, limit_of, moments, pmf_expand
+from .limits import LimitDist, limit_of, moments, pmf_expand, pmf_values
 from .structure import _STAT_FIELDS, DEFAULT_ETE, EteModel, ParsedRecord, ete_distance, stats_columns
 
 
@@ -147,13 +147,12 @@ def heatmap(blocks: Iterable[dict[str, list]], m: EteModel = DEFAULT_ETE) -> lis
 
 
 def law_quantile_cap(d: LimitDist, tail: float = 1e-6) -> int:
-    """Smallest k < 100000 whose cdf reaches 1 - tail."""
-    for kmax in (255, 4095, 99_999):
-        acc = 0.0
-        for k, pk in enumerate(pmf_expand(d, kmax)):
-            acc += pk
-            if acc >= 1 - tail:
-                return k
+    """Smallest k whose cdf reaches 1 - tail."""
+    acc = 0.0
+    for k, pk in zip(range(100_000), pmf_values(d)):
+        acc += pk
+        if acc >= 1 - tail:
+            return k
     raise ValueError("law cdf does not reach the requested quantile")
 
 
@@ -165,7 +164,8 @@ def total_variation(h: Mapping[int, float], d: LimitDist, cap: int) -> float:
     total = float(sum(h.values()))
     if total <= 0 or any(v < 0 for v in h.values()):
         raise EmptyHistogram("histogram must have nonnegative mass")
-    body = law_body = 0.0
+    body = 0.0
+    law_body = 0.0
     for k, pk in enumerate(pmf_expand(d, cap)):
         law_body += pk
         body += abs(h.get(k, 0.0) / total - pk)

@@ -201,6 +201,14 @@ class TestExact:
         code, out, err = run(["exact", "--model", model, "--n", "-1", "--stat", stat])
         assert code == 1 and out == "" and err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "model, stat, reason",
+        [("pfold", "deg", "use --stat joint for the grammar model"), ("dyck", "stm", "no stm table or law for dyck")],
+    )
+    def test_unsupported_pair_says_why(self, run, model, stat, reason):
+        code, out, err = run(["exact", "--model", model, "--n", "5", "--stat", stat])
+        assert code == 2 and out == "" and err == f"error: {reason}\n"
+
     def test_underflowed_grammar_length_is_an_error(self, run, tmp_path):
         params = tmp_path / "high_rho.json"
         params.write_text('{"p1": 0.2, "p2": 0.9, "p3": 0.2}')

@@ -210,11 +210,11 @@ class TestExpansion:
     @pytest.mark.parametrize("model,stat,grammar", _scalar_laws())
     def test_expansion_is_the_pmf_bit_for_bit(self, model, stat, grammar):
         law = limit_of(model, stat, grammar)
-        values = pmf_expand(law, 2000)
         # the rational len law's pmf sums O(k) Fraction terms a value, about
-        # a minute over all 2001: every value to 300, then every 50th
-        ks = [*range(301), *range(350, 2001, 50)] if (model, stat) == (Model.MOTZKIN, Stat.LEN) else range(2001)
-        assert [values[k].hex() for k in ks] == [float(law.pmf(k)).hex() for k in ks]
+        # a minute to k = 2000, so that law is read to k = 300
+        kmax = 300 if (model, stat) == (Model.MOTZKIN, Stat.LEN) else 2000
+        values = pmf_expand(law, kmax)
+        assert [v.hex() for v in values] == [float(law.pmf(k)).hex() for k in range(kmax + 1)]
         assert all(map(math.isfinite, values))
 
 
