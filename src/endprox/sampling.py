@@ -14,6 +14,9 @@ seeds reproduce identical sample streams on every platform.
 - Motzkin paths: the number of pairs k drawn exactly from arbitrary-precision
   weights, then the cycle lemma on k up steps, k + 1 down steps and flat
   steps, which places the 2k paired positions and their pattern at once.
+  A draw of k is placed by its first 64 bits among the same prefixes of the
+  cumulative counts, n // 2 + 1 uint64 keys per length, and compared with
+  the counts in full only when its prefix ties a key.
 - Grammar output: stochastic traceback through the inside tables conditioned
   on length, run level by level over a batch of samples.  Each sample reads
   its own block of 2n uniforms (a production slot and a split slot per
@@ -36,6 +39,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import islice
 from typing import Iterator, Optional
 
 import numpy as np
@@ -122,12 +127,15 @@ def _cycle_lemma_rows(ups: np.ndarray, length: int, gen: np.random.Generator) ->
     length + 1 arrangements, one per rotation, so the draw is uniform.
     """
     col = np.arange(length + 1)
-    base = 2 * (col < ups[:, None]).astype(np.int8) - (col < 2 * ups[:, None] + 1)
-    perm = gen.permuted(base, axis=1)
-    first_min = np.argmin(np.cumsum(perm, axis=1, dtype=np.int32), axis=1)  # first minimum
+    base = (col < ups[:, None]).astype(np.int8)
+    base += base
+    base -= col < 2 * ups[:, None] + 1
+    gen.permuted(base, axis=1, out=base)
+    dtype = np.int16 if length + 1 < 1 << 15 else np.int32  # holds every prefix sum
+    first_min = np.argmin(np.add.accumulate(base, axis=1, dtype=dtype), axis=1)  # first minimum
     # each rotation is a window of the row written twice
-    windows = sliding_window_view(np.concatenate([perm, perm], axis=1), length, axis=1)
-    return windows[np.arange(len(perm)), first_min + 1]
+    windows = sliding_window_view(np.concatenate([base, base], axis=1), length, axis=1)
+    return windows[np.arange(len(base)), first_min + 1]
 
 
 def sample_dyck_steps(n: int, count: int, rng: RngHandle) -> np.ndarray:
@@ -162,45 +170,19 @@ def _pair_count_cumweights(n: int) -> Iterator[int]:
         yield acc
 
 
-def _pair_count_table(n: int) -> tuple[int, np.ndarray]:
-    """(nbits, table) for _pair_counts at length n: nbits is the bit length
-    of the path count, and table holds the cumulative counts as equal-width
-    big-endian byte strings, which sort as the integers they encode.  A
-    first walk finds the width, and a second fills the table, so no other
-    copy of its counts is held."""
+@lru_cache(maxsize=128)  # the acceptance tests draw at 120 lengths in turn
+def _pair_count_keys(n: int) -> tuple[int, int, np.ndarray]:
+    """(nbits, shift, keys) for _pair_counts at length n: nbits is the bit
+    length of the path count, and keys[k] is the cumulative count through k
+    shifted right by shift bits, the first 64 bits of its big-endian form at
+    the draw's width, or the whole count when that width is 8 bytes or less.
+    A first walk finds the width, and a second fills the keys, so no list of
+    the counts is held."""
     nbits = deque(_pair_count_cumweights(n), maxlen=1)[0].bit_length()
-    nbytes = (nbits + 7) // 8
-    table = np.empty(n // 2 + 1, dtype=f"S{nbytes}")
-    for k, c in enumerate(_pair_count_cumweights(n)):
-        table[k] = c.to_bytes(nbytes, "big")
-    table.flags.writeable = False
-    return nbits, table
-
-
-class _PairTables:
-    """Pair-count tables by length, least recently used first, kept while
-    they hold at most limit bytes in all; a single draw would otherwise spend
-    most of its time rebuilding its length's bigint weights and table."""
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.tables: dict[int, tuple[int, np.ndarray]] = {}
-        self.nbytes = 0
-
-    def get(self, n: int) -> tuple[int, np.ndarray]:
-        entry = self.tables.pop(n, None)
-        if entry is None:
-            entry = _pair_count_table(n)
-            self.nbytes += entry[1].nbytes
-        self.tables[n] = entry
-        while self.nbytes > self.limit:
-            _, old = self.tables.pop(next(iter(self.tables)))
-            self.nbytes -= old.nbytes
-        return entry
-
-
-# 4 MB: the tables of every length up to 500 at once, or of one length up to 6500
-_PAIR_TABLES = _PairTables(limit=1 << 22)
+    shift = 8 * max((nbits + 7) // 8 - 8, 0)
+    keys = np.fromiter((c >> shift for c in _pair_count_cumweights(n)), dtype=np.uint64, count=n // 2 + 1)
+    keys.flags.writeable = False
+    return nbits, shift, keys
 
 
 def _pair_counts(n: int, count: int, gen: np.random.Generator) -> np.ndarray:
@@ -209,21 +191,34 @@ def _pair_counts(n: int, count: int, gen: np.random.Generator) -> np.ndarray:
     [0, cum[-1]).
 
     x is a big-endian string of nbytes random bytes, its top byte masked to
-    the bit length of cum[-1].  Equal-width big-endian strings sort as the
-    integers they encode, so one searchsorted over cum in the same form gives
-    every k; x >= cum[-1] lands past the end and is drawn again, all such x
-    of a round in one batch.
+    the bit length of cum[-1].  Its first 64 bits, taken as the keys are,
+    place it by one searchsorted over the keys.  That is k unless the prefix
+    equals a key and x is wider than 64 bits; only then are the counts of
+    the tied keys compared with x in full, all ties of a round in one walk
+    of the counts.  x >= cum[-1] lands past the end and is drawn again, all
+    such x of a round in one batch.
     """
-    nbits, table = _PAIR_TABLES.get(n)
-    nbytes = table.itemsize
+    nbits, shift, keys = _pair_count_keys(n)
+    nbytes = (nbits + 7) // 8
     ks = np.empty(count, dtype=np.intp)
     todo = np.arange(count)
     while todo.size:
-        raw = np.frombuffer(gen.bytes(nbytes * todo.size), dtype=np.uint8)
-        x = raw.reshape(todo.size, nbytes).copy()
-        x[:, 0] &= 0xFF >> (8 * nbytes - nbits)
-        ks[todo] = np.searchsorted(table, x.view(table.dtype).ravel(), side="right")
-        todo = todo[ks[todo] == len(table)]
+        raw = np.frombuffer(gen.bytes(nbytes * todo.size), dtype=np.uint8).reshape(todo.size, nbytes)
+        head = np.zeros((todo.size, 8), dtype=np.uint8)
+        head[:, 8 - min(nbytes, 8) :] = raw[:, :8]
+        prefix = head.view(">u8").ravel() & np.uint64((1 << nbits - shift) - 1)
+        k = np.searchsorted(keys, prefix, side="right")
+        if shift:
+            lo = np.searchsorted(keys, prefix, side="left")
+            tied = np.flatnonzero(lo < k)
+            if tied.size:
+                lo, hi = lo[tied], k[tied]
+                xs = np.array([int.from_bytes(row, "big") for row in raw[tied]], dtype=object) & ((1 << nbits) - 1)
+                k[tied] = lo
+                for j, c in enumerate(islice(_pair_count_cumweights(n), int(hi.max()))):
+                    k[tied] += (lo <= j) & (j < hi) & (xs >= c)
+        ks[todo] = k
+        todo = todo[k == len(keys)]
     return ks
 
 

@@ -190,7 +190,7 @@ def _offsets(lengths) -> np.ndarray:
     """0, then the running totals of lengths."""
     lengths = np.asarray(lengths, dtype=np.int64)
     out = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=out[1:])
+    np.add.accumulate(lengths, out=out[1:])
     return out
 
 
@@ -219,7 +219,7 @@ def _crossing(partner: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """
     at = (partner >= 0).nonzero()[0]
     opens = partner[at] > at
-    order = _level_order(at, opens, np.cumsum(opens.astype(np.int8) * 2 - 1, dtype=np.int32))
+    order = _level_order(at, opens, np.add.accumulate(opens.astype(np.int8) * 2 - 1, dtype=np.int32))
     first = order[0::2]
     wrong = first[partner[first] != order[1::2]]
     crossing = np.zeros(len(starts) - 1, dtype=bool)
@@ -261,7 +261,7 @@ class _Block:
         starts = _offsets([len(row) for row in rows])
         steps = np.concatenate([*rows, np.zeros(0, dtype=np.int8)])
         at = steps.nonzero()[0]
-        order = _level_order(at, steps[at] > 0, np.cumsum(steps[at], dtype=np.int32))
+        order = _level_order(at, steps[at] > 0, np.add.accumulate(steps[at], dtype=np.int32))
         partner = np.full(starts[-1], -1, dtype=np.int64)
         partner[order[0::2]] = order[1::2]
         partner[order[1::2]] = order[0::2]
@@ -289,7 +289,7 @@ def _classes(text: str) -> np.ndarray:
 def _record_depths(at: np.ndarray, opens: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Depth after each bracket of one family, counted from the start of
     its record."""
-    depth = np.cumsum(opens.astype(np.int8) * 2 - 1, dtype=np.int32)
+    depth = np.add.accumulate(opens.astype(np.int8) * 2 - 1, dtype=np.int32)
     bounds = at.searchsorted(starts)
     base = np.where(bounds[:-1] > 0, depth[bounds[:-1] - 1], 0)
     depth -= np.repeat(base.astype(np.int32), bounds[1:] - bounds[:-1])
@@ -485,7 +485,7 @@ def _columns(block: _Block, rows: np.ndarray, path: np.ndarray, m: EteModel) -> 
     partner, starts = block.partner, block.starts
     size = len(partner)
     opener = partner > np.arange(size, dtype=partner.dtype)
-    depth = np.cumsum(opener.astype(np.int8) - ((partner >= 0) & ~opener), dtype=np.int32)
+    depth = np.add.accumulate(opener.astype(np.int8) - ((partner >= 0) & ~opener), dtype=np.int32)
     top = (opener & (depth == 1)).nonzero()[0].searchsorted(starts)
     dots = ((partner < 0) & (depth == 0)).nonzero()[0].searchsorted(starts)
     del depth

@@ -170,23 +170,24 @@ class TestMotzkin:
         ks = _pair_counts(8, 4, _FixedBytes([322, 323, 511, 0xFE01, 0, 2], 2))
         assert ks.tolist() == [bisect_right(cum, x) for x in (322, 0, 2, 1)]
 
-    def test_pair_tables_cold_and_warm(self, monkeypatch):
-        """Caching the per-length tables changes no row: draws from a cold
-        cache, from a warm one and from one that keeps nothing agree."""
+    def test_pair_tables_cold_and_warm(self):
+        """Caching the per-length keys changes no row: draws from a cold
+        cache, from a warm one and from one cleared between calls agree."""
 
-        def draws():
-            rng = RngHandle(5)
-            return [sample_motzkin_steps(n, count, rng).tobytes() for n in (1, 8, 55, 120, 8) for count in (1, 7)]
+        def draws(clear=False):
+            rng, out = RngHandle(5), []
+            for n in (1, 8, 55, 120, 8):
+                for count in (1, 7):
+                    if clear:
+                        sampling._pair_count_keys.cache_clear()
+                    out.append(sample_motzkin_steps(n, count, rng).tobytes())
+            return out
 
-        tables = sampling._PairTables(limit=1 << 22)
-        monkeypatch.setattr(sampling, "_PAIR_TABLES", tables)
+        sampling._pair_count_keys.cache_clear()
         cold = draws()
-        assert list(tables.tables) == [1, 55, 120, 8]  # least recently used first
-        assert tables.nbytes == sum(t.nbytes for _, t in tables.tables.values())
+        assert sampling._pair_count_keys.cache_info().misses == 4
         assert draws() == cold
-        monkeypatch.setattr(sampling, "_PAIR_TABLES", sampling._PairTables(limit=0))
-        assert draws() == cold
-        assert not sampling._PAIR_TABLES.tables
+        assert draws(clear=True) == cold
 
     @pytest.mark.parametrize(
         "n, digest",
@@ -194,36 +195,34 @@ class TestMotzkin:
             (1, "cc2786e1f9910a9d811400edcddaf7075195f7a16b216dcbefba3bc7c4f2ae51"),
             (200, "617fed70ca7fb4f83148792e63b3a7a8a61b628a7e0823033361a1e5870286ed"),
             (1000, "f0f43117ccbc3012a53de1f0a9b78c3081c5c434fb4515e85dd2783c0fe5d441"),
+            (7000, "b41ef14b1ba0944f64bb000dcdff692d0e0156872f1091240f4b2b9f59470c00"),
             (10_000, "dbff2ffa3d4f906b506e60b2cabd1f70f2eef50f90e23c6c483a890252b81172"),
         ],
     )
-    def test_pair_table_keeps_the_stream(self, n, digest, monkeypatch):
-        # the table's width sets how many random bytes a draw reads, so the
-        # rows pin it; the digests are those of the table built from the
-        # whole list of cumulative counts
-        monkeypatch.setattr(sampling, "_PAIR_TABLES", sampling._PairTables(limit=0))
+    def test_pair_table_keeps_the_stream(self, n, digest):
+        # the draw's width sets how many random bytes it reads, so the rows
+        # pin it; the digests are those of the exact byte-string table the
+        # keys replaced; at 7000 that table passed the 4 MB it was cached in
+        sampling._pair_count_keys.cache_clear()
         rows = sample_motzkin_steps(n, 50, RngHandle(7))
         assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
 
-    def test_pair_table_peak_is_the_table(self):
-        # the bigint list and a list of byte strings beside the table took
-        # 28.7 MB at n = 10**4, for a 9.9 MB table
+    def test_pair_keys_built_once_per_draw(self):
+        # 300 rows of length 10**4 fill three blocks of 104 rows
+        sampling._pair_count_keys.cache_clear()
+        sample_motzkin_steps(10_000, 300, RngHandle(3))
+        assert sampling._pair_count_keys.cache_info().misses == 1
+
+    def test_pair_key_build_peak(self):
+        # n // 2 + 1 uint64 keys, 40 KB at n = 10**4, where the byte-string
+        # table they replace took 9.9 MB
         tracemalloc.start()
         try:
-            _, table = sampling._pair_count_table(10_000)
+            keys = sampling._pair_count_keys.__wrapped__(10_000)[2]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * table.nbytes
-
-    def test_pair_tables_evict_past_their_limit(self):
-        size = {n: sampling._pair_count_table(n)[1].nbytes for n in (100, 110, 120)}
-        tables = sampling._PairTables(limit=size[100] + size[120])
-        for n in (100, 110, 100, 120):
-            tables.get(n)
-        assert list(tables.tables) == [100, 120] and tables.nbytes == size[100] + size[120]
-        tables.get(1000)  # larger than the limit: drawn from, then dropped
-        assert not tables.tables and tables.nbytes == 0
+        assert keys.nbytes == 8 * 5001 and peak <= 64 << 10
 
     def test_composition_samples_are_valid_structures(self):
         for seed in range(4):
@@ -354,6 +353,27 @@ class TestStepRows:
         assert count * (2 * n if model == "dyck" else n) > sampling._BLOCK_STEPS
         rows = _draw(model, n, count, 5)
         assert hashlib.sha256(rows.tobytes()).hexdigest() == digest
+
+    def test_cycle_lemma_block_peak(self):
+        # one full Motzkin block at n = 200, 1 MB of rows, traced 10.1 MB
+        # with the step arrangement copied for the shuffle and int32 sums,
+        # and 5.0 MB with it shuffled in place and int16 sums
+        n = 200
+        gen = np.random.Generator(np.random.Philox(9))
+        ups = _pair_counts(n, sampling._BLOCK_STEPS // n, gen)
+        tracemalloc.start()
+        try:
+            rows = sampling._cycle_lemma_rows(ups, n, gen)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (len(ups), n) and peak <= 6 << 20
+
+    def test_cycle_lemma_wide_sums(self):
+        # a path of 2**15 steps or more takes its prefix sums in int32
+        rows = sample_dyck_steps(1 << 14, 2, RngHandle(4))
+        depth = np.add.accumulate(rows, axis=1, dtype=np.int32)
+        assert rows.shape == (2, 1 << 15) and depth.min() == 0 and not depth[:, -1].any()
 
     @given(
         st.sampled_from(["dyck", "motzkin", "pfold"]),
