@@ -4,7 +4,9 @@ on one fixed mixed file, `exact` first-arch tables, and the two scripts.
 Each output is pinned as the sha256 of its text, so any change to a digit
 shows here.  The digests were taken before the laws described and expanded
 themselves and before the exact first-arch product came from the functional
-equation; both changes keep every output."""
+equation; both changes keep every output.  ETE_GRID pins ete_limit_moments
+itself across distance models, tolerances and grammars; it was taken while
+Dyck still had its own sum, before every model summed its joint law."""
 
 import hashlib
 import os
@@ -15,6 +17,9 @@ from pathlib import Path
 import pytest
 
 from endprox.cli import main
+from endprox.exact import Model, PfoldParams
+from endprox.limits import ete_limit_moments
+from endprox.structure import DEFAULT_ETE, EteModel
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -205,6 +210,16 @@ EXACT = {
     ("motzkin", "stem-helices", 1000, "csv"): "0:c34a7fe2c60d528f330a49458ebe56980d016a9ac1f9e935eaa4b01d8ab63a68",
     ("motzkin", "stem-helices", 1000, "json"): "0:a3ae6817272b39f52b3dbca38d6fba53ab9fd79616b2af4dd5193c047195bd99",
 }
+# every model x distance model x tolerance x grammar of ete_limit_moments
+ETE_GRID = "045d0ac577b14a0c4649e137038e0aa68d966c1debbcdf50d4806cfdd170f0e5"
+_ETE_MODELS = [
+    DEFAULT_ETE,
+    EteModel(2.0, 0.5, 1.5, 0.75),
+    EteModel(1.0, 1.0, 1.1, 0.75),
+    EteModel(0.3, 3.0, 1.9, 1.0),
+]
+_ETE_TOLS = [1e-1, 1e-3, 1e-6, 1e-9, 1e-12]
+_ETE_GRAMMARS = [None, PfoldParams(0.5, 0.3, 0.6)]
 SCRIPTS = {
     "limit_table.py": "0858bd44da66f9b04ef90a9164338de5edae0d6207a20f368c94f2627fc768e2",
     "convergence_report.py": "1704b6025e85bfa7cc941f97e6bc7af962b1df29ca28252c1464e4327547d62b",
@@ -253,3 +268,23 @@ def test_script_output(script):
     )
     assert done.returncode == 0, done.stderr
     assert hashlib.sha256(done.stdout).hexdigest() == SCRIPTS[script]
+
+
+def _ete_point(model, m, tol, p) -> str:
+    try:
+        s = ete_limit_moments(model, m, tol, p)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return f"{s.mean!r} {s.variance!r} {s.certified_error!r}"
+
+
+def test_ete_limit_moments_grid():
+    lines = [
+        _ete_point(model, m, tol, p)
+        for model in Model
+        for m in _ETE_MODELS
+        for tol in _ETE_TOLS
+        for p in _ETE_GRAMMARS
+    ]
+    assert len(lines) == 120
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ETE_GRID
