@@ -5,7 +5,9 @@ law with generating function c*v / (1 - a*u - b*v)^2.  The laws of deg,
 unp, chn and the exterior nucleotide count are its projections, the
 substitutions u -> 1, v -> 1, u = v and u -> (u, u^2) of that generating
 function (Flajolet & Sedgewick, Analytic Combinatorics, ch. IX); Dyck
-structures have no unpaired positions, so only deg is projected there.
+structures have no unpaired positions (a = 0), so only deg is projected
+there.  The end-to-end distance is a function of (unp, deg), and its
+certified moments are one sum over the same joint law for every model.
 The first-arch statistics (hel, stm, stem helices) converge to offset
 geometric laws.  The grammar model enters only through the root of its
 singularity polynomial.
@@ -366,18 +368,13 @@ def dyck_ete_truncations(m: EteModel, tol: float) -> tuple[int, int]:
     return first_k(c1 / 2, 2, 6), first_k(c2 / 2, 3, 9)
 
 
-def _dyck_sums(m: EteModel, k_mean: int, k_sec: int) -> tuple[float, float]:
-    e = m.exponent
-    mean = 0.0
-    for n in range(1, k_mean):
-        mean += n / 2 ** (n + 1) * math.sqrt(m.b_nm**2 * n**e + m.c_nm**2 * (n - 1) ** e)
-    second = 0.0
-    for n in range(1, k_sec):
-        second += n / 2 ** (n + 1) * (m.b_nm**2 * n**e + m.c_nm**2 * (n - 1) ** e)
-    return mean, second
-
-
 def _joint_diag_cap(joint: JointNB, m: EteModel, tol: float, power: int) -> int:
+    """First diagonal unp + deg left out of the sum of the distance to the
+    power - 1 (power 2: the mean, 3: the second moment), by the closed-form
+    tail of the diagonal law.  Dyck's deg law (a = 0) keeps the bounds of
+    dyck_ete_truncations, whose cuts the acceptance suite pins."""
+    if joint.a == 0:
+        return dyck_ete_truncations(m, tol)[power - 2]
     s = float(joint.a + joint.b)
     c = float(joint.c)
     c2 = m.b_nm**2 + m.c_nm**2
@@ -397,8 +394,11 @@ def _joint_sums(joint: JointNB, m: EteModel, k_mean: int, k_sec: int) -> tuple[f
     b2, c2 = m.b_nm**2, m.c_nm**2
     mean = second = 0.0
     for d in range(1, max(k_mean, k_sec)):
-        term = c * d * a ** (d - 1)  # j = 1, i = d-1
-        for j in range(1, d + 1):
+        # pmf(d - j, j) from j = j0 up; with a = 0 only j = d weighs, and
+        # the step to the next j, which divides by a, is never taken
+        j0 = 1 if a else d
+        term = c * d * a ** (d - j0) * b ** (j0 - 1)
+        for j in range(j0, d + 1):
             if term > 0:
                 sq = b2 * j**e + c2 * (d - 1) ** e
                 if d < k_mean:
@@ -419,32 +419,20 @@ def ete_limit_moments(
     """Mean and variance of the two-scale distance under a model's limiting
     exterior law, summed to a truncation certified below tol.
 
-    The Dyck case follows the univariate sum over deg with its geometric tail
-    bounds; the joint models sum over unp + deg diagonals, whose law
-    c*n*(a+b)^(n-1) admits the same closed-form tails.  The variance comes
-    from the shortcut formula with the mean recomputed at a tighter internal
+    The distance is a function of (unp, deg), so both moments are one sum
+    over the diagonals unp + deg of the model's joint law, whose diagonal
+    law c*n*(a+b)^(n-1) has closed-form tails; Dyck's law is its a = 0
+    case, cut by dyck_ete_truncations.  The variance comes from the
+    shortcut formula with the mean recomputed at a tighter internal
     tolerance so the propagated error stays below tol.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if model is Model.DYCK:
-        k_mean, k_sec = dyck_ete_truncations(m, tol)
-        mean, _ = _dyck_sums(m, k_mean, k_sec)
-        rough = mean + tol
-        tol_m = tol / (8 * (rough + 1))
-        tol_s = tol / 2
-        km2, _ = dyck_ete_truncations(m, tol_m)
-        _, ks2 = dyck_ete_truncations(m, tol_s)
-        mean_fine, second = _dyck_sums(m, km2, ks2)
-    else:
-        joint = _exterior_law(model, p or DEFAULT_PFOLD)
-        k_mean = _joint_diag_cap(joint, m, tol, 2)
-        mean, _ = _joint_sums(joint, m, k_mean, 0)
-        rough = mean + tol
-        tol_m = tol / (8 * (rough + 1))
-        tol_s = tol / 2
-        km2 = _joint_diag_cap(joint, m, tol_m, 2)
-        ks2 = _joint_diag_cap(joint, m, tol_s, 3)
-        mean_fine, second = _joint_sums(joint, m, km2, ks2)
+    joint = _exterior_law(model, p or DEFAULT_PFOLD)
+    mean, _ = _joint_sums(joint, m, _joint_diag_cap(joint, m, tol, 2), 0)
+    tol_m = tol / (8 * (mean + tol + 1))
+    mean_fine, second = _joint_sums(
+        joint, m, _joint_diag_cap(joint, m, tol_m, 2), _joint_diag_cap(joint, m, tol / 2, 3)
+    )
     variance = second - mean_fine**2
     return MomentSummary(mean=mean, variance=variance, certified_error=tol)

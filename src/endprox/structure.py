@@ -109,6 +109,17 @@ class EteModel:
 DEFAULT_ETE = EteModel()
 
 
+def _check_pairs(partner: tuple[int, ...]) -> None:
+    """Each nonzero partner[i-1] = j must be another position in 1..n that pairs back."""
+    for i1, j in enumerate(partner, start=1):
+        if j == 0:
+            continue
+        if j == i1:
+            raise SelfPair(f"position {i1} pairs with itself")
+        if not 1 <= j <= len(partner) or partner[j - 1] != i1:
+            raise AsymmetricPair(f"pair ({i1},{j}) is not reciprocated")
+
+
 @dataclass(frozen=True)
 class SecondaryStructure:
     """Pairing table of a length-n structure.
@@ -127,13 +138,7 @@ class SecondaryStructure:
     def validate(self) -> None:
         if self.length != len(self.partner):
             raise StructureError("partner table length mismatch")
-        for i1, j in enumerate(self.partner, start=1):
-            if j == 0:
-                continue
-            if j == i1:
-                raise SelfPair(f"position {i1} pairs with itself")
-            if not 1 <= j <= self.length or self.partner[j - 1] != i1:
-                raise AsymmetricPair(f"pair ({i1},{j}) is not reciprocated")
+        _check_pairs(self.partner)
         if self.crossing != _crosses(self.partner):
             raise StructureError("crossing flag inconsistent with pairs")
 
@@ -400,19 +405,10 @@ def parse_bpseq(text: str) -> SecondaryStructure:
     n = len(entries)
     if sorted(entries) != list(range(1, n + 1)):
         raise NonContiguousIndices("indices do not cover 1..n exactly once")
-    partner = [0] * n
-    seq = []
-    for i1 in range(1, n + 1):
-        base, mate = entries[i1]
-        seq.append(base)
-        if mate == 0:
-            continue
-        if mate == i1:
-            raise SelfPair(f"position {i1} pairs with itself")
-        if not 1 <= mate <= n or entries[mate][1] != i1:
-            raise AsymmetricPair(f"pair ({i1},{mate}) is not reciprocated")
-        partner[i1 - 1] = mate
-    return SecondaryStructure(n, tuple(partner), _crosses(partner), "".join(seq))
+    partner = tuple(entries[i1][1] for i1 in range(1, n + 1))
+    _check_pairs(partner)
+    seq = "".join(entries[i1][0] for i1 in range(1, n + 1))
+    return SecondaryStructure(n, partner, _crosses(partner), seq)
 
 
 def to_dot_bracket(s: SecondaryStructure) -> str:

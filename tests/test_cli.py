@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +13,8 @@ from endprox.cli import _STAT_CHOICES, main
 from endprox.sampling import step_rows_text
 from exact_oracle import motzkin_deg_counts
 from test_scan import _traced_peak
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -131,6 +137,13 @@ class TestLimits:
         assert (code, out) == (1, "")
         assert err == "error: pfold params JSON must give p1, p2 and p3 as numbers\n"
 
+    def test_pfold_params_file_of_two_numbers(self, run, tmp_path):
+        path = tmp_path / "params.txt"
+        path.write_text("0.5 0.5\n")
+        code, out, err = run(["--pfold-params", str(path), "limits", "--model", "pfold", "--stat", "deg"])
+        assert (code, out) == (1, "")
+        assert err == "error: pfold params file must hold exactly p1 p2 p3\n"
+
     def test_joint_law_payload(self, run):
         code, out, _ = run(["limits", "--model", "motzkin", "--stat", "joint"])
         assert code == 0
@@ -242,6 +255,11 @@ class TestSample:
         assert code == 0
         assert out == "()((()()))()\n(((()))()())\n()(())((()))\n(((())()))()\n()(()())()()\n"
 
+    @pytest.mark.parametrize("model, size", [("dyck", "semilength"), ("motzkin", "length")])
+    def test_negative_size(self, run, model, size):
+        code, out, err = run(["sample", "--model", model, "--n", "-1"])
+        assert (code, out, err) == (1, "", f"error: {size} must be nonnegative\n")
+
     @pytest.mark.parametrize("model", ["dyck", "motzkin", "pfold"])
     def test_negative_count(self, run, model):
         code, out, err = run(["sample", "--model", model, "--n", "5", "--count", "-1"])
@@ -320,6 +338,13 @@ class TestCompareHeatmap:
         assert payload["n_values"] == 3
         assert 0 <= payload["tv"] <= 1
 
+    def test_compare_without_the_statistic(self, run, tmp_path):
+        # unpaired-only records have no first arch, so no hel
+        path = tmp_path / "open.dbn"
+        path.write_text("...\n.....\n")
+        code, out, err = run(["compare", str(path), "--model", "motzkin", "--stat", "hel"])
+        assert (code, out, err) == (1, "", "error: no rows carry this statistic\n")
+
     def test_compare_unsupported(self, run, tmp_path, monkeypatch, capsys):
         path = tmp_path / "toy.dbn"
         path.write_text("(...)\n")
@@ -364,3 +389,36 @@ class TestCompareHeatmap:
         with pytest.raises(SystemExit) as exc:
             main(["limits", "--model", "nosuch", "--stat", "deg"])
         assert exc.value.code == 1
+
+
+def _endprox(argv, stdin: bytes, **env) -> subprocess.CompletedProcess:
+    environ = dict(os.environ, PYTHONPATH=str(ROOT / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""), **env)
+    return subprocess.run(
+        [sys.executable, "-m", "endprox.cli", *argv], input=stdin, capture_output=True, env=environ, timeout=60
+    )
+
+
+class TestPipedStdin:
+    """A child process reads real stdin bytes, which the CLI spools to a
+    temporary file; the in-process runs above swap in a StringIO instead."""
+
+    def test_crlf_rows_match_the_file(self, tmp_path):
+        data = b">x1\r\n.((..[[..))..]].\r\n>x2\r\n((.)\r\n>x3\r\n(((...)))..\r\n"
+        path = tmp_path / "crlf.dbn"
+        path.write_bytes(data)
+        piped = _endprox(["stats"], data)
+        read = _endprox(["stats", str(path)], b"")
+        assert piped.returncode == read.returncode == 0
+        skipped = b"skipped x2: unmatched '(' at position 1 (end of string reached)\n"
+        assert piped.stderr == read.stderr == skipped
+        piped_rows = list(csv.DictReader(io.StringIO(piped.stdout.decode())))
+        read_rows = list(csv.DictReader(io.StringIO(read.stdout.decode())))
+        assert [row.pop("group") for row in piped_rows] == ["stdin", "stdin"]
+        assert [row.pop("group") for row in read_rows] == ["crlf", "crlf"]
+        assert piped_rows == read_rows
+        assert [row["pseudoknotted"] for row in piped_rows] == ["true", "false"]
+
+    def test_invalid_byte_fails_with_empty_stdout(self):
+        done = _endprox(["stats"], b">a\n((..))\n\xff\n", PYTHONIOENCODING="utf-8:strict")
+        assert (done.returncode, done.stdout) == (1, b"")
+        assert done.stderr.startswith(b"error: 'utf-8' codec can't decode byte 0xff")

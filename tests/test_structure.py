@@ -18,6 +18,7 @@ from endprox.structure import (
     NonContiguousIndices,
     AsymmetricPair,
     SecondaryStructure,
+    SelfPair,
     StructureError,
     UnbalancedBracket,
     ete_distance,
@@ -232,6 +233,33 @@ class TestParseBpseq:
     def test_comments_ignored(self):
         s = parse_bpseq("# header\n1 A 0\n")
         assert s.length == 1
+
+
+# partner tables that break a pair, and what both entry points raise for them
+BAD_PAIRS = [
+    ((1,), SelfPair, "position 1 pairs with itself"),
+    ((2, 3, 2), AsymmetricPair, r"pair \(1,2\) is not reciprocated"),
+    ((5, 0), AsymmetricPair, r"pair \(1,5\) is not reciprocated"),
+    ((-1, 0), AsymmetricPair, r"pair \(1,-1\) is not reciprocated"),
+    ((3, 0, 1, 3), AsymmetricPair, r"pair \(4,3\) is not reciprocated"),
+]
+
+
+class TestPairChecks:
+    @pytest.mark.parametrize("partner,error,message", BAD_PAIRS)
+    def test_parse_bpseq(self, partner, error, message):
+        text = "".join(f"{i} A {j}\n" for i, j in enumerate(partner, start=1))
+        with pytest.raises(error, match=f"^{message}$"):
+            parse_bpseq(text)
+
+    @pytest.mark.parametrize("partner,error,message", BAD_PAIRS)
+    def test_validate(self, partner, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            SecondaryStructure(len(partner), partner, False).validate()
+
+    def test_validate_length_mismatch(self):
+        with pytest.raises(StructureError, match="^partner table length mismatch$"):
+            SecondaryStructure(3, (2, 1), False).validate()
 
 
 class TestExteriorStats:
