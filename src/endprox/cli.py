@@ -145,7 +145,7 @@ def _stdin() -> IO[str]:
     spool = tempfile.TemporaryFile()
     shutil.copyfileobj(sys.stdin.buffer, spool)
     spool.seek(0)
-    return io.TextIOWrapper(spool, encoding=sys.stdin.encoding, errors=sys.stdin.errors, newline="\n")
+    return io.TextIOWrapper(spool, encoding=sys.stdin.encoding, newline="\n")
 
 
 def _decoded(fh: IO[str]) -> IO[str]:
@@ -318,7 +318,8 @@ def _cmd_shuffle(args) -> int:
     if args.files:
         texts = [Path(path).read_text() for path in args.files]
     else:
-        texts = [sys.stdin.read()]
+        with _stdin() as fh:
+            texts = [fh.read()]
     out = []
     for text in texts:
         for rec_id, seq in shuffling.read_fasta(text):

@@ -413,10 +413,19 @@ def _exterior_weights(ext: _Exterior) -> Iterator[tuple[int, np.ndarray]]:
         yield l, coef * power[n + 1 - len(coef) : n + 1][::-1]
 
 
-def _uniform_exterior(model: Model, n: int, exact: bool) -> _Exterior:
-    """Dyck by semilength (no dot, arch z C) or Motzkin by length (dot z,
-    arch z^2 M): integer counts, or floats with z = 1/4 or 1/3, which keeps
-    the weights inside the float range."""
+def _exterior(model: Model, n: int, p: Optional[PfoldParams] = None, exact: bool = False) -> _Exterior:
+    """The model's exterior at size n.  Dyck by semilength (no dot, arch
+    z C) or Motzkin by length (dot z, arch z^2 M): integer counts if exact,
+    else floats with z = 1/4 or 1/3, which keeps the weights inside the
+    float range.  The grammar (p, default DEFAULT_PFOLD) by length: dot q2,
+    arch p2 ( F ) of length at least 4, seq(j) = p1^(j-1) q1, in floats
+    always, and its weight at n is checked positive."""
+    if model is Model.PFOLD:
+        p = p or DEFAULT_PFOLD
+        _pfold_mass(p, n)
+        inside = pfold_inside(p, n)
+        arch, inner, total = inside.arch[: n + 1], inside.F[: n + 1], inside.S[: n + 1]
+        return _Exterior(n, p.q2, 4, arch, inner, total, p.p2, head=p.q1, step=p.p1)
     dyck = model is Model.DYCK
     if n < 0:
         raise ValueError(f"{'semi' if dyck else ''}length must be nonnegative")
@@ -437,13 +446,13 @@ def _uniform_exterior(model: Model, n: int, exact: bool) -> _Exterior:
 
 def dyck_deg_counts(n: int) -> CountTable:
     """Counts of semilength-n balanced bracketings by top-level pair count."""
-    weights = _exterior_weights(_uniform_exterior(Model.DYCK, n, exact=True))
+    weights = _exterior_weights(_exterior(Model.DYCK, n, exact=True))
     return CountTable(Model.DYCK, n, ("deg",), (_run(np.array([w[0] for _, w in weights], dtype=object)),))
 
 
 def motzkin_joint_counts(n: int) -> CountTable:
     """Counts of length-n dot-bracket strings keyed by (deg, unp)."""
-    runs = tuple(_run(w) for _, w in _exterior_weights(_uniform_exterior(Model.MOTZKIN, n, exact=True)))
+    runs = tuple(_run(w) for _, w in _exterior_weights(_exterior(Model.MOTZKIN, n, exact=True)))
     return CountTable(Model.MOTZKIN, n, ("deg", "unp"), runs)
 
 
@@ -506,14 +515,6 @@ def _pfold_mass(p: PfoldParams, n: int) -> float:
     return mass
 
 
-def _pfold_exterior(p: PfoldParams, n: int) -> _Exterior:
-    """The grammar's exterior: dot q2, arch p2 ( F ) of length at least 4,
-    seq(j) = p1^(j-1) q1."""
-    inside = pfold_inside(p, n)
-    arch, inner, total = inside.arch[: n + 1], inside.F[: n + 1], inside.S[: n + 1]
-    return _Exterior(n, p.q2, 4, arch, inner, total, p.p2, head=p.q1, step=p.p1)
-
-
 def pfold_joint_table(n: int, p: PfoldParams = DEFAULT_PFOLD) -> CountTable:
     """Unconditional grammar weights keyed by (unp, deg); sums to S(n).
 
@@ -521,8 +522,7 @@ def pfold_joint_table(n: int, p: PfoldParams = DEFAULT_PFOLD) -> CountTable:
     weight of (k dots, l arches) factors into the item-order multinomial and
     the l-fold convolution of the arch weights.
     """
-    _pfold_mass(p, n)
-    runs = tuple(_run(w) for _, w in _exterior_weights(_pfold_exterior(p, n)))
+    runs = tuple(_run(w) for _, w in _exterior_weights(_exterior(Model.PFOLD, n, p)))
     return CountTable(Model.PFOLD, n, ("unp", "deg"), runs)
 
 
@@ -535,9 +535,10 @@ def pfold_joint_probs(n: int, p: PfoldParams = DEFAULT_PFOLD) -> dict[tuple[int,
 def pfold_exterior_totals(p: PfoldParams, n: int) -> np.ndarray:
     """Sum of the exterior-tracking weights over (unp, deg) for every length
     up to n, computed from the item decomposition rather than the plain
-    inside recursion; conservation demands it equal S elementwise.
+    inside recursion; conservation demands it equal S elementwise.  Like
+    the tables, it raises ZeroMassLength where S[n] is zero or underflowed.
     """
-    ext = _pfold_exterior(p, n)
+    ext = _exterior(Model.PFOLD, n, p)
     totals = np.zeros(n + 1)
     for l, power in enumerate(_arch_powers(ext)):
         coef, power = _seq_coefs(ext, l, power)
@@ -611,16 +612,6 @@ def pfold_string_probability(
 # first-arch statistics: first helix and first stem
 
 
-def _model_exterior(model: Model, n: int, p: Optional[PfoldParams], exact: bool) -> _Exterior:
-    """The model's exterior at size n; the grammar's weight at n is checked
-    positive."""
-    if model is Model.PFOLD:
-        p = p or DEFAULT_PFOLD
-        _pfold_mass(p, n)
-        return _pfold_exterior(p, n)
-    return _uniform_exterior(model, n, exact)
-
-
 def _first_arch_weights(
     model: Model,
     stat: Stat,
@@ -656,7 +647,7 @@ def _first_arch_weights(
     """
     if not (stat is Stat.HEL or model is Model.MOTZKIN and stat in (Stat.STM, Stat.STEM_HELICES)):
         raise UnsupportedCombination(f"no {stat.value} table or law for {model.value}")
-    ext = _model_exterior(model, n, p, exact)
+    ext = _exterior(model, n, p, exact)
     if model is Model.PFOLD:  # F -> ( F ) stacks a pair
         c, s = (p or DEFAULT_PFOLD).p3, 2
     else:  # a stacked pair is one more arch
@@ -728,27 +719,21 @@ def hel_stm_counts(
 ENUMERATION_GUARD = 16
 
 
-def _dyck_strings(n: int) -> Iterator[str]:
+def _exterior_strings(n: int, dots: bool, pair: int) -> Iterator[str]:
+    """Every sequence of items of total size n, each a dot (size 1, only if
+    dots) or an arch "( ... )" (pair plus its contents' size): those led by
+    a dot first, then by the size of the first arch's contents."""
     if n == 0:
         yield ""
+    if n < 1:
         return
-    for j in range(n):
-        for inner in _dyck_strings(j):
+    if dots:
+        for rest in _exterior_strings(n - 1, dots, pair):
+            yield "." + rest
+    for j in range(n - pair + 1):
+        for inner in _exterior_strings(j, dots, pair):
             enclosed = "(" + inner + ")"
-            for rest in _dyck_strings(n - 1 - j):
-                yield enclosed + rest
-
-
-def _motzkin_strings(n: int) -> Iterator[str]:
-    if n == 0:
-        yield ""
-        return
-    for rest in _motzkin_strings(n - 1):
-        yield "." + rest
-    for j in range(n - 1):
-        for inner in _motzkin_strings(j):
-            enclosed = "(" + inner + ")"
-            for rest in _motzkin_strings(n - 2 - j):
+            for rest in _exterior_strings(n - pair - j, dots, pair):
                 yield enclosed + rest
 
 
@@ -760,13 +745,10 @@ def enumerate_all(model: Model, n: int) -> Iterator[SecondaryStructure]:
     """
     if n > ENUMERATION_GUARD:
         raise SizeTooLarge(f"refusing to enumerate size {n} > {ENUMERATION_GUARD}")
-    if model is Model.DYCK:
-        strings = _dyck_strings(n)
-    elif model is Model.MOTZKIN:
-        strings = _motzkin_strings(n)
-    else:
+    if model is Model.PFOLD:
         raise UnsupportedCombination("enumeration covers the uniform models only")
-    yield from parse_dot_bracket_lines(strings)
+    dots, pair = (False, 1) if model is Model.DYCK else (True, 2)
+    yield from parse_dot_bracket_lines(_exterior_strings(n, dots, pair))
 
 
 # ---------------------------------------------------------------------------
@@ -836,7 +818,7 @@ def conditional_law(
         return min(default if cap is None else cap, largest)
 
     if stat is Stat.DEG or (stat is Stat.UNP and model is not Model.DYCK):
-        ext = _model_exterior(model, n, p, exact=False)
+        ext = _exterior(model, n, p)
         x = ext.step * ext.dot
         if stat is Stat.DEG:
             base = _over_one_minus(ext.step * ext.arch, x)

@@ -361,7 +361,7 @@ def dyck_ete_truncations(m: EteModel, tol: float) -> tuple[int, int]:
         k = kmin
         while const * 3 * k**power / 2**k > tol:
             k += 1
-            if k > 2000:
+            if k == 1024:  # 2**k would pass the float range
                 raise TolNotAchievable("tail bound does not reach tol")
         return k
 
@@ -426,8 +426,8 @@ def ete_limit_moments(
     shortcut formula with the mean recomputed at a tighter internal
     tolerance so the propagated error stays below tol.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     joint = _exterior_law(model, p or DEFAULT_PFOLD)
     mean, _ = _joint_sums(joint, m, _joint_diag_cap(joint, m, tol, 2), 0)
     tol_m = tol / (8 * (mean + tol + 1))

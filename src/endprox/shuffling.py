@@ -5,8 +5,8 @@ and last (k-1)-mers).  Valid shuffles correspond to Euler paths in the de
 Bruijn multigraph whose vertices are (k-1)-mers and whose edges are the k-let
 occurrences; drawing a uniform last-exit arborescence toward the terminal
 vertex and ordering every other out-edge uniformly yields a uniform Euler
-path, i.e. a uniform valid shuffle.  k = 1 degenerates to a plain uniform
-permutation of the letters.
+path, i.e. a uniform valid shuffle.  At k = 1 the one vertex is the empty
+string, and the walk is a uniform permutation of the letters.
 """
 
 from __future__ import annotations
@@ -38,68 +38,56 @@ def klet_shuffle(s: str, k: int, rng: RngHandle) -> str:
     if k > len(s):
         raise KTooLarge(f"k={k} exceeds sequence length {len(s)}")
     gen = rng.generator
-    if k == 1:
-        letters = list(s)
-        return "".join(letters[i] for i in gen.permutation(len(letters)))
-
+    # the de Bruijn multigraph: each k-let is an edge from its first k - 1
+    # letters to its last; k = 1 walks loops on the one empty vertex
     order = k - 1
     start, end = s[:order], s[len(s) - order :]
     out_edges: dict[str, list[str]] = {}
     for i in range(len(s) - k + 1):
-        out_edges.setdefault(s[i : i + order], []).append(s[i + 1 : i + k])
+        out_edges.setdefault(s[i : i + order], []).append(s[i : i + k])
     out_edges.setdefault(end, [])
 
     last_exit = _uniform_arborescence(out_edges, end, gen)
 
     order_of: dict[str, list[str]] = {}
-    for u, targets in out_edges.items():
+    for u, edges in out_edges.items():
         reserved = last_exit.get(u)
-        pool = list(targets)
+        pool = list(edges)
         if reserved is not None:
             pool.remove(reserved)
         shuffled = [pool[i] for i in gen.permutation(len(pool))] if pool else []
         if reserved is not None:
             shuffled.append(reserved)
-        order_of[u] = shuffled
+        order_of[u] = shuffled[::-1]  # the walk pops its next edge off the end
 
-    cursor = {u: 0 for u in order_of}
     chars = [start]
     node = start
     for _ in range(len(s) - k + 1):
-        nxt = order_of[node][cursor[node]]
-        cursor[node] += 1
-        chars.append(nxt[-1])
-        node = nxt
+        edge = order_of[node].pop()
+        chars.append(edge[-1])
+        node = edge[1:]
     return "".join(chars)
 
 
 def _uniform_arborescence(
     out_edges: dict[str, list[str]], root: str, gen
 ) -> dict[str, str]:
-    """Uniform last-exit tree toward root via loop-erased backward-stopping
-    random walks (Wilson's algorithm on edge instances)."""
+    """Uniform last-exit tree toward root, as {vertex: its tree edge}, by
+    Wilson's algorithm on edge instances: from each vertex outside the tree,
+    walk until the tree is hit, keeping each vertex's last exit, then add
+    the path those exits trace (the loop-erased walk) to the tree."""
     in_tree = {root}
     chosen: dict[str, str] = {}
     for u in sorted(out_edges):
-        if u in in_tree:
-            continue
-        path = [u]
-        seen = {u: 0}
         node = u
         while node not in in_tree:
-            targets = out_edges[node]
-            node = targets[int(gen.integers(0, len(targets)))]
-            if node in seen:
-                del path[seen[node] + 1 :]  # erase the loop
-                for v in list(seen):
-                    if seen[v] > seen[node]:
-                        del seen[v]
-            else:
-                seen[node] = len(path)
-                path.append(node)
-        for a, b in zip(path, path[1:]):
-            chosen[a] = b
-            in_tree.add(a)
+            edges = out_edges[node]
+            chosen[node] = edges[int(gen.integers(0, len(edges)))]
+            node = chosen[node][1:]
+        node = u
+        while node not in in_tree:
+            in_tree.add(node)
+            node = chosen[node][1:]
     return chosen
 
 

@@ -100,8 +100,8 @@ class EteModel:
     a_nm: float = 0.75
 
     def __post_init__(self):
-        if min(self.b_nm, self.c_nm, self.a_nm) <= 0:
-            raise ValueError("step lengths must be positive")
+        if not all(0 < v < math.inf for v in (self.b_nm, self.c_nm, self.a_nm)):
+            raise ValueError("step lengths must be finite and positive")
         if not 1 < self.exponent < 2:
             raise ValueError("exponent must lie in (1, 2)")
 

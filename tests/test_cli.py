@@ -109,6 +109,22 @@ class TestLimits:
         code, _, err = run(["limits", "--model", "pfold", "--stat", "stm"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["limits", "--model", "dyck", "--stat", "ete", "--tol", "1e-300"], "tail bound does not reach tol"),
+            (["limits", "--model", "dyck", "--stat", "ete", "--tol", "1e-320"], "tail bound does not reach tol"),
+            (["limits", "--model", "motzkin", "--stat", "ete", "--tol", "nan"], "tol must be finite and positive"),
+            (["limits", "--model", "pfold", "--stat", "ete", "--tol", "inf"], "tol must be finite and positive"),
+            (["--ete-b", "nan", "limits", "--model", "dyck", "--stat", "ete"], "step lengths must be finite and positive"),
+            (["--ete-c", "inf", "stats"], "step lengths must be finite and positive"),
+        ],
+    )
+    def test_distance_inputs_out_of_range_are_errors(self, run, argv, message):
+        code, out, err = run(argv, stdin=">a\n((..))\n")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}")
+
     def test_pfold_params_file(self, run, tmp_path):
         path = tmp_path / "params.txt"
         path.write_text("0.868534 0.105397 0.787640\n")
@@ -391,10 +407,10 @@ class TestCompareHeatmap:
         assert exc.value.code == 1
 
 
-def _endprox(argv, stdin: bytes, **env) -> subprocess.CompletedProcess:
+def _endprox(argv, stdin: bytes, *flags, **env) -> subprocess.CompletedProcess:
     environ = dict(os.environ, PYTHONPATH=str(ROOT / "src") + os.pathsep + os.environ.get("PYTHONPATH", ""), **env)
     return subprocess.run(
-        [sys.executable, "-m", "endprox.cli", *argv], input=stdin, capture_output=True, env=environ, timeout=60
+        [sys.executable, *flags, "-m", "endprox.cli", *argv], input=stdin, capture_output=True, env=environ, timeout=60
     )
 
 
@@ -422,3 +438,28 @@ class TestPipedStdin:
         done = _endprox(["stats"], b">a\n((..))\n\xff\n", PYTHONIOENCODING="utf-8:strict")
         assert (done.returncode, done.stdout) == (1, b"")
         assert done.stderr.startswith(b"error: 'utf-8' codec can't decode byte 0xff")
+
+    @pytest.mark.parametrize(
+        "argv, data, position",
+        [(["stats"], b">a\n((..))\n\xff\n", 10), (["shuffle"], b">a\nAC\xffGU\n", 5)],
+    )
+    def test_invalid_byte_fails_in_utf8_mode(self, tmp_path, argv, data, position):
+        """In UTF-8 mode stdin's own error handler is surrogateescape, which
+        would carry the byte through; the spool decodes strictly, as a file
+        is read."""
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        piped = _endprox(argv, data, "-X", "utf8", PYTHONIOENCODING="")
+        read = _endprox([*argv, str(path)], b"", "-X", "utf8", PYTHONIOENCODING="")
+        assert (piped.returncode, piped.stdout) == (read.returncode, read.stdout) == (1, b"")
+        message = f"error: 'utf-8' codec can't decode byte 0xff in position {position}".encode()
+        assert piped.stderr.startswith(message) and read.stderr.startswith(message)
+
+    def test_shuffle_reads_stdin_as_a_file(self, tmp_path):
+        data = b">a\r\nACGUUGCAAC\r\n>b\r\nGGGCCCAUAU\r\n"
+        path = tmp_path / "seqs.fa"
+        path.write_bytes(data)
+        piped = _endprox(["--seed", "4", "shuffle", "--count", "2"], data)
+        read = _endprox(["--seed", "4", "shuffle", "--count", "2", str(path)], b"")
+        assert piped.returncode == read.returncode == 0
+        assert piped.stdout == read.stdout and piped.stdout.count(b">") == 4

@@ -156,7 +156,7 @@ class TestExteriorEngine:
         sums of the (unp, deg) weights of the table kernel."""
         p = PfoldParams(p1, p2, p3)
         mass = pfold_inside(p, n).S[n]
-        rows = list(exact._exterior_weights(exact._pfold_exterior(p, n)))
+        rows = list(exact._exterior_weights(exact._exterior(Model.PFOLD, n, p)))
         deg = conditional_law(Model.PFOLD, Stat.DEG, n, p, cap=n)
         unp = conditional_law(Model.PFOLD, Stat.UNP, n, p)
         assert len(deg) == len(rows) and len(unp) == n + 1
@@ -190,6 +190,8 @@ class TestPfoldInside:
     def test_zero_mass(self):
         with pytest.raises(ZeroMassLength):
             pfold_joint_probs(0)
+        with pytest.raises(ZeroMassLength, match="length at least 1"):
+            pfold_exterior_totals(DEFAULT_PFOLD, 0)
 
     def test_underflowed_mass_raises(self):
         """At this high-rho point S[2500] underflows to 0.0 although every
@@ -204,6 +206,7 @@ class TestPfoldInside:
             calls = [
                 lambda: pfold_joint_table(n, q),
                 lambda: pfold_joint_probs(n, q),
+                lambda: pfold_exterior_totals(q, n),
                 lambda: hel_stm_counts(Model.PFOLD, n, Stat.HEL, q),
                 lambda: conditional_law(Model.PFOLD, Stat.DEG, n, q),
                 lambda: conditional_law(Model.PFOLD, Stat.UNP, n, q),
@@ -244,7 +247,7 @@ class TestPfoldInside:
         subnormal power every product is a normal weight, checked in log
         space."""
         n, l, tiny = 4000, 600, 2.0**-1060
-        ext = exact._pfold_exterior(DEFAULT_PFOLD, n)
+        ext = exact._exterior(Model.PFOLD, n)
         k = np.arange(n - 4 * l + 1)
         with np.errstate(over="ignore"):
             assert not np.isfinite(np.cumprod(ext.step * ext.dot * (k[1:] + l) / k[1:])).all()
@@ -262,7 +265,7 @@ class TestPfoldInside:
     def test_weights_below_the_coefficient_overflow_are_unchanged(self):
         """At n = 3000 the running product stays finite, and every kernel
         weight is bitwise the plain product."""
-        ext = exact._pfold_exterior(DEFAULT_PFOLD, 3000)
+        ext = exact._exterior(Model.PFOLD, 3000)
         for (l, w), power in zip(exact._exterior_weights(ext), exact._arch_powers(ext)):
             ks = np.arange(1, ext.n - 4 * l + 1)
             coef = np.empty(len(ks) + 1)
@@ -665,6 +668,14 @@ class TestEnumeration:
         with pytest.raises(SizeTooLarge):
             list(enumerate_all(Model.DYCK, 17))
 
+    def test_grammar_is_not_enumerated(self):
+        with pytest.raises(UnsupportedCombination, match="enumeration covers the uniform models only"):
+            list(enumerate_all(Model.PFOLD, 3))
+
+    @pytest.mark.parametrize("model", [Model.DYCK, Model.MOTZKIN])
+    def test_negative_size_has_no_structures(self, model):
+        assert list(enumerate_all(model, -1)) == []
+
     def test_histograms_match_tables_small(self):
         for n in range(0, 9):
             joint = Counter()
@@ -754,17 +765,17 @@ class TestConditionalLaw:
 
 
 def _dyck_deg_entries_oracle(n):
-    weights = exact._exterior_weights(exact._uniform_exterior(Model.DYCK, n, exact=True))
+    weights = exact._exterior_weights(exact._exterior(Model.DYCK, n, exact=True))
     return {l: w[0] for l, w in weights if w[0]}
 
 
 def _motzkin_joint_entries_oracle(n):
-    weights = exact._exterior_weights(exact._uniform_exterior(Model.MOTZKIN, n, exact=True))
+    weights = exact._exterior_weights(exact._exterior(Model.MOTZKIN, n, exact=True))
     return {(l, k): c for l, w in weights for k, c in enumerate(w) if c}
 
 
 def _pfold_joint_entries_oracle(n):
-    rows = exact._exterior_weights(exact._pfold_exterior(DEFAULT_PFOLD, n))
+    rows = exact._exterior_weights(exact._exterior(Model.PFOLD, n))
     return {(k, l): w for l, row in rows for k, w in enumerate(row.tolist()) if w > 0.0}
 
 
@@ -816,6 +827,12 @@ class TestArrayTables:
             assert list(table.entries) == sorted(expected, key=_key_order)
             if table.model is not Model.PFOLD:
                 assert all(type(w) is int for w in table.entries.values())
+
+    def test_one_axis_marginal_is_the_table(self):
+        table = dyck_deg_counts(5)
+        assert table.marginal("deg") is table
+        with pytest.raises(ValueError):
+            table.marginal("unp")
 
     def test_grammar_csv_streams_from_the_array(self):
         """The n = 2000 grammar CSV (310014 lines) is written from the

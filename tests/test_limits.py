@@ -124,6 +124,8 @@ class TestLaws:
         assert law.pmf(1) == Fraction(3, 4)
         assert law.pmf(2) == Fraction(3, 16)
         assert pmf_expand(law, 0) == [0.0]
+        with pytest.raises(ValueError, match="kmax must be nonnegative"):
+            pmf_expand(law, -1)
 
     def test_joint_pmf_values(self):
         joint = limit_of(Model.MOTZKIN, Stat.JOINT)
@@ -339,6 +341,22 @@ class TestEteMoments:
             ete_limit_moments(Model.DYCK, tol=0.0)
         with pytest.raises(TolNotAchievable):
             ete_limit_moments(Model.PFOLD, tol=1e-280)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        """A NaN tol passed a bare tol <= 0 check and cut every sum at once."""
+        for model in Model:
+            with pytest.raises(ValueError, match="tol must be finite and positive"):
+                ete_limit_moments(model, tol=tol)
+
+    @pytest.mark.parametrize("tol", [1e-300, 1e-320])
+    def test_dyck_tail_bound_stops_inside_the_float_range(self, tol):
+        """Dyck's tail bound divides by 2**k, which leaves the float range
+        at k = 1024; the cut stops there instead of overflowing."""
+        with pytest.raises(TolNotAchievable, match="tail bound does not reach tol"):
+            ete_limit_moments(Model.DYCK, tol=tol)
+        with pytest.raises(TolNotAchievable):
+            dyck_ete_truncations(DEFAULT_ETE, tol)
 
 
 class TestFiniteSizeConvergence:

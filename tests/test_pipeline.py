@@ -165,6 +165,10 @@ class TestHeatmap:
         cells = heatmap([columns])
         assert sum(c.percent for c in cells) == pytest.approx(100.0, abs=1e-6)
 
+    def test_no_rows(self):
+        with pytest.raises(NoRecords, match="heatmap needs at least one row"):
+            heatmap([])
+
 
 class TestTotalVariation:
     def test_identical(self):
@@ -189,6 +193,10 @@ class TestTotalVariation:
         with pytest.raises(EmptyHistogram):
             total_variation({}, NegBinomial(0, 1, 0.5), 5)
 
+    def test_negative_mass_is_empty(self):
+        with pytest.raises(EmptyHistogram, match="histogram must have nonnegative mass"):
+            total_variation({0: -1.0, 1: 2.0}, NegBinomial(0, 1, 0.5), 5)
+
     def test_quantile_cap(self):
         cap = law_quantile_cap(limit_of(Model.MOTZKIN, Stat.DEG))
         total = sum(float(limit_of(Model.MOTZKIN, Stat.DEG).pmf(k)) for k in range(cap + 1))
@@ -201,6 +209,10 @@ class TestTotalVariation:
 
 
 class TestCompare:
+    def test_distance_is_not_compared(self):
+        with pytest.raises(UnsupportedCombination, match="compare does not support ete"):
+            compare([1, 2], Model.MOTZKIN, Stat.ETE)
+
     def test_exact_histogram_gives_zero_tv(self):
         law = limit_of(Model.MOTZKIN, Stat.DEG)
         # rows whose deg histogram equals the pmf cannot be built exactly;

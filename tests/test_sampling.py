@@ -54,6 +54,10 @@ class TestRng:
     def test_distinct_seeds(self):
         assert not np.array_equal(RngHandle(1).generator.random(4), RngHandle(2).generator.random(4))
 
+    def test_grammar_batch_needs_a_handle(self):
+        with pytest.raises(ValueError, match="an RngHandle is required"):
+            sample_pfold_many(5, 1)
+
 
 class TestDyck:
     def test_degenerate_sizes(self):

@@ -27,6 +27,7 @@ from endprox.structure import (
     first_stem,
     parse_bpseq,
     parse_dot_bracket,
+    parse_dot_bracket_lines,
     read_dot_bracket_records,
     rms_distance,
     shortest_path_stats,
@@ -123,6 +124,12 @@ def _dyck_text(pairs: int, seed: int) -> str:
 
 
 class TestParseDotBracket:
+    def test_lines_raise_at_the_unbalanced_text(self):
+        structures = parse_dot_bracket_lines(["(.)", "(("])
+        assert next(structures).pairs() == [(1, 3)]
+        with pytest.raises(UnbalancedBracket, match=r"unmatched '\(' at position 2"):
+            next(structures)
+
     def test_simple_nested(self):
         s = parse_dot_bracket("((..))")
         assert s.pairs() == [(1, 6), (2, 5)]
@@ -329,6 +336,11 @@ class TestDistances:
     def test_single_bridge(self):
         assert ete_distance(1, 0) == 1.5
 
+    @pytest.mark.parametrize("deg, chn", [(-1, 0), (0, -1)])
+    def test_negative_steps(self, deg, chn):
+        with pytest.raises(ValueError, match="step counts must be nonnegative"):
+            ete_distance(deg, chn)
+
     def test_rms(self):
         assert rms_distance(17) == 3.0
         assert rms_distance(1) == 0.0
@@ -347,6 +359,12 @@ class TestDistances:
             EteModel(exponent=2.5)
         with pytest.raises(ValueError):
             EteModel(b_nm=0.0)
+
+    @pytest.mark.parametrize("field", ["b_nm", "c_nm", "a_nm"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_step_lengths_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(ValueError, match="step lengths must be finite and positive"):
+            EteModel(**{field: value})
 
 
 class TestShortestPath:
