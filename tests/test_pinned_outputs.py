@@ -1,12 +1,14 @@
 """Byte-for-byte pins of the commands and scripts whose outputs come from the
-limit laws and the first-arch tables: `limits` JSON, `compare` CSV and JSON
-on one fixed mixed file, `exact` first-arch tables, and the two scripts.
-Each output is pinned as the sha256 of its text, so any change to a digit
-shows here.  The digests were taken before the laws described and expanded
+limit laws and the exact tables: `limits` JSON, `compare` CSV and JSON on
+one fixed mixed file, `exact` first-arch, deg and joint tables, and the two
+scripts.  Each output is pinned as the sha256 of its text, so any change to
+a digit shows here.  The digests were taken before the laws described and expanded
 themselves and before the exact first-arch product came from the functional
 equation; both changes keep every output.  ETE_GRID pins ete_limit_moments
 itself across distance models, tolerances and grammars; it was taken while
-Dyck still had its own sum, before every model summed its joint law."""
+Dyck still had its own sum, before every model summed its joint law.
+TABLES was taken while _cells still filled a dense block for every
+two-axis table, before runs that are rows streamed as they are stored."""
 
 import hashlib
 import os
@@ -210,6 +212,83 @@ EXACT = {
     ("motzkin", "stem-helices", 1000, "csv"): "0:c34a7fe2c60d528f330a49458ebe56980d016a9ac1f9e935eaa4b01d8ab63a68",
     ("motzkin", "stem-helices", 1000, "json"): "0:a3ae6817272b39f52b3dbca38d6fba53ab9fd79616b2af4dd5193c047195bd99",
 }
+# exact deg and joint tables: one-axis (Dyck, Motzkin deg), deg-first
+# (Motzkin joint) and unp-first (grammar joint); the grammar has no output of
+# length 0 (exit 1) and no deg table (exit 2)
+TABLES = {
+    ("dyck", "joint", 0, "csv"): "0:7082b8f731c831d48fcdab45306b18d3b7604367283b97316fe07216a26a447c",
+    ("dyck", "joint", 0, "json"): "0:440066a259f47533bf9da18885050e30948e0f3265bb0543d327b2396ac96a98",
+    ("dyck", "joint", 1, "csv"): "0:46d0c59a089893e1611dd057812ed5f002c3566ed9a3faf6803eeead78644a61",
+    ("dyck", "joint", 1, "json"): "0:5f9e5f920af12ee260e98df69d5700868447c27eb13286d151a686795b84676f",
+    ("dyck", "joint", 2, "csv"): "0:09ceb57659b1dfc1bc52a9088eb07ebc5168cdc8f7ad154f82b250be1dc99cf1",
+    ("dyck", "joint", 2, "json"): "0:e2f61a0820019d784871fa1711e69d090bcdf1f967a2c6830a1fac0b229a5873",
+    ("dyck", "joint", 7, "csv"): "0:820e5abf635c491df8dfb0d1ca81eab36422537627f035bc1b155dce81cd0863",
+    ("dyck", "joint", 7, "json"): "0:210cef812fe7b8c73c97c20abd2043c97db2b4b6e33d283f9a9a8c748c9990fb",
+    ("dyck", "joint", 120, "csv"): "0:9db6fbf18b0aa748642dfb5755b6eb444f74f55a6bf0b0cea7c706df50c971b0",
+    ("dyck", "joint", 120, "json"): "0:0dc8b24c5db97b3f14cca9bf60ed46ca05152df59da56eafa474c3b814b831ba",
+    ("dyck", "joint", 300, "csv"): "0:6aea6fc78fce7c0a76a527fdcf3682f7abd10a371355d5ec903c8b50d87eac72",
+    ("dyck", "joint", 300, "json"): "0:e6420480a43322d9f140e92eb7b92250a4e6e66b9fb2bb24ba1f531dadd6c83c",
+    ("dyck", "deg", 0, "csv"): "0:7082b8f731c831d48fcdab45306b18d3b7604367283b97316fe07216a26a447c",
+    ("dyck", "deg", 0, "json"): "0:440066a259f47533bf9da18885050e30948e0f3265bb0543d327b2396ac96a98",
+    ("dyck", "deg", 1, "csv"): "0:46d0c59a089893e1611dd057812ed5f002c3566ed9a3faf6803eeead78644a61",
+    ("dyck", "deg", 1, "json"): "0:5f9e5f920af12ee260e98df69d5700868447c27eb13286d151a686795b84676f",
+    ("dyck", "deg", 2, "csv"): "0:09ceb57659b1dfc1bc52a9088eb07ebc5168cdc8f7ad154f82b250be1dc99cf1",
+    ("dyck", "deg", 2, "json"): "0:e2f61a0820019d784871fa1711e69d090bcdf1f967a2c6830a1fac0b229a5873",
+    ("dyck", "deg", 7, "csv"): "0:820e5abf635c491df8dfb0d1ca81eab36422537627f035bc1b155dce81cd0863",
+    ("dyck", "deg", 7, "json"): "0:210cef812fe7b8c73c97c20abd2043c97db2b4b6e33d283f9a9a8c748c9990fb",
+    ("dyck", "deg", 120, "csv"): "0:9db6fbf18b0aa748642dfb5755b6eb444f74f55a6bf0b0cea7c706df50c971b0",
+    ("dyck", "deg", 120, "json"): "0:0dc8b24c5db97b3f14cca9bf60ed46ca05152df59da56eafa474c3b814b831ba",
+    ("dyck", "deg", 300, "csv"): "0:6aea6fc78fce7c0a76a527fdcf3682f7abd10a371355d5ec903c8b50d87eac72",
+    ("dyck", "deg", 300, "json"): "0:e6420480a43322d9f140e92eb7b92250a4e6e66b9fb2bb24ba1f531dadd6c83c",
+    ("motzkin", "joint", 0, "csv"): "0:a33dd261158c808429d214ac93ec9185db790a3af1bf09ac17695857946535c2",
+    ("motzkin", "joint", 0, "json"): "0:80e6bf625492448ae16a434a76a2ba5286dfd373d9370106cf3fec3d828cad3a",
+    ("motzkin", "joint", 1, "csv"): "0:5e0f3b6e5f324a44656b1b9961b75f2c71f5ea9dc69d80caa2269495033e9cec",
+    ("motzkin", "joint", 1, "json"): "0:a74a35c0869c79d276b3f712418e12b8ef73e041aa42ee5d75434a391f4249c9",
+    ("motzkin", "joint", 2, "csv"): "0:7b839437d320bc72b8bb98513ec82cf78c9e178cc75c63d0d83cc394e8848c1c",
+    ("motzkin", "joint", 2, "json"): "0:badcdac03c7bdd616ebcb2551ff143e1b1bcb67624d31e1ccf4f2269f6cecc00",
+    ("motzkin", "joint", 7, "csv"): "0:a1a80cc44ec8c4f91e7ae5fa56d4e9706040f053cc0d6516d16a58b5860536c6",
+    ("motzkin", "joint", 7, "json"): "0:7a12e3aed61f0c3c7f2f5eb95fba6fa14e666305b7889a950199dd00f50f8ace",
+    ("motzkin", "joint", 120, "csv"): "0:1b78d28940c04d5f6597ef922c4ba8c537e1879e5206bc8dc19b8139d8053518",
+    ("motzkin", "joint", 120, "json"): "0:b53ee9b77a30092e92e0b57d0d048e114088d3b94748e5b96422b1b2ee74201d",
+    ("motzkin", "joint", 300, "csv"): "0:53a7d31bad2cb60f448d6907bb3690acb8674c855b814fd9818f57792fcced3c",
+    ("motzkin", "joint", 300, "json"): "0:2242b781f0980d73fc8526cdfed342edcb13c512b851603f11630047222b4abf",
+    ("motzkin", "deg", 0, "csv"): "0:d4eeb96b4d5578fb1c017589ea23130204eeb99db83cef41e915d6823277ddc4",
+    ("motzkin", "deg", 0, "json"): "0:42791ace18d6e5e319f270a4f42943108ba7f091074c7498351976caccc3282b",
+    ("motzkin", "deg", 1, "csv"): "0:59bf0e98cd6d5e714c279fae532bc567b6adc9d327d05d7ee439f06ba1af89f2",
+    ("motzkin", "deg", 1, "json"): "0:d5ef7b1dbaec8d7c44af2ba5e6304c45c63472f9c5653910d0bc64a39e112911",
+    ("motzkin", "deg", 2, "csv"): "0:b6a5f1567d1c7b0f7993d00bfdaa2cc7ded28a610bed577e7884398a753f2fe4",
+    ("motzkin", "deg", 2, "json"): "0:14948ebd8e68b136b81a015f95d2f51077a9061ba25b12e0029f0e41b6a082b5",
+    ("motzkin", "deg", 7, "csv"): "0:2cf722e95b3b0484a276d97637142de4cf3c1812756431383b233d9a29a633bd",
+    ("motzkin", "deg", 7, "json"): "0:d7806e9bf2edb0daf0c61beb4e3ed2b7b0f1cf7591ffbaea9e1beca3c4e0f1d3",
+    ("motzkin", "deg", 120, "csv"): "0:e6ef1931704ccca19cd15241ccddd5ab2e282b699f72ce9642093db7f22c4f59",
+    ("motzkin", "deg", 120, "json"): "0:c8e2aa48f0e726cbb198fc3df239e804ef629d95b2d16a1ceef568f56823855b",
+    ("motzkin", "deg", 300, "csv"): "0:91bf6fd7c246e3cb16abda0ab50ac905f28e49f6327d7c8436c2cc9550ead9d0",
+    ("motzkin", "deg", 300, "json"): "0:776d64dff8a3a7ca2d7615071a93d7164516c5ab99ca11c553ce5644f6175468",
+    ("pfold", "joint", 0, "csv"): "1:e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("pfold", "joint", 0, "json"): "1:e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("pfold", "joint", 1, "csv"): "0:506b5c3f3982ad26e2b09088e8584b55749aa6980180bc05ece89d1d52bace7a",
+    ("pfold", "joint", 1, "json"): "0:53c7e93b5ce75f883a623f1e1c831337a4a38ae73bbd495f6d18d4491776c93f",
+    ("pfold", "joint", 2, "csv"): "0:763ebd8d8211c256262fef9e85579fd663126b4a60bb0ea0632790a87e65f92a",
+    ("pfold", "joint", 2, "json"): "0:6481427f1f4cae1e271294a7a5e6b34143da27302571abf7b1b3428781c0582f",
+    ("pfold", "joint", 7, "csv"): "0:c199085bc178714c8dc045ab8459f902e2d13aa2dffd7856b1d1b316f6c0f9c1",
+    ("pfold", "joint", 7, "json"): "0:2677472c54b0ef4d3c85d5138cc91d61d015585cf11d02e26f8b4df5082cf884",
+    ("pfold", "joint", 120, "csv"): "0:0e63a380a2040bc9a8cb53ef9dbd9b68ae16608edff3ee946e5d3d3d7f8167da",
+    ("pfold", "joint", 120, "json"): "0:1a82165ee792a7e241f664dbb86801911ed64141d76578083b3032a9ca54d5b5",
+    ("pfold", "joint", 300, "csv"): "0:8a8c642b1137260f00c038476fc4afd6adaa0b006516725381c0ee79be9f0c3c",
+    ("pfold", "joint", 300, "json"): "0:823c58ba9126c2c0bbd6fd5d733e5fcc5b8606cf0d251edb3dff88c8715119bb",
+    ("pfold", "deg", 0, "csv"): "2:e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("pfold", "deg", 0, "json"): "2:e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("pfold", "deg", 1, "csv"): "2:e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("pfold", "deg", 1, "json"): "2:e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("pfold", "deg", 2, "csv"): "2:e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("pfold", "deg", 2, "json"): "2:e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("pfold", "deg", 7, "csv"): "2:e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("pfold", "deg", 7, "json"): "2:e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("pfold", "deg", 120, "csv"): "2:e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("pfold", "deg", 120, "json"): "2:e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("pfold", "deg", 300, "csv"): "2:e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ("pfold", "deg", 300, "json"): "2:e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+}
 # every model x distance model x tolerance x grammar of ete_limit_moments
 ETE_GRID = "045d0ac577b14a0c4649e137038e0aa68d966c1debbcdf50d4806cfdd170f0e5"
 _ETE_MODELS = [
@@ -258,6 +337,12 @@ def test_compare_output(model, stat, fmt, grammar, capsys, tmp_path):
 def test_exact_first_arch_output(model, stat, n, fmt, capsys):
     argv = ["--format", fmt, "exact", "--model", model, "--n", str(n), "--stat", stat]
     assert _cli_digest(argv, capsys) == EXACT[model, stat, n, fmt]
+
+
+@pytest.mark.parametrize("model,stat,n,fmt", list(TABLES))
+def test_exact_table_output(model, stat, n, fmt, capsys):
+    argv = ["--format", fmt, "exact", "--model", model, "--n", str(n), "--stat", stat]
+    assert _cli_digest(argv, capsys) == TABLES[model, stat, n, fmt]
 
 
 @pytest.mark.parametrize("script", ["limit_table.py", "convergence_report.py"])
