@@ -21,12 +21,14 @@ a dot beside it.  A table (CountTable) holds the kernel's rows as they come,
 each cut to the stretch from its first nonzero weight to its last:
 arbitrary-precision integers (object arrays) for the uniform models, doubles
 for the grammar.  Its CSV and JSON stream the nonzero cells in ascending key
-order from small dense blocks filled from those runs, and neither a grid over
-the keys nor a {key: weight} dict is built unless asked for.  The small-n
-tables double as brute-force oracles for the limit laws.  conditional_law
-evaluates the same decompositions in scaled floating point; its deg and unp
-laws take the same SEQ(dot | arch) parameters but go straight to each
-marginal by power projection, so sizes in the thousands stay cheap.
+order, straight from the runs where they are rows and through small dense
+blocks where they are columns (the grammar's (unp, deg) table), and neither
+a grid over the keys nor a {key: weight} dict is built unless asked for.
+The small-n tables double as brute-force oracles for the limit laws.
+conditional_law evaluates the same decompositions in scaled floating point;
+its deg and unp laws take the same SEQ(dot | arch) parameters but go
+straight to each marginal by power projection, so sizes in the thousands
+stay cheap.
 """
 
 from __future__ import annotations
@@ -120,8 +122,9 @@ class CountTable:
     nonzero weight, and None for a nonzero absent bucket.
 
     The table keeps no grid over its keys: _cells, the one traversal in
-    ascending key order, fills a dense block of at most _CSV_CHUNK cells from
-    the runs at a time, so write_csv and write_json stream and sort nothing,
+    ascending key order, reads runs that are rows in place and fills dense
+    blocks only for runs that are columns (unp first), at most _CSV_CHUNK
+    cells at a time, so write_csv and write_json stream and sort nothing,
     and entries, the {key: weight} dict, is built only when asked for.
     """
 
@@ -133,34 +136,29 @@ class CountTable:
 
     def _cells(self) -> Iterator[tuple[Optional[int], list, list]]:
         """(head, tails, weights) of the nonzero cells in ascending key
-        order.  A one-axis table gives head None and its keys as tails, a
-        block of its run at a time; a two-axis table gives one triple per
-        first key component head that has a nonzero cell, with the second
-        components as tails."""
-        if len(self.axes) == 1:
-            ((start, w),) = self.runs
-            for c in range(0, len(w), _CSV_CHUNK):
-                part = w[c : c + _CSV_CHUNK]
-                index = np.flatnonzero(part)
-                if len(index):
-                    yield None, (index + (start + c)).tolist(), part[index].tolist()
+        order, at most _CSV_CHUNK cells at a time.  A one-axis table gives
+        head None and its keys as tails; a two-axis table gives the cells
+        whose first key component is head, with the second components as
+        tails."""
+        if len(self.axes) == 1 or self.axes[0] == "deg":  # each run is a row
+            heads = [None] if len(self.axes) == 1 else range(len(self.runs))
+            for head, (start, w) in zip(heads, self.runs):
+                for c in range(0, len(w), _CSV_CHUNK):
+                    part = w[c : c + _CSV_CHUNK]
+                    index = np.flatnonzero(part)
+                    if len(index):
+                        yield head, (index + (start + c)).tolist(), part[index].tolist()
             return
-        # runs[l] is row l of the key-order grid, or, with unp first, column l
-        by_row = self.axes[0] == "deg"
-        width = max(s + len(w) for s, w in self.runs)
-        height, width = (len(self.runs), width) if by_row else (width, len(self.runs))
-        rows = max(1, _CSV_CHUNK // max(1, width))
+        # unp first: runs[l] is column l, so rows come from dense blocks
+        height, width = max(s + len(w) for s, w in self.runs), len(self.runs)
+        rows = max(1, _CSV_CHUNK // width)
         for top in range(0, height, rows):
             block = np.zeros((min(rows, height - top), width), dtype=self.runs[0][1].dtype)
             bottom = top + len(block)
-            if by_row:
-                for row, (s, w) in zip(block, self.runs[top:bottom]):
-                    row[s : s + len(w)] = w
-            else:
-                for l, (s, w) in enumerate(self.runs):
-                    lo, hi = max(s, top), min(s + len(w), bottom)
-                    if lo < hi:
-                        block[lo - top : hi - top, l] = w[lo - s : hi - s]
+            for l, (s, w) in enumerate(self.runs):
+                lo, hi = max(s, top), min(s + len(w), bottom)
+                if lo < hi:
+                    block[lo - top : hi - top, l] = w[lo - s : hi - s]
             for head, row in enumerate(block, top):
                 index = np.flatnonzero(row)
                 if len(index):
@@ -220,9 +218,9 @@ class CountTable:
         stream.write(("{}" if sep == "{" else "\n  }") + closing + "\n")
 
 
-# cells in one dense block of _cells: 64 KB of doubles, which the allocator
-# hands back block after block, and few enough blocks that the per-run
-# slicing of an unp-first table stays cheap
+# cells in one yield of _cells, a slice of a run or a dense block of an
+# unp-first table: 64 KB of doubles, which the allocator hands back block
+# after block, and few enough blocks that their per-run slicing stays cheap
 _CSV_CHUNK = 1 << 13
 
 
@@ -279,6 +277,8 @@ class _Exterior:
     every structure of size m: the counts A, or the grammar's S.  An arch is
     a pair of weight pair around its contents inner: arch = pair z^amin A
     (inner = A) for the uniform models, pair z^2 F (inner = F) for the
+    grammar.  A stacked pair weighs stack and has size stack_size: one more
+    arch (pair, amin) for the uniform models, F -> ( F ) (p3, 2) for the
     grammar.  head and step default to the integer 1, so exact weights stay
     integers.
     """
@@ -290,6 +290,8 @@ class _Exterior:
     inner: np.ndarray
     total: np.ndarray
     pair: float
+    stack: float
+    stack_size: int
     head: float = 1
     step: float = 1
 
@@ -346,8 +348,8 @@ def _over_one_minus(a: np.ndarray, x: float, k: int = 1) -> np.ndarray:
 
 def _power_projection(base: np.ndarray, blo: int, r: np.ndarray, top: int) -> np.ndarray:
     """<r, base**l> for l = 0 .. top, every power truncated at z^n (n + 1 =
-    len(r)); base vanishes below z^blo, blo >= 1, and r and base are
-    nonnegative.
+    len(r)); base vanishes below z^blo, blo >= 1, top <= n // blo, and r and
+    base are nonnegative.
 
     Baby steps base**j (j < J ~ sqrt(top + 1)), giant steps base**(J i), one
     transposed product r * base**(J i) each and one matrix product: about
@@ -366,8 +368,6 @@ def _power_projection(base: np.ndarray, blo: int, r: np.ndarray, top: int) -> np
     giant = baby[0]
     for i in range(steps):
         lo = blo * J * i
-        if lo > n:
-            break
         if i:
             giant = _truncated_product(giant, lo - blo * J, baby[J], blo * J)
         t[: n + 1 - lo, i] = np.convolve(r[lo:][::-1], giant[lo:])[: n + 1 - lo][::-1]
@@ -425,7 +425,7 @@ def _exterior(model: Model, n: int, p: Optional[PfoldParams] = None, exact: bool
         _pfold_mass(p, n)
         inside = pfold_inside(p, n)
         arch, inner, total = inside.arch[: n + 1], inside.F[: n + 1], inside.S[: n + 1]
-        return _Exterior(n, p.q2, 4, arch, inner, total, p.p2, head=p.q1, step=p.p1)
+        return _Exterior(n, p.q2, 4, arch, inner, total, p.p2, p.p3, 2, head=p.q1, step=p.p1)
     dyck = model is Model.DYCK
     if n < 0:
         raise ValueError(f"{'semi' if dyck else ''}length must be nonnegative")
@@ -436,8 +436,9 @@ def _exterior(model: Model, n: int, p: Optional[PfoldParams] = None, exact: bool
     else:
         counts = _scaled_catalan(n) if dyck else _scaled_motzkin(n)
     arch = np.zeros(n + 1, dtype=counts.dtype)
-    arch[amin:] = z**amin * counts[: n + 1 - amin]
-    return _Exterior(n, dot * z, amin, arch, counts, counts, z**amin)
+    pair = z**amin
+    arch[amin:] = pair * counts[: n + 1 - amin]
+    return _Exterior(n, dot * z, amin, arch, counts, counts, pair, pair, amin)
 
 
 # ---------------------------------------------------------------------------
@@ -648,10 +649,7 @@ def _first_arch_weights(
     if not (stat is Stat.HEL or model is Model.MOTZKIN and stat in (Stat.STM, Stat.STEM_HELICES)):
         raise UnsupportedCombination(f"no {stat.value} table or law for {model.value}")
     ext = _exterior(model, n, p, exact)
-    if model is Model.PFOLD:  # F -> ( F ) stacks a pair
-        c, s = (p or DEFAULT_PFOLD).p3, 2
-    else:  # a stacked pair is one more arch
-        c, s = ext.pair, ext.amin
+    c, s = ext.stack, ext.stack_size
 
     def runs(u):  # L^2 u
         return _over_one_minus(_over_one_minus(u, ext.dot), ext.dot)

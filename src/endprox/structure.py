@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import chain
+from itertools import chain, groupby
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
@@ -384,8 +384,9 @@ def parse_dot_bracket_lines(texts: Iterable[str]) -> Iterator[SecondaryStructure
 def parse_bpseq(text: str) -> SecondaryStructure:
     """Parse bpseq content: lines of "index base partner", 0 = unpaired.
 
-    '#' comment lines and blank lines are ignored.  Indices must be exactly
-    1..n; pairs must be symmetric and non-self.
+    '#' comment lines and blank lines are ignored, and text with no other
+    line is an EmptyStructure.  Indices must be exactly 1..n; pairs must be
+    symmetric and non-self.
     """
     entries: dict[int, tuple[str, int]] = {}
     for raw in text.splitlines():
@@ -403,6 +404,8 @@ def parse_bpseq(text: str) -> SecondaryStructure:
             raise NonContiguousIndices(f"duplicate index {idx}")
         entries[idx] = (base, mate)
     n = len(entries)
+    if not n:
+        raise EmptyStructure("bpseq text has no position lines")
     if sorted(entries) != list(range(1, n + 1)):
         raise NonContiguousIndices("indices do not cover 1..n exactly once")
     partner = tuple(entries[i1][1] for i1 in range(1, n + 1))
@@ -824,7 +827,8 @@ def read_dot_bracket_blocks(lines: Iterable[str], default_group: Optional[str] =
 
 
 def read_bpseq_records(text: str, rec_id: str, group: Optional[str] = None) -> list[ParsedRecord]:
-    """Read a bpseq file as a single record."""
+    """Read a bpseq file as a single record, which holds the parse error of
+    a file that does not parse or has no position line."""
     try:
         return [ParsedRecord(rec_id, group, parse_bpseq(text))]
     except StructureError as exc:
@@ -835,28 +839,18 @@ def stats_columns(records: Sequence[ParsedRecord], m: EteModel = DEFAULT_ETE) ->
     """`length`, `crossing` and every ExteriorStats field, one list each in
     record order, of records that all hold a structure.
 
-    The records of one block are measured together.  Crossing records are
-    measured along the shortest path, nested ones by the exterior walk, as
-    `shortest_path_stats` and `exterior_stats` do.
+    Each run of consecutive records that share a block is measured
+    together, where it sits, and its columns are appended in place.
+    Crossing records are measured along the shortest path, nested ones by
+    the exterior walk, as `shortest_path_stats` and `exterior_stats` do.
     """
-    batches: dict[_Block, tuple[list[int], list[int]]] = {}  # block -> (records, rows)
-    for k, rec in enumerate(records):
-        where, rows = batches.setdefault(rec._row[0], ([], []))
-        where.append(k)
-        rows.append(rec._row[1])
-
     names = ["length", "crossing", *_STAT_FIELDS]
     out: dict[str, list] = {name: [] for name in names}
-    taken: list[int] = []
-    for block, (where, rows) in batches.items():
-        rows = np.asarray(rows, dtype=np.int64)
+    for block, run in groupby(records, lambda rec: rec._row[0]):  # blocks compare by identity
+        rows = np.array([rec._row[1] for rec in run], dtype=np.int64)
         crossing = block.crossing[rows]
         lengths = block.starts[rows + 1] - block.starts[rows]
         columns = [lengths.tolist(), crossing.tolist(), *_columns(block, rows, crossing, m)]
         for name, column in zip(names, columns):
             out[name] += column
-        taken += where
-    if taken != list(range(len(records))):  # back to record order
-        order = np.argsort(taken).tolist()
-        out = {name: [column[k] for k in order] for name, column in out.items()}
     return out

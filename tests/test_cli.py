@@ -64,6 +64,17 @@ class TestStats:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert rows[0]["deg"] == "1" and rows[0]["id"] == "toy"
 
+    @pytest.mark.parametrize("text", ["", "# c\n"])
+    def test_bpseq_without_positions_is_skipped(self, run, tmp_path, text):
+        empty = tmp_path / "e.bpseq"
+        empty.write_text(text)
+        assert run(["stats", str(empty)]) == (1, "", "error: every record failed to parse\n")
+        good = tmp_path / "g.dbn"
+        good.write_text("((..))\n")
+        code, out, err = run(["stats", str(empty), str(good)])
+        assert code == 0 and err == "skipped e: bpseq text has no position lines\n"
+        assert [row["id"] for row in csv.DictReader(io.StringIO(out))] == ["rec1"]
+
     def test_csv_builds_no_json_payload(self, run, tmp_path, monkeypatch):
         def unused(*args):
             raise AssertionError("JSON payload built for CSV output")

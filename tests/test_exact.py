@@ -48,6 +48,9 @@ class TestSequences:
     def test_catalan_against_binomial(self):
         assert [catalan(n) for n in range(8)] == [1, 1, 2, 5, 14, 42, 132, 429]
 
+    def test_negative_index_counts_nothing(self):
+        assert catalan(-1) == motzkin_number(-1) == 0
+
     def test_motzkin_against_binomial_sum(self):
         # independent closed form: sum_k C(n, 2k) * Catalan(k)
         for n in range(0, 31):
@@ -375,6 +378,10 @@ class TestStringProbability:
                     assert got == 0.0
                 else:
                     assert got == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_empty_string_is_no_output(self):
+        # S derives at least one item
+        assert pfold_string_probability("") == 0.0
 
     def test_each_stacked_pair_multiplies_by_p3(self):
         p = DEFAULT_PFOLD
@@ -915,6 +922,32 @@ class TestSerialization:
         buf = io.StringIO()
         table.write_json(buf)
         assert buf.getvalue() == _json_dump_oracle(table)
+
+    @pytest.mark.parametrize("make", list(WRITTEN_TABLES.values()), ids=list(WRITTEN_TABLES))
+    def test_small_chunks_cut_rows_and_blocks(self, make, monkeypatch):
+        # three cells a yield: long runs are cut, and an unp-first block holds one row
+        table = make()
+        whole = [io.StringIO(), io.StringIO()]
+        table.write_csv(whole[0])
+        table.write_json(whole[1])
+        monkeypatch.setattr(exact, "_CSV_CHUNK", 3)
+        cut = [io.StringIO(), io.StringIO()]
+        table.write_csv(cut[0])
+        table.write_json(cut[1])
+        assert [buf.getvalue() for buf in cut] == [buf.getvalue() for buf in whole]
+        assert list(table.entries.items()) == list(_run_entries(table).items())
+
+
+def _run_entries(table):
+    """{key: weight} read cell by cell off the runs: the absent bucket
+    first, then ascending keys."""
+    cells = {}
+    for l, (start, w) in enumerate(table.runs):
+        for j, v in enumerate(w.tolist()):
+            if v:
+                k = start + j
+                cells[k if len(table.axes) == 1 else (l, k) if table.axes[0] == "deg" else (k, l)] = v
+    return ({None: table.absent} if table.absent else {}) | dict(sorted(cells.items()))
 
 
 def _key_order(key):

@@ -232,6 +232,10 @@ class TestJointConsistency:
                 from_joint = sum(float(joint.pmf(i, j)) for j in range(0, 200))
                 assert from_joint == pytest.approx(float(unp_m.pmf(i)), abs=1e-9)
 
+    def test_diagonal_starts_at_one(self):
+        # deg >= 1, so unp + deg = 0 has no mass
+        assert JointNB(0.2, 0.3).diagonal_pmf(0) == 0
+
     def test_pfold_deg_marginal_algebra(self):
         # substituting u = 1 must reproduce v / (1 + d - d v)^2
         d = pfold_rho_delta().delta

@@ -2,13 +2,14 @@
 limit laws and the exact tables: `limits` JSON, `compare` CSV and JSON on
 one fixed mixed file, `exact` first-arch, deg and joint tables, and the two
 scripts.  Each output is pinned as the sha256 of its text, so any change to
-a digit shows here.  The digests were taken before the laws described and expanded
-themselves and before the exact first-arch product came from the functional
-equation; both changes keep every output.  ETE_GRID pins ete_limit_moments
-itself across distance models, tolerances and grammars; it was taken while
-Dyck still had its own sum, before every model summed its joint law.
-TABLES was taken while _cells still filled a dense block for every
-two-axis table, before runs that are rows streamed as they are stored."""
+a digit shows here.  The digests were taken before the laws described and
+expanded themselves and before the exact first-arch product came from the
+functional equation; both changes keep every output.  ETE_GRID pins
+ete_limit_moments itself across distance models, tolerances and grammars;
+it was taken while Dyck still had its own sum, before every model summed
+its joint law.  TABLES was taken while _cells still filled a dense block
+for every two-axis table, before runs that are rows streamed as they are
+stored."""
 
 import hashlib
 import os

@@ -207,6 +207,11 @@ class TestTotalVariation:
         with pytest.raises(UnsupportedCombination):
             law_quantile_cap(limit_of(Model.MOTZKIN, Stat.JOINT))
 
+    def test_quantile_cap_past_the_scan(self):
+        # NB(2, 1e-6) keeps almost all its mass beyond the 100000 values scanned
+        with pytest.raises(ValueError, match="^law cdf does not reach the requested quantile$"):
+            law_quantile_cap(NegBinomial(0, 2, 1e-6))
+
 
 class TestCompare:
     def test_distance_is_not_compared(self):

@@ -240,10 +240,10 @@ class TestReaderBlocks:
         assert recs[0].structure.partner == (3, 0, 1)
         assert recs[0].structure is recs[0].structure and len(built) == 1  # and then kept
 
-    def test_interleaved_blocks_measure_in_input_order(self):
+    def test_interleaved_blocks_measure_in_input_order(self, monkeypatch):
         # records of two dot-bracket reads and two bpseq files, interleaved,
-        # through one run_stats: four blocks measured one by one, the rows
-        # put back in input order
+        # through one run_stats: each run of consecutive records of one block
+        # is measured where it sits, so the rows come out in input order
         texts = ["(.)\n([)]\n((..))..\n.(\n..\n", ">x group=h\n..((..))\n<.[.>.]\n"]
         bpseq = ["1 G 4\n2 C 6\n3 A 0\n4 C 1\n5 U 0\n6 G 2\n7 A 0\n", "1 A 3\n2 C 0\n3 U 1\n"]
 
@@ -255,6 +255,13 @@ class TestReaderBlocks:
         got, want = interleaved(read_dot_bracket_records), interleaved(oracle.read_dot_bracket_records)
         assert pipeline.run_stats(got) == oracle.run_stats(want)
         assert pipeline.run_stats(got)[0]["id"] == ["rec1", "x", "c0", "rec2", "c1", "rec2", "rec3", "rec5"]
+        runs = []
+        measure = structure._columns
+        monkeypatch.setattr(
+            structure, "_columns", lambda block, rows, *rest: runs.append(rows.tolist()) or measure(block, rows, *rest)
+        )
+        pipeline.run_stats(got)
+        assert runs == [[0], [0], [0], [1], [0], [1], [2, 4]]  # one call per run, rec3 and rec5 together
 
 
 def _nested(rnd, n):

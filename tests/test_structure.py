@@ -17,6 +17,7 @@ from endprox.structure import (
     IllegalCharacter,
     NonContiguousIndices,
     AsymmetricPair,
+    ParsedRecord,
     SecondaryStructure,
     SelfPair,
     StructureError,
@@ -184,7 +185,11 @@ class TestLinearStructureLayer:
     @settings(max_examples=200)
     def test_parsers_flag_crossing_like_the_oracle(self, s):
         bpseq = "".join(f"{i} N {j}\n" for i, j in enumerate(s.partner, start=1))
-        assert parse_bpseq(bpseq).crossing == s.crossing
+        if s.length:
+            assert parse_bpseq(bpseq).crossing == s.crossing
+        else:  # bpseq text with no position line holds no structure
+            with pytest.raises(EmptyStructure):
+                parse_bpseq(bpseq)
         rendered = _render_or_error(to_dot_bracket, s)
         if isinstance(rendered, str):
             assert parse_dot_bracket(rendered).crossing == s.crossing
@@ -240,6 +245,11 @@ class TestParseBpseq:
     def test_comments_ignored(self):
         s = parse_bpseq("# header\n1 A 0\n")
         assert s.length == 1
+
+    @pytest.mark.parametrize("text", ["", "# c\n"])
+    def test_no_position_line(self, text):
+        with pytest.raises(EmptyStructure, match="no position lines"):
+            parse_bpseq(text)
 
 
 # partner tables that break a pair, and what both entry points raise for them
@@ -414,6 +424,9 @@ class TestRecords:
         assert [r.id for r in recs] == ["t1", "rec2", "t2"]
         assert [r.group for r in recs] == ["tRNA", "file", "file"]
         assert all(r.structure is not None for r in recs)
+
+    def test_error_record_repr(self):
+        assert repr(ParsedRecord("a", "g", error="x")) == "ParsedRecord(id='a', group='g', error='x')"
 
     def test_bad_record_captured(self):
         recs = read_dot_bracket_records("((..\n()\n")
