@@ -146,14 +146,16 @@ def heatmap(blocks: Iterable[dict[str, list]], m: EteModel = DEFAULT_ETE) -> lis
 # comparison against limit laws
 
 
-def law_quantile_cap(d: LimitDist, tail: float = 1e-6) -> int:
-    """Smallest k whose cdf reaches 1 - tail."""
+def law_quantile_cap(d: LimitDist, stop: int) -> int:
+    """Smallest k whose cdf reaches 1 - 1e-6, or stop if k reaches stop
+    first: past the largest value of a histogram the law's pmf only adds to
+    the tail that total_variation counts anyway, so stop = max(hist) bounds
+    the scan by the data."""
     acc = 0.0
-    for k, pk in zip(range(100_000), pmf_values(d)):
+    for k, pk in enumerate(pmf_values(d)):
         acc += pk
-        if acc >= 1 - tail:
+        if acc >= 1 - 1e-6 or k >= stop:
             return k
-    raise ValueError("law cdf does not reach the requested quantile")
 
 
 def total_variation(h: Mapping[int, float], d: LimitDist, cap: int) -> float:
@@ -219,10 +221,10 @@ def compare(
     if not hist:
         raise EmptyHistogram("no rows carry this statistic")
     n, mu, var = _moments(hist)
-    cap = law_quantile_cap(law)
+    cap = law_quantile_cap(law, max(hist))
     summary = moments(law)
     tv = total_variation(hist, law, cap)
-    bins = [(k, hist[k] / n, pk) for k, pk in enumerate(pmf_expand(law, min(cap, max(hist))))]
+    bins = [(k, hist[k] / n, pk) for k, pk in enumerate(pmf_expand(law, cap))]
     return CompareReport(
         model=model.value,
         stat=stat.value,

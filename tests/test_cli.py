@@ -10,6 +10,8 @@ import pytest
 
 from endprox import pipeline, sampling
 from endprox.cli import _STAT_CHOICES, main
+from endprox.exact import Model, PfoldParams, Stat
+from endprox.limits import limit_of
 from endprox.sampling import step_rows_text
 from exact_oracle import motzkin_deg_counts
 from test_scan import _traced_peak
@@ -364,6 +366,20 @@ class TestCompareHeatmap:
         payload = json.loads(out)
         assert payload["n_values"] == 3
         assert 0 <= payload["tv"] <= 1
+
+    def test_compare_hel_near_the_stacking_limit(self, run, tmp_path):
+        # at p3 = 0.9999 the grammar's hel law has mean about 10^4; the scan
+        # for the law's quantile stops at the largest value in the data
+        p = PfoldParams(0.868534, 0.105397, 0.9999)
+        (tmp_path / "p.txt").write_text(f"{p.p1} {p.p2} {p.p3}\n")
+        path = tmp_path / "toy.dbn"
+        path.write_text("((((...))))..\n.((...))\n(((((....)))))\n")
+        argv = ["--pfold-params", str(tmp_path / "p.txt"), "--format", "json", "compare", str(path)]
+        code, out, _ = run([*argv, "--model", "pfold", "--stat", "hel"])
+        assert code == 0
+        payload = json.loads(out)
+        assert 0 <= payload["tv"] <= 1
+        assert payload["law_mean"] == float(limit_of(Model.PFOLD, Stat.HEL, p).mean)
 
     def test_compare_without_the_statistic(self, run, tmp_path):
         # unpaired-only records have no first arch, so no hel

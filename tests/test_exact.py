@@ -9,7 +9,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from endprox import exact
@@ -160,7 +160,7 @@ class TestExteriorEngine:
         p = PfoldParams(p1, p2, p3)
         mass = pfold_inside(p, n).S[n]
         rows = list(exact._exterior_weights(exact._exterior(Model.PFOLD, n, p)))
-        deg = conditional_law(Model.PFOLD, Stat.DEG, n, p, cap=n)
+        deg = conditional_law(Model.PFOLD, Stat.DEG, n, p)
         unp = conditional_law(Model.PFOLD, Stat.UNP, n, p)
         assert len(deg) == len(rows) and len(unp) == n + 1
         np.testing.assert_allclose(deg, [w.sum() / mass for _, w in rows], rtol=0, atol=1e-13)
@@ -526,18 +526,17 @@ def _oracle_entries(row):
     return {(None if d == 0 else d): w for d, w in row.items() if w}
 
 
-def _uniform_hel_law_oracle(model, n, cap):
+def _uniform_hel_law_oracle(model, n):
     if model is Model.DYCK:
         ct = exact._scaled_catalan(n)
         notch = ct.copy()
         notch[1:] -= ct[:-1] * 0.25
         w = np.convolve(notch, ct)[: n + 1]
-        hcap = min(400 if cap is None else cap, n)
-        out = np.zeros(hcap + 1)
+        out = np.zeros(n + 1)
         if n == 0:
             out[0] = 1.0
             return out
-        for h in range(1, hcap + 1):
+        for h in range(1, n + 1):
             out[h] = 0.25**h * w[n - h] / ct[n]
         return out
     x = 1.0 / 3.0
@@ -547,23 +546,20 @@ def _uniform_hel_law_oracle(model, n, cap):
     w = np.convolve(notch, mt)[: n + 1]
     geo = x ** np.arange(n + 1)
     u = np.convolve(geo, w)[: n + 1]
-    hcap = min(400 if cap is None else cap, max(1, n // 2))
-    out = np.zeros(hcap + 1)
+    out = np.zeros(n // 2 + 1)
     out[0] = geo[n] / mt[n]
-    for d in range(1, hcap + 1):
+    for d in range(1, n // 2 + 1):
         if n - 2 * d >= 0:
             out[d] = x ** (2 * d) * u[n - 2 * d] / mt[n]
     return out
 
 
-def _pfold_hel_weights_oracle(p, n, hmax=None):
-    """Weights of the length-n outputs by first-helix length h = 0 .. hmax
+def _pfold_hel_weights_oracle(p, n):
+    """Weights of the length-n outputs by first-helix length h = 0 .. n // 2
     from the helix-tracking rewrite of the grammar: leading dots, a one-pair
     helix closed by F -> L S, then p3^(h-1) and a shift per stacked pair."""
     inside = pfold_inside(p, n)
     S, LS = inside.S[: n + 1], inside.LS[: n + 1]
-    if hmax is None:
-        hmax = max(0, (n - 2) // 2)
     rhs = np.zeros((2, n + 1))
     if n >= 1:
         rhs[0, 1] = p.q1 * p.q2
@@ -574,7 +570,7 @@ def _pfold_hel_weights_oracle(p, n, hmax=None):
     for m in range(1, n + 1):  # leading exterior dots
         rhs[:, m] += x * rhs[:, m - 1]
     dots, y = rhs
-    h = np.arange(1, hmax + 1)
+    h = np.arange(1, n // 2 + 1)
     return np.concatenate(([dots[n]], p.p3 ** (h - 1) * y[n - 2 * (h - 1)]))
 
 
@@ -628,11 +624,10 @@ class TestFirstArchEngine:
     @pytest.mark.parametrize("model", [Model.DYCK, Model.MOTZKIN], ids=lambda m: m.value)
     def test_uniform_hel_laws_match_deleted_derivation(self, model):
         for n in ORACLE_SIZES:
-            for cap in (0, 1, 7, None):
-                law = conditional_law(model, Stat.HEL, n, cap=cap)
-                expected = _uniform_hel_law_oracle(model, n, cap)
-                assert law.shape == expected.shape
-                np.testing.assert_allclose(law, expected, rtol=0, atol=1e-15)
+            law = conditional_law(model, Stat.HEL, n)
+            expected = _uniform_hel_law_oracle(model, n)
+            assert law.shape == expected.shape
+            np.testing.assert_allclose(law, expected, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("p", ORACLE_PARAMS, ids=["default", "half", "high-rho"])
     def test_pfold_hel_matches_deleted_recurrence(self, p):
@@ -644,12 +639,10 @@ class TestFirstArchEngine:
             assert set(table) == set(expected)
             for key, w in expected.items():
                 assert table[key] == pytest.approx(w, rel=1e-12, abs=0)
-            for cap in (0, 1, 7, None):
-                hmax = min(120 if cap is None else cap, max(0, (n - 2) // 2))
-                law = conditional_law(Model.PFOLD, Stat.HEL, n, p, cap)
-                oracle = _pfold_hel_weights_oracle(p, n, hmax) / mass
-                assert law.shape == oracle.shape
-                np.testing.assert_allclose(law, oracle, rtol=0, atol=1e-15)
+            law = conditional_law(Model.PFOLD, Stat.HEL, n, p)
+            oracle = weights / mass
+            assert law.shape == oracle.shape
+            np.testing.assert_allclose(law, oracle, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -752,19 +745,51 @@ class TestConditionalLaw:
 
     @pytest.mark.parametrize("model, stat", LAW_PAIRS)
     def test_negative_cap_is_rejected(self, model, stat):
-        with pytest.raises(ValueError, match="cap"):
+        """A law ends where its support or _DEG_CAP ends it, so there is no
+        cap to pass: any cap, negative or not, is refused, not ignored."""
+        with pytest.raises(TypeError, match="cap"):
             conditional_law(model, stat, 60, cap=-1)
 
     @pytest.mark.parametrize("model, stat", LAW_PAIRS)
     def test_cap_is_the_largest_value_returned(self, model, stat):
-        for n in (9, 60, 150):
-            full = conditional_law(model, stat, n)
-            for c in (0, 1, 7):
-                # the baby/giant split of the projection depends on the cap,
-                # so the DEG and UNP values agree up to rounding
-                np.testing.assert_allclose(
-                    conditional_law(model, stat, n, cap=c), full[: c + 1], rtol=1e-13, atol=1e-16
-                )
+        """UNP ends at n and HEL at n // stack_size, the largest values size
+        n allows; DEG ends at _DEG_CAP once n // amin passes it."""
+        amin, stack_size = {Model.DYCK: (1, 1), Model.MOTZKIN: (2, 2), Model.PFOLD: (4, 2)}[model]
+        for n in (9, 60, 150, 1000):
+            cap = {
+                Stat.DEG: min(exact._DEG_CAP[model], n // amin),
+                Stat.UNP: n,
+                Stat.HEL: n // stack_size,
+            }[stat]
+            assert len(conditional_law(model, stat, n)) == cap + 1
+
+    @given(
+        st.floats(0.05, 0.95, exclude_min=True, exclude_max=True),
+        st.floats(0.05, 0.95, exclude_min=True, exclude_max=True),
+        st.floats(0.05, 0.95, exclude_min=True, exclude_max=True),
+        st.integers(1, 1500),
+        st.integers(0, 2000),
+    )
+    # the grammar's HEL law here has mean about 664; a fixed cap of 120 kept 0.077 of it
+    @example(0.7367, 0.6783, 0.9962, 904, 2000)
+    @settings(max_examples=40, deadline=None)
+    def test_every_law_keeps_its_mass(self, p1, p2, p3, n, m):
+        """Every DEG, UNP and HEL law is nonnegative and sums to 1 within
+        1e-12: the grammar's at length n and p, the uniform models' at size
+        m.  Grammar lengths whose inside weight S[n] underflows raise
+        ZeroMassLength (the high-rho underflow of ROADMAP item 1) and are
+        assumed away."""
+        p = PfoldParams(p1, p2, p3)
+        try:
+            exact._pfold_mass(p, n)
+        except ZeroMassLength:
+            assume(False)
+        laws = [(model, stat, m, None) for model, stat in LAW_PAIRS if model is not Model.PFOLD]
+        laws += [(Model.PFOLD, stat, n, p) for stat in (Stat.DEG, Stat.UNP, Stat.HEL)]
+        for model, stat, size, q in laws:
+            law = conditional_law(model, stat, size, q)
+            assert law.min() >= 0, (model, stat)
+            assert abs(law.sum() - 1) <= 1e-12, (model, stat)
 
 
 # The dict builders that the array-backed tables replaced, kept as oracles:

@@ -198,19 +198,32 @@ class TestTotalVariation:
             total_variation({0: -1.0, 1: 2.0}, NegBinomial(0, 1, 0.5), 5)
 
     def test_quantile_cap(self):
-        cap = law_quantile_cap(limit_of(Model.MOTZKIN, Stat.DEG))
-        total = sum(float(limit_of(Model.MOTZKIN, Stat.DEG).pmf(k)) for k in range(cap + 1))
-        assert total >= 1 - 1e-6
+        law = limit_of(Model.MOTZKIN, Stat.DEG)
+        cap = law_quantile_cap(law, 1000)
+        assert cap < 1000
+        assert sum(float(law.pmf(k)) for k in range(cap + 1)) >= 1 - 1e-6
+        assert sum(float(law.pmf(k)) for k in range(cap)) < 1 - 1e-6
 
     def test_quantile_cap_rejects_joint_law(self):
         # as moments and pmf_expand do
         with pytest.raises(UnsupportedCombination):
-            law_quantile_cap(limit_of(Model.MOTZKIN, Stat.JOINT))
+            law_quantile_cap(limit_of(Model.MOTZKIN, Stat.JOINT), 0)
 
-    def test_quantile_cap_past_the_scan(self):
-        # NB(2, 1e-6) keeps almost all its mass beyond the 100000 values scanned
-        with pytest.raises(ValueError, match="^law cdf does not reach the requested quantile$"):
-            law_quantile_cap(NegBinomial(0, 2, 1e-6))
+    def test_quantile_cap_stops_at_the_data(self):
+        # NB(2, 1e-6) keeps almost all its mass past 10^6: the scan stops at
+        # stop after stop + 1 pmf values
+        law = NegBinomial(0, 2, 1e-6)
+
+        class Counted:
+            calls = 0
+
+            def pmf(self, k):
+                self.calls += 1
+                return law.pmf(k)
+
+        counted = Counted()
+        assert law_quantile_cap(counted, 5) == 5
+        assert counted.calls == 6
 
 
 class TestCompare:
@@ -256,7 +269,7 @@ class TestCompare:
         for _ in range(10):
             _, degs = unp_deg_of_steps(sample_motzkin_steps(n, count // 10, rng))
             hist.update(degs.tolist())
-        cap = law_quantile_cap(law)
+        cap = law_quantile_cap(law, max(hist))
         tv = total_variation(hist, law, cap)
         assert tv < 0.03
 
