@@ -12,9 +12,12 @@ for every two-axis table, before runs that are rows streamed as they are
 stored.  The grammar's deg, unp, chn and len compare pins and the
 convergence report's were re-taken when compare's total variation came to
 stop at the largest value in the data and the grammar's hel law came to run
-to its support end: only the last digits of those distances moved."""
+to its support end: only the last digits of those distances moved.  SHUFFLE
+pins `shuffle`'s FASTA output and exit code; it was taken while the command
+still read every input whole and held every shuffled record until the end."""
 
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -62,6 +65,15 @@ MIXED = """\
 >b8 group=beta
 .(((...[[[...)))..(((...]]]...)))...
 """
+
+# two FASTA files, each starting with a bare sequence, so that recN counts
+# from 1 in each file; multi-line sequences, an empty header, and CRLF line
+# ends in the second.  On stdin the two are one text, and the second file's
+# bare sequence joins the last record of the first.
+FASTA = (
+    b"ACGUACGGU\nUUAGC\n>s1 group=x\nGGCAUCGAUCGA\nUAGCUAGGC\n>\nCCGGAAUU\n>s3\nAUGCAUGCAUGCAAAUUUGGGCCC\n",
+    b"GAUUACAGAUUACA\r\n>t1\r\nACGGUUCAAGCU\r\nUUGCA\r\n>t2 desc\r\nCAGUCAGUCAGG\r\n",
+)
 
 GRAMMAR = {"default": None, "alt": "0.2 0.9 0.2\n"}
 
@@ -307,6 +319,27 @@ SCRIPTS = {
     "limit_table.py": "0858bd44da66f9b04ef90a9164338de5edae0d6207a20f368c94f2627fc768e2",
     "convergence_report.py": "64749920a104f1ee8b2a7e7151ea0fd1428cc5356e604264036ea3eaf8091f53",
 }
+# shuffle --k k --count count of the two FASTA files, or of their bytes on stdin
+SHUFFLE = {
+    (1, 0, "files"): "0:e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (1, 0, "stdin"): "0:e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (1, 1, "files"): "0:c735adf9d1e1e4fd410d10220c26b88e63bc54043085af92801b89de11a69ac9",
+    (1, 1, "stdin"): "0:1a0e7efa597cfe4cf7b7ac111a20445db2c036911570ae848ed1a1a345ab5811",
+    (1, 3, "files"): "0:7121b35be467fb6dd22d4843555449756cff6c39fd8645b0d0084d78f489dc69",
+    (1, 3, "stdin"): "0:3d14ff0fbece88ec39b4f4757f6fef7703d90af444eb1aff6c81d25ae066d864",
+    (2, 0, "files"): "0:e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (2, 0, "stdin"): "0:e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (2, 1, "files"): "0:91cc0db14447d3fa903b020215081b29d96500f5a0cddfff3457dd9808865a5e",
+    (2, 1, "stdin"): "0:b705568045c24eee6008515938182e0e9b0dbf1a3827df42946bfc644b56582d",
+    (2, 3, "files"): "0:cc8dd808879b327fb4c8b7e16e5e66eacbb9a28018c5af6dc4faefbe71f01d4c",
+    (2, 3, "stdin"): "0:e9ca19920e4703f5f09c764035e2dc55c8dc2e3a6cf96777c48c84b222f44528",
+    (3, 0, "files"): "0:e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (3, 0, "stdin"): "0:e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (3, 1, "files"): "0:d1b2585685213a70a90f2c84326a6a8cb1dae2b45c9618cec00ff9796cf3ef52",
+    (3, 1, "stdin"): "0:a87b9e6f85411514e4299f4124a8aeac35b930079f5c7ea492b73bc8e756c234",
+    (3, 3, "files"): "0:8adc7cdc659df1860ea8260edcf15ac4dcaf4d534d9f02a2804ef98c3958068c",
+    (3, 3, "stdin"): "0:afb52391c4afba11e88b3a279f82df997670e3daf75a289f55179fd29dc8c59a",
+}
 
 
 def _limits_cases():
@@ -377,3 +410,16 @@ def test_ete_limit_moments_grid():
     ]
     assert len(lines) == 120
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == ETE_GRID
+
+
+@pytest.mark.parametrize("k,count,source", list(SHUFFLE))
+def test_shuffle_output(k, count, source, capsys, tmp_path, monkeypatch):
+    paths = []
+    for i, data in enumerate(FASTA):
+        paths.append(tmp_path / f"seqs{i}.fa")
+        paths[-1].write_bytes(data)
+    argv = ["--seed", "7", "shuffle", "--k", str(k), "--count", str(count)]
+    if source == "files":
+        argv += [str(path) for path in paths]
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"".join(FASTA) if source == "stdin" else b"")))
+    assert _cli_digest(argv, capsys) == SHUFFLE[k, count, source]
