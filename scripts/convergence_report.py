@@ -8,16 +8,13 @@ import csv
 import sys
 
 from endprox import Model, Stat, conditional_law, limit_of, pmf_expand
+from endprox.pipeline import tail_tv
 
 
 def tv_against_law(arr, law) -> float:
-    body = 0.0
-    law_body = 0.0
-    for k, pk in enumerate(pmf_expand(law, len(arr) - 1)):
-        law_body += pk
-        body += abs(arr[k] - pk)
-    tail = max(0.0, 1 - float(arr.sum()))
-    return 0.5 * body + 0.5 * abs(tail - max(0.0, 1 - law_body))
+    """The exact law arr against the limit law on arr's range; arr's tail is
+    the mass it misses."""
+    return tail_tv(arr, max(0.0, 1 - float(arr.sum())), pmf_expand(law, len(arr) - 1))
 
 
 SUPPORTED = [

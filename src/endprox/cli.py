@@ -120,18 +120,24 @@ def _pfold_params(args) -> PfoldParams:
     return PfoldParams(*values)
 
 
-def _read_structure_files(paths: list[str]) -> Iterator[list[structure.ParsedRecord]]:
-    """The records of the structure files, or of stdin if there are none,
-    one list per block.  Every input is opened and decoded once, one at a
-    time, before this returns, so one that cannot be read fails before
-    anything is written; the files are then reopened one at a time as their
-    records are read."""
+def _inputs(paths: list[str]) -> Iterator[tuple[Optional[str], IO[str]]]:
+    """(path, stream) of each file, or (None, stdin) if there are none, to be
+    closed by the caller.  Every input is opened and decoded, one at a time,
+    before the first is yielded, so one that cannot be read fails before
+    anything is written; the files are then reopened one at a time."""
     if not paths:
-        return _file_records(None, _decoded(_stdin()))
+        yield None, _decoded(_stdin())
+        return
     for path in paths:
         with open(path) as fh:
             _decoded(fh)
-    return chain.from_iterable(_file_records(path, open(path)) for path in paths)
+    for path in paths:
+        yield path, open(path)
+
+
+def _read_structure_files(paths: list[str]) -> Iterator[list[structure.ParsedRecord]]:
+    """The records of the inputs, one list per block."""
+    return chain.from_iterable(_file_records(path, fh) for path, fh in _inputs(paths))
 
 
 def _stdin() -> IO[str]:
@@ -315,17 +321,12 @@ def _cmd_sample(args) -> int:
 def _cmd_shuffle(args) -> int:
     sampling._check_count(args.count)
     rng = sampling.RngHandle(args.seed)
-    if args.files:
-        texts = [Path(path).read_text() for path in args.files]
-    else:
-        with _stdin() as fh:
-            texts = [fh.read()]
-    out = []
-    for text in texts:
+    for _, fh in _inputs(args.files):
+        with fh:
+            text = fh.read()
         for rec_id, seq in shuffling.read_fasta(text):
             for i in range(1, args.count + 1):
-                out.append((f"{rec_id}_shuf{i}", shuffling.klet_shuffle(seq, args.k, rng)))
-    sys.stdout.write(shuffling.write_fasta(out))
+                sys.stdout.write(f">{rec_id}_shuf{i}\n{shuffling.klet_shuffle(seq, args.k, rng)}\n")
     return 0
 
 

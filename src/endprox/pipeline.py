@@ -146,34 +146,39 @@ def heatmap(blocks: Iterable[dict[str, list]], m: EteModel = DEFAULT_ETE) -> lis
 # comparison against limit laws
 
 
-def law_quantile_cap(d: LimitDist, stop: int) -> int:
-    """Smallest k whose cdf reaches 1 - 1e-6, or stop if k reaches stop
-    first: past the largest value of a histogram the law's pmf only adds to
-    the tail that total_variation counts anyway, so stop = max(hist) bounds
-    the scan by the data."""
-    acc = 0.0
-    for k, pk in enumerate(pmf_values(d)):
+def law_head(d: LimitDist, stop: int) -> list[float]:
+    """The law's pmf at 0..k, for the smallest k whose cdf reaches 1 - 1e-6
+    or k = stop: past the largest value of a histogram the pmf only adds to
+    the tail that tail_tv counts, so stop = max(hist) bounds the scan."""
+    head, acc = [], 0.0
+    for pk in pmf_values(d):
+        head.append(pk)
         acc += pk
-        if acc >= 1 - 1e-6 or k >= stop:
-            return k
+        if acc >= 1 - 1e-6 or len(head) > stop:
+            return head
+
+
+def tail_tv(probs: Iterable[float], tail: float, pmf: Iterable[float]) -> float:
+    """Half the L1 distance between probs and pmf, value by value, plus half
+    the difference of the two tail masses: probs' own tail, which each
+    caller counts as it normalizes, and the mass pmf leaves out."""
+    body = law_body = 0.0
+    for q, pk in zip(probs, pmf):
+        law_body += pk
+        body += abs(q - pk)
+    return 0.5 * body + 0.5 * abs(tail - max(0.0, 1.0 - law_body))
 
 
 def total_variation(h: Mapping[int, float], d: LimitDist, cap: int) -> float:
-    """Half L1 distance between the normalized histogram and the law's pmf on
-    0..cap, plus half the difference of the two tail masses beyond cap."""
+    """tail_tv of the normalized histogram, whose tail is its mass beyond
+    cap, against the law's pmf on 0..cap."""
     if not h:
         raise EmptyHistogram("empty histogram")
     total = float(sum(h.values()))
     if total <= 0 or any(v < 0 for v in h.values()):
         raise EmptyHistogram("histogram must have nonnegative mass")
-    body = 0.0
-    law_body = 0.0
-    for k, pk in enumerate(pmf_expand(d, cap)):
-        law_body += pk
-        body += abs(h.get(k, 0.0) / total - pk)
-    emp_tail = sum(v for k, v in h.items() if k > cap) / total
-    law_tail = max(0.0, 1.0 - law_body)
-    return 0.5 * body + 0.5 * abs(emp_tail - law_tail)
+    tail = sum(v for k, v in h.items() if k > cap) / total
+    return tail_tv((h.get(k, 0.0) / total for k in range(cap + 1)), tail, pmf_expand(d, cap))
 
 
 _STAT_COLUMN = {
@@ -221,10 +226,10 @@ def compare(
     if not hist:
         raise EmptyHistogram("no rows carry this statistic")
     n, mu, var = _moments(hist)
-    cap = law_quantile_cap(law, max(hist))
+    head = law_head(law, max(hist))
     summary = moments(law)
-    tv = total_variation(hist, law, cap)
-    bins = [(k, hist[k] / n, pk) for k, pk in enumerate(pmf_expand(law, cap))]
+    bins = [(k, hist[k] / n, pk) for k, pk in enumerate(head)]
+    tail = sum(v for k, v in hist.items() if k >= len(head)) / n
     return CompareReport(
         model=model.value,
         stat=stat.value,
@@ -234,7 +239,7 @@ def compare(
         empirical_variance=var,
         law_mean=float(summary.mean),
         law_variance=float(summary.variance),
-        tv=tv,
+        tv=tail_tv((q for _, q, _ in bins), tail, head),
         bins=bins,
     )
 

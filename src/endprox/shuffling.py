@@ -92,25 +92,18 @@ def _uniform_arborescence(
 
 
 def read_fasta(text: str) -> list[tuple[str, str]]:
-    """Minimal FASTA-like reader: '>id ...' header lines, sequence lines
-    concatenated; bare sequences get recN ids."""
+    """FASTA-like records: '>id ...' headers, sequence lines joined; a record
+    with no id (empty header, or lines before any header) is rec<its number>."""
     records: list[tuple[str, list[str]]] = []
-    count = 0
     for raw in text.splitlines():
         line = raw.strip()
         if not line:
             continue
         if line.startswith(">"):
             tokens = line[1:].split()
-            count += 1
-            records.append((tokens[0] if tokens else f"rec{count}", []))
+            records.append((tokens[0] if tokens else f"rec{len(records) + 1}", []))
         else:
             if not records:
-                count += 1
-                records.append((f"rec{count}", []))
+                records.append(("rec1", []))
             records[-1][1].append(line)
     return [(rec_id, "".join(parts)) for rec_id, parts in records]
-
-
-def write_fasta(records: list[tuple[str, str]]) -> str:
-    return "".join(f">{rec_id}\n{seq}\n" for rec_id, seq in records)

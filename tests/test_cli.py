@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -354,6 +355,36 @@ class TestShuffle:
     def test_k_too_large(self, run):
         code, _, err = run(["shuffle", "--k", "9"], stdin=">a\nACG\n")
         assert code == 1
+
+    def test_peak_does_not_grow_with_the_count(self, tmp_path):
+        # each shuffle is written as it is drawn, so ten times the shuffles
+        # of 40 records of 300 nt keep the traced peak (after a warm-up run)
+        # of reading the file and drawing one shuffle
+        rnd = random.Random(5)
+        path = tmp_path / "seqs.fa"
+        path.write_text("".join(f">s{i}\n{''.join(rnd.choices('ACGU', k=300))}\n" for i in range(40)))
+        argv = ["shuffle", "--k", "2", str(path), "--count"]
+        peaks = [_traced_peak(argv + [str(count)]) for count in (5, 5, 50)]
+        assert peaks[2] <= 1.25 * peaks[1], peaks
+
+    def test_unreadable_second_file_writes_nothing(self, run, tmp_path):
+        first, bad = tmp_path / "a.fa", tmp_path / "b.fa"
+        first.write_text(">a\nACGUACGU\n")
+        code, out, err = run(["shuffle", str(first), str(tmp_path / "missing.fa")])
+        assert (code, out) == (1, "") and err.startswith("error: [Errno 2]")
+        bad.write_bytes(b">b\nAC\xffGU\n")
+        done = _endprox(["shuffle", str(first), str(bad)], b"", "-X", "utf8")
+        assert (done.returncode, done.stdout) == (1, b"")
+        assert done.stderr.startswith(b"error: 'utf-8' codec can't decode byte 0xff")
+
+    def test_short_record_ends_after_the_shuffles_before_it(self, run):
+        # records are shuffled as they come: the first record's shuffles are
+        # written before the second, shorter than k, ends the command
+        code, out, err = run(["shuffle", "--k", "3", "--count", "2"], stdin=">a\nACGUACGU\n>b\nAC\n>c\nACGUU\n")
+        assert code == 1
+        assert out.splitlines()[::2] == [">a_shuf1", ">a_shuf2"]
+        assert all(sorted(seq) == sorted("ACGUACGU") for seq in out.splitlines()[1::2])
+        assert err == "error: k=3 exceeds sequence length 2\n"
 
 
 class TestCompareHeatmap:

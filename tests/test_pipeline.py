@@ -1,4 +1,5 @@
 import io
+from collections import Counter
 from fractions import Fraction
 from itertools import chain
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from endprox.exact import Model, Stat, UnsupportedCombination
-from endprox.limits import NegBinomial, limit_of
+from endprox.limits import NegBinomial, limit_of, pmf_expand
 from endprox.pipeline import (
     EmptyHistogram,
     NoRecords,
@@ -15,7 +16,7 @@ from endprox.pipeline import (
     compare,
     ete_band,
     heatmap,
-    law_quantile_cap,
+    law_head,
     run_stats,
     summarize,
     total_variation,
@@ -199,15 +200,16 @@ class TestTotalVariation:
 
     def test_quantile_cap(self):
         law = limit_of(Model.MOTZKIN, Stat.DEG)
-        cap = law_quantile_cap(law, 1000)
-        assert cap < 1000
+        head = law_head(law, 1000)
+        cap = len(head) - 1
+        assert cap < 1000 and head == pmf_expand(law, cap)
         assert sum(float(law.pmf(k)) for k in range(cap + 1)) >= 1 - 1e-6
         assert sum(float(law.pmf(k)) for k in range(cap)) < 1 - 1e-6
 
     def test_quantile_cap_rejects_joint_law(self):
         # as moments and pmf_expand do
         with pytest.raises(UnsupportedCombination):
-            law_quantile_cap(limit_of(Model.MOTZKIN, Stat.JOINT), 0)
+            law_head(limit_of(Model.MOTZKIN, Stat.JOINT), 0)
 
     def test_quantile_cap_stops_at_the_data(self):
         # NB(2, 1e-6) keeps almost all its mass past 10^6: the scan stops at
@@ -222,7 +224,7 @@ class TestTotalVariation:
                 return law.pmf(k)
 
         counted = Counted()
-        assert law_quantile_cap(counted, 5) == 5
+        assert len(law_head(counted, 5)) == 6
         assert counted.calls == 6
 
 
@@ -242,6 +244,16 @@ class TestCompare:
         assert report.empirical_mean == 1.0
         assert report.law_mean == 3.0
         assert 0.0 < report.tv < 1.0
+
+    def test_tv_is_total_variation_on_the_bins(self):
+        # compare expands its law once, for the bins and the distance alike;
+        # the distance is total_variation's to the last bit
+        values = [0, 1, 1, 2, 3, 3, 3, 7, 12]
+        for model, stat in ((Model.MOTZKIN, Stat.DEG), (Model.PFOLD, Stat.UNP), (Model.DYCK, Stat.HEL)):
+            report = compare(values, model, stat)
+            cap = len(report.bins) - 1
+            assert report.tv == total_variation(Counter(values), limit_of(model, stat), cap), (model, stat)
+            assert [pk for _, _, pk in report.bins] == pmf_expand(limit_of(model, stat), cap)
 
     def test_absent_rows_skipped(self):
         columns, _, _ = run_stats(records_from("...\n(...)\n"))
@@ -269,7 +281,7 @@ class TestCompare:
         for _ in range(10):
             _, degs = unp_deg_of_steps(sample_motzkin_steps(n, count // 10, rng))
             hist.update(degs.tolist())
-        cap = law_quantile_cap(law, max(hist))
+        cap = len(law_head(law, max(hist))) - 1
         tv = total_variation(hist, law, cap)
         assert tv < 0.03
 

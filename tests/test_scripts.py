@@ -84,3 +84,12 @@ def test_tracer_finds_its_spans(tmp_path):
         summary = json.loads(spans.read_text())
         assert {"structure.read_dot_bracket_records", "pipeline.run_stats", own} <= set(summary["seconds"]), command
         assert summary["counts"]["pipeline.records_skipped"] == 1, command
+    # shuffle feeds the null_model workload's shuffling metrics: one
+    # read_fasta per file, and one klet_shuffle per record and shuffle
+    fasta = tmp_path / "three.fa"
+    fasta.write_text(">a\nACGUACGU\n>b\nGGCAUUAC\nCAU\n>c\nUUAGCA\n")
+    run_script("bench/tracer.py", str(spans), "cli", "shuffle", "--k", "2", "--count", "4", str(fasta))
+    summary = json.loads(spans.read_text())
+    assert {"shuffling.read_fasta", "shuffling.klet_shuffle"} <= set(summary["seconds"])
+    assert summary["counts"]["shuffling.klet_shuffle.calls"] == 3 * 4
+    assert summary["counts"]["shuffling.read_fasta.calls"] == 1
